@@ -9,8 +9,8 @@ from .channel import ChannelTensor, build_channel, channel_coefficient, \
 from .transmitter import (DmaState, EffectiveChannel, Waveform,
                           effective_rows, expand_dma_weights,
                           lorentzian_weight, microstrip_response)
-from .rectenna import (dc_power, harvested_dc_power, harvested_voltage,
-                       moment2, moment4, output_voltage)
+from .rectenna import (dc_power, harvested_voltage, moment2, moment4,
+                       output_voltage)
 from .power import PowerReport, hpa_bound_objective, input_power, \
     sampled_consumption
 from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w

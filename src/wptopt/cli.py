@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import json
@@ -23,7 +24,7 @@ from . import optimize, oracle, power, rectenna
 from .channel import build_channel
 from .scenario import (Architecture, ScenarioConfig, ScenarioError,
                        ScenarioParseError, ScenarioValidationError,
-                       load_scenario)
+                       load_scenario, scenario_from_dict)
 from .transmitter import DmaState, Waveform, effective_rows
 
 EXIT_OK = 0
@@ -147,8 +148,7 @@ def run_optimization(scenario: ScenarioConfig,
         waveform=waveform.omega,
         dma_q=dma_q, dma_phi=dma_phi,
         power_report=report,
-        trace_rows=[dataclasses.asdict(r) for r in
-                    (trace.records if trace.records else [])],
+        trace_rows=[dataclasses.asdict(r) for r in trace.records],
         p_dc=trace.final_p_dc,
         converged=trace.converged,
     )
@@ -159,8 +159,7 @@ def _load_with_overrides(args) -> ScenarioConfig:
     if getattr(args, "arch", None):
         data = scenario.to_dict()
         data["array"]["architecture"] = args.arch
-        from .scenario import _scenario_from_dict
-        scenario = _scenario_from_dict(data)
+        scenario = scenario_from_dict(data)
     if getattr(args, "seed", None) is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
@@ -172,12 +171,11 @@ def cmd_optimize(args) -> int:
     out = Path(args.out) / artifact.scenario_hash[:12]
     out.mkdir(parents=True, exist_ok=True)
     artifact.save(out / "artifact.json")
-    rows = artifact.trace_rows
-    with open(out / "trace.csv", "w") as fh:
-        if rows:
-            fh.write(",".join(rows[0].keys()) + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row.values()) + "\n")
+    fields = [f.name for f in dataclasses.fields(optimize.OuterRecord)]
+    with open(out / "trace.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(artifact.trace_rows)
     print(f"artifact: {out / 'artifact.json'}")
     print(f"p_c_sampled: {artifact.power_report.p_c_sampled:.6e} W")
     print(f"p_dc: {' '.join(f'{p:.3e}' for p in artifact.p_dc)} W")
@@ -215,14 +213,12 @@ def _scenario_for_point(base: ScenarioConfig, axis: str, value: float) -> Scenar
         data["device"]["hpa_saturation_power"] = float(value)
     else:
         raise ScenarioValidationError(f"unknown sweep axis {axis!r}")
-    from .scenario import _scenario_from_dict
-    return _scenario_from_dict(data)
+    return scenario_from_dict(data)
 
 
 def _sweep_point(payload):
     base_dict, axis, value = payload
-    from .scenario import _scenario_from_dict
-    base = _scenario_from_dict(base_dict)
+    base = scenario_from_dict(base_dict)
     try:
         scenario = _scenario_for_point(base, axis, value)
         artifact = run_optimization(scenario)
@@ -262,8 +258,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     """Re-derive the artifact's claims through the time-domain oracle."""
     artifact = RunArtifact.load(args.artifact)
-    from .scenario import _scenario_from_dict
-    scenario = _scenario_from_dict(artifact.scenario)
+    scenario = scenario_from_dict(artifact.scenario)
     waveform, dma = _rebuild_state(scenario, artifact)
     dev = scenario.device
     channel = build_channel(scenario.array, scenario.receivers,
@@ -314,8 +309,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fieldmap(args) -> int:
     artifact = RunArtifact.load(args.artifact)
-    from .scenario import _scenario_from_dict
-    scenario = _scenario_from_dict(artifact.scenario)
+    scenario = scenario_from_dict(artifact.scenario)
     waveform, dma = _rebuild_state(scenario, artifact)
     plane = oracle.PlaneSpec(x_min=args.xmin, x_max=args.xmax,
                              z_min=args.zmin, z_max=args.zmax,

@@ -5,10 +5,6 @@ coordinates, so its tangent plane is a global underestimator; the convex
 restriction stage relies on that. The gradient is represented by a
 complex coefficient vector ``c`` acting on a perturbation as
 ``2*Re{c^H delta}`` (the conjugate-coordinate derivative).
-
-Two independent evaluation paths are provided: the normative one built on the
-spectrum autocorrelation (O(n_f^2)) and a term-by-term enumeration of the
-quadruple sum (O(n_f^4)), kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -46,27 +42,8 @@ def _spectrum_gradient(s: np.ndarray, hpa_gain: float, k2: float, k4: float) -> 
     return (k2 * hpa_gain ** 2 / 2.0) * s + (k4 * 3.0 * hpa_gain ** 4 / 4.0) * quartic
 
 
-def _spectrum_gradient_enumerated(s: np.ndarray, hpa_gain: float,
-                                  k2: float, k4: float) -> np.ndarray:
-    """Same derivative assembled by walking the quadruple index set term by
-    term, mirroring the expanded coefficient listing; cross-check only."""
-    s = np.asarray(s, dtype=complex)
-    n_f = len(s)
-    grad4 = np.zeros(n_f, dtype=complex)
-    for n0 in range(n_f):
-        for n1 in range(n_f):
-            for n2 in range(n_f):
-                n3 = n0 + n1 - n2
-                if not 0 <= n3 < n_f:
-                    continue
-                # conjugated slots n2, n3 of s0*s1*conj(s2)*conj(s3)
-                grad4[n2] += s[n0] * s[n1] * np.conj(s[n3])
-                grad4[n3] += s[n0] * s[n1] * np.conj(s[n2])
-    return (k2 * hpa_gain ** 2 / 2.0) * s + (k4 * 3.0 * hpa_gain ** 4 / 8.0) * grad4
-
-
 def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
-                      hpa_gain: float = 1.0, enumerated: bool = False) -> LinearizedVoltage:
+                      hpa_gain: float = 1.0) -> LinearizedVoltage:
     """Tangent model of the output voltage in the digital weights.
 
     ``a_rows`` and ``w0`` are [n_f, N_c]; each tone has its own weight block,
@@ -77,14 +54,13 @@ def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
     s = tone_amplitudes(a_rows, w0)
     base = output_voltage(moment2_from_spectrum(s, hpa_gain),
                           moment4_from_spectrum(s, hpa_gain), k2, k4)
-    grad_s = (_spectrum_gradient_enumerated if enumerated else _spectrum_gradient)(
-        s, hpa_gain, k2, k4)
+    grad_s = _spectrum_gradient(s, hpa_gain, k2, k4)
     coeffs = grad_s[:, None] * np.conj(a_rows)
     return LinearizedVoltage(base, coeffs, w0.copy())
 
 
 def linearize_vo_in_q(a_hat_rows: np.ndarray, q0: np.ndarray, k2: float, k4: float,
-                      hpa_gain: float = 1.0, enumerated: bool = False) -> LinearizedVoltage:
+                      hpa_gain: float = 1.0) -> LinearizedVoltage:
     """Tangent model of the output voltage in the element weights.
 
     All tones share the single weight vector ``q``, so the per-tone
@@ -95,7 +71,6 @@ def linearize_vo_in_q(a_hat_rows: np.ndarray, q0: np.ndarray, k2: float, k4: flo
     s = a_hat_rows @ q0
     base = output_voltage(moment2_from_spectrum(s, hpa_gain),
                           moment4_from_spectrum(s, hpa_gain), k2, k4)
-    grad_s = (_spectrum_gradient_enumerated if enumerated else _spectrum_gradient)(
-        s, hpa_gain, k2, k4)
+    grad_s = _spectrum_gradient(s, hpa_gain, k2, k4)
     coeffs = grad_s @ np.conj(a_hat_rows)
     return LinearizedVoltage(base, coeffs, q0.copy())

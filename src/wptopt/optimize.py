@@ -12,8 +12,6 @@ satisfies the exact non-linear harvesting constraints.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,12 +24,9 @@ from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
 from .socp import (SolveStatus, assemble_q_subproblem, assemble_w_subproblem,
                    solve, unstack_complex)
-from .transmitter import (DmaState, EffectiveChannel, Waveform,
-                          effective_rows, lorentzian_weight)
+from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
 
-_PHASE_GRID = 4096
 _AMP_CAP = 1e6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class OptimizationError(RuntimeError):
@@ -40,45 +35,6 @@ class OptimizationError(RuntimeError):
 
 class UnmeetableRequirementError(OptimizationError):
     """EH targets unreachable within the amplitude cap."""
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional phase searches
-# ---------------------------------------------------------------------------
-
-def _golden_refine(fun, lo: float, hi: float, iters: int = 60) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-def phase_search(fun) -> float:
-    """Minimize a periodic objective over [0, 2*pi): uniform grid followed by
-    a golden-section refinement of the bracketing interval.
-
-    ``fun`` must accept an array of phases and return elementwise values.
-    """
-    grid = np.arange(_PHASE_GRID) * (2.0 * np.pi / _PHASE_GRID)
-    vals = np.asarray(fun(grid))
-    k = int(np.argmin(vals))
-    step = 2.0 * np.pi / _PHASE_GRID
-    return _golden_refine(fun, grid[k] - step, grid[k] + step) % (2.0 * np.pi)
-
-
-def _wrapped_angle_mag(values):
-    """|phase| wrapped to [-pi, pi]; elementwise."""
-    return np.abs(np.angle(values))
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +104,36 @@ def allocate_chains(channel: ChannelTensor, m_count: int, n_rf: int) -> InitPlan
     return plan
 
 
+def phase_search(coeffs):
+    """Phase that rotates each coefficient onto the positive real axis,
+    ``-arg(c)`` wrapped to [0, 2*pi); elementwise, and 0 for ``c = 0``."""
+    return np.mod(-np.angle(coeffs), 2.0 * np.pi)
+
+
 def init_q_phases(channel: ChannelTensor, plan: InitPlan,
                   scenario: ScenarioConfig) -> DmaState:
     """Tune each allocated element so the phase of ``q * h * gamma`` at the
-    owner's strongest tone is as close to zero as possible; elements on
-    unallocated chains default to the maximum-amplitude weight ``q = j``."""
+    owner's strongest tone is as close to zero as possible.
+
+    On the Lorentzian circle ``q = sin(t) * exp(j*t)`` for ``t`` in [0, pi],
+    so a target phase in (0, pi) is met exactly; any other target is best
+    approached at ``q = 0``. Elements with a zero coefficient or on
+    unallocated chains keep the maximum-amplitude weight ``q = j``.
+    """
     if scenario.array.architecture is not Architecture.DMA:
         raise ValueError("element phases only exist for the DMA architecture")
     n_v, n_h = scenario.array.n_v, scenario.array.n_h
-    phi = np.full((n_v, n_h), np.pi / 2.0)
-    template = DmaState.from_phases(phi, scenario.array.inter_element_dx,
+    template = DmaState.from_phases(np.full((n_v, n_h), np.pi / 2.0),
+                                    scenario.array.inter_element_dx,
                                     scenario.microstrip)
+    q = template.q.copy()
     for m, chains in enumerate(plan.chain_sets):
-        n_sel = int(plan.strongest_tone[m])
-        for i in chains:
-            for l in range(n_h):
-                prod = template.h[i, l] * channel.gamma[i, l, m, n_sel]
-                if prod == 0:
-                    continue
-                phi[i, l] = phase_search(
-                    lambda p, _c=prod: _wrapped_angle_mag(lorentzian_weight(p) * _c))
-    return DmaState.from_phases(phi, scenario.array.inter_element_dx,
-                                scenario.microstrip)
+        coeffs = template.h[chains] * channel.gamma[chains, :, m,
+                                                    int(plan.strongest_tone[m])]
+        t = phase_search(coeffs)
+        aligned = np.maximum(np.sin(t), 0.0) * np.exp(1j * t)
+        q[chains] = np.where(coeffs == 0, q[chains], aligned)
+    return template.with_weights(q)
 
 
 def _exact_voltages(eff: EffectiveChannel, omega: np.ndarray,
@@ -181,64 +145,48 @@ def _exact_voltages(eff: EffectiveChannel, omega: np.ndarray,
     ])
 
 
+def _ramp(scenario: ScenarioConfig, eff: EffectiveChannel, omega_for,
+          amp: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Grow ``amp[index[m]]`` by the ramp factor until receiver ``m`` meets its
+    target under the non-linear rectifier model; extra passes cover the
+    coupling between receivers. ``omega_for(amp)`` builds the waveform."""
+    targets = scenario.voltage_targets()
+    for _ in range(32):
+        for m, k in enumerate(index):
+            while _exact_voltages(eff, omega_for(amp), scenario)[m] < targets[m]:
+                amp[k] *= scenario.solver.init_ramp_factor
+                if amp[k] > _AMP_CAP:
+                    raise UnmeetableRequirementError(
+                        f"receiver {m}: EH target unreachable within amplitude cap")
+        if np.all(_exact_voltages(eff, omega_for(amp), scenario) >= targets):
+            return amp
+    raise UnmeetableRequirementError("amplitude ramp did not stabilize")
+
+
 def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
                          plan: InitPlan, dma: DmaState | None) -> Waveform:
     """Phase-align each allocated chain per tone, then grow per-receiver
     amplitudes geometrically until every harvesting target is met exactly
     under the non-linear rectifier model."""
-    array = scenario.array
-    settings = scenario.solver
-    eff = effective_rows(channel, array, dma)
-    n_rf, n_f = array.rf_chain_count, scenario.frequency.n_f
+    eff = effective_rows(channel, scenario.array, dma)
+    n_rf, n_f = scenario.array.rf_chain_count, scenario.frequency.n_f
     phases = np.zeros((n_rf, n_f))
     owner = np.full(n_rf, -1, dtype=int)
     for m, chains in enumerate(plan.chain_sets):
-        for i in chains:
-            owner[i] = m
-            for n in range(n_f):
-                coeff = complex(eff.chain[m, n, i])
-                if coeff == 0:
-                    continue
-                phases[i, n] = phase_search(
-                    lambda p, _c=coeff: _wrapped_angle_mag(_c * np.exp(1j * p)))
-    amp = np.full(scenario.n_receivers, settings.init_seed_amplitude)
-    targets = scenario.voltage_targets()
+        owner[chains] = m
+        phases[chains] = phase_search(eff.chain[m][:, chains].T)
+    mask = owner >= 0
 
     def omega_for(amp_vec):
         om = np.zeros((n_rf, n_f), dtype=complex)
-        mask = owner >= 0
-        om[mask] = (amp_vec[owner[mask]][:, None]
-                    * np.exp(1j * phases[mask]))
+        om[mask] = amp_vec[owner[mask]][:, None] * np.exp(1j * phases[mask])
         return om
 
-    # per-receiver ramp; extra passes cover cross-coupling between receivers
-    for _ in range(32):
-        for m in range(scenario.n_receivers):
-            while _exact_voltages(eff, omega_for(amp), scenario)[m] < targets[m]:
-                amp[m] *= settings.init_ramp_factor
-                if amp[m] > _AMP_CAP:
-                    raise UnmeetableRequirementError(
-                        f"receiver {m}: EH target unreachable within amplitude cap")
-        if np.all(_exact_voltages(eff, omega_for(amp), scenario) >= targets):
-            break
-    else:
-        raise UnmeetableRequirementError("amplitude ramp did not stabilize")
-    plan.w_amp = amp
-    return Waveform(omega_for(amp))
-
-
-def _global_ramp(scenario: ScenarioConfig, eff: EffectiveChannel,
-                 waveform: Waveform) -> Waveform:
-    """Scale the whole waveform up until all targets hold; feasibility repair
-    used if a restriction ever reports infeasible."""
-    targets = scenario.voltage_targets()
-    omega = waveform.omega.copy()
-    scale = 1.0
-    while np.any(_exact_voltages(eff, omega * scale, scenario) < targets):
-        scale *= scenario.solver.init_ramp_factor
-        if scale > _AMP_CAP:
-            raise UnmeetableRequirementError("feasibility repair exceeded amplitude cap")
-    return Waveform(omega * scale)
+    m_count = scenario.n_receivers
+    plan.w_amp = _ramp(scenario, eff, omega_for,
+                       np.full(m_count, scenario.solver.init_seed_amplitude),
+                       np.arange(m_count))
+    return Waveform(omega_for(plan.w_amp))
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +240,6 @@ class RunTrace:
     @property
     def p_c_values(self) -> np.ndarray:
         return np.array([r.p_c_bound for r in self.records])
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"outer_iter": r.index, "p_c_bound": r.p_c_bound,
-             "min_voltage": r.min_voltage, "q_sca_iters": r.q_sca_iters,
-             "w_sca_iters": r.w_sca_iters, "eh_residual": r.eh_residual,
-             "q_seconds": r.q_seconds, "w_seconds": r.w_seconds}
-            for r in self.records
-        ]
-
-    def to_csv(self, path) -> None:
-        rows = self.to_rows()
-        fields = list(rows[0].keys()) if rows else ["outer_iter"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
-
-    def to_json(self) -> str:
-        payload = {"converged": self.converged, "records": self.to_rows()}
-        if self.final_p_dc is not None:
-            payload["final_p_dc"] = list(map(float, self.final_p_dc))
-        return json.dumps(payload, indent=2)
 
 
 def _relative_move(new: float, old: float) -> float:
@@ -447,9 +372,12 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
         try:
             w_new, w_trace = run_sca_w(scenario, channel, dma_new, w)
         except _SubproblemInfeasible:
+            # feasibility repair: scale the whole waveform up by one shared amplitude
             eff = effective_rows(channel, scenario.array, dma_new)
-            w_repaired = _global_ramp(scenario, eff, w)
-            w_new, w_trace = run_sca_w(scenario, channel, dma_new, w_repaired)
+            scale = _ramp(scenario, eff, lambda a: w.omega * a[0], np.ones(1),
+                          np.zeros(scenario.n_receivers, dtype=int))
+            w_new, w_trace = run_sca_w(scenario, channel, dma_new,
+                                       Waveform(w.omega * scale[0]))
         t2 = time.perf_counter()
         pc = w_trace.final_objective
         eff = effective_rows(channel, scenario.array, dma_new)

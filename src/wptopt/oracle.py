@@ -70,6 +70,40 @@ def time_domain_moments(spectrum: np.ndarray, tones: np.ndarray,
     return float(np.mean(y ** 2)), float(np.mean(y ** 4))
 
 
+def moment4_enumerated(s: np.ndarray, hpa_gain: float = 1.0) -> float:
+    """Reference O(n_f^4) evaluation of the quadruple sum over
+    ``n0 + n1 = n2 + n3``; the check of ``rectenna.moment4_from_spectrum``."""
+    s = np.asarray(s, dtype=complex)
+    n_f = len(s)
+    acc = 0.0 + 0.0j
+    for n0 in range(n_f):
+        for n1 in range(n_f):
+            for n2 in range(n_f):
+                n3 = n0 + n1 - n2
+                if 0 <= n3 < n_f:
+                    acc += s[n0] * s[n1] * np.conj(s[n2]) * np.conj(s[n3])
+    return float(3.0 * hpa_gain ** 4 / 8.0 * acc.real)
+
+
+def spectrum_gradient_enumerated(s: np.ndarray, hpa_gain: float,
+                                 k2: float, k4: float) -> np.ndarray:
+    """``d v_o / d conj(s_n)`` assembled by walking the quadruple index set
+    term by term; the check of the autocorrelation form in ``linearize``."""
+    s = np.asarray(s, dtype=complex)
+    n_f = len(s)
+    grad4 = np.zeros(n_f, dtype=complex)
+    for n0 in range(n_f):
+        for n1 in range(n_f):
+            for n2 in range(n_f):
+                n3 = n0 + n1 - n2
+                if not 0 <= n3 < n_f:
+                    continue
+                # conjugated slots n2, n3 of s0*s1*conj(s2)*conj(s3)
+                grad4[n2] += s[n0] * s[n1] * np.conj(s[n3])
+                grad4[n3] += s[n0] * s[n1] * np.conj(s[n2])
+    return (k2 * hpa_gain ** 2 / 2.0) * s + (k4 * 3.0 * hpa_gain ** 4 / 8.0) * grad4
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient checks
 # ---------------------------------------------------------------------------

@@ -38,21 +38,6 @@ def moment4_from_spectrum(s: np.ndarray, hpa_gain: float = 1.0) -> float:
     return float(3.0 * hpa_gain ** 4 / 8.0 * np.sum(np.abs(t) ** 2))
 
 
-def moment4_enumerated(s: np.ndarray, hpa_gain: float = 1.0) -> float:
-    """Reference O(n_f^4) evaluation of the quadruple sum; test oracle for
-    ``moment4_from_spectrum``."""
-    s = np.asarray(s, dtype=complex)
-    n_f = len(s)
-    acc = 0.0 + 0.0j
-    for n0 in range(n_f):
-        for n1 in range(n_f):
-            for n2 in range(n_f):
-                n3 = n0 + n1 - n2
-                if 0 <= n3 < n_f:
-                    acc += s[n0] * s[n1] * np.conj(s[n2]) * np.conj(s[n3])
-    return float(3.0 * hpa_gain ** 4 / 8.0 * acc.real)
-
-
 def moment2(a_rows: np.ndarray, w: np.ndarray, hpa_gain: float = 1.0) -> float:
     """Second moment of the received signal for one receiver."""
     return moment2_from_spectrum(tone_amplitudes(a_rows, w), hpa_gain)
@@ -82,8 +67,3 @@ def harvested_voltage(a_rows: np.ndarray, w: np.ndarray, hpa_gain: float,
     return output_voltage(moment2_from_spectrum(s, hpa_gain),
                           moment4_from_spectrum(s, hpa_gain), k2, k4)
 
-
-def harvested_dc_power(a_rows: np.ndarray, w: np.ndarray, hpa_gain: float,
-                       k2: float, k4: float, load_resistance: float) -> float:
-    """Harvested DC power straight from effective rows and weights."""
-    return dc_power(harvested_voltage(a_rows, w, hpa_gain, k2, k4), load_resistance)

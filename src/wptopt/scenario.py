@@ -203,15 +203,16 @@ class ReceiverSpec:
     position: np.ndarray   # [3] meters
     eh_requirement: float  # watts
 
-    def validate(self, array: ArraySpec | None = None):
+    def validate(self):
         if np.asarray(self.position).shape != (3,):
             raise ScenarioValidationError("receiver position must be a 3-vector")
         if self.eh_requirement <= 0:
             raise ScenarioValidationError("EH requirement must be positive")
-        if array is not None:
-            d = np.linalg.norm(array.element_positions - np.asarray(self.position), axis=-1)
-            if np.min(d) <= 0.0:
-                raise ScenarioValidationError("receiver coincides with an array element")
+        # Elements lie in the z=0 plane and radiate only into z > 0, so this
+        # also rules out a receiver on top of an element.
+        if not np.asarray(self.position)[2] > 0.0:
+            raise ScenarioValidationError(
+                "receiver must lie in front of the array (z > 0)")
 
 
 @dataclass(frozen=True)
@@ -276,11 +277,9 @@ class SolverSettings:
     max_outer_iters: int = 50
     max_sca_iters: int = 60
     cone_solver_kkt_tol: float = 1e-9
-    finite_diff_step: float = 1e-6
 
     def validate(self):
-        for name in ("sca_rel_tol", "init_seed_amplitude", "cone_solver_kkt_tol",
-                     "finite_diff_step"):
+        for name in ("sca_rel_tol", "init_seed_amplitude", "cone_solver_kkt_tol"):
             if getattr(self, name) <= 0:
                 raise ScenarioValidationError(f"{name} must be positive")
         if self.init_ramp_factor <= 1.0:
@@ -326,7 +325,7 @@ class ScenarioConfig:
         if not self.receivers:
             raise ScenarioValidationError("at least one receiver is required")
         for r in self.receivers:
-            r.validate(self.array)
+            r.validate()
         if self.array.rf_chain_count < self.n_receivers:
             raise ScenarioValidationError(
                 "RF chain count must be >= number of receivers")
@@ -372,7 +371,6 @@ class ScenarioConfig:
                 "max_outer_iters": self.solver.max_outer_iters,
                 "max_sca_iters": self.solver.max_sca_iters,
                 "cone_solver_kkt_tol": self.solver.cone_solver_kkt_tol,
-                "finite_diff_step": self.solver.finite_diff_step,
             },
             "seed": self.seed,
         }
@@ -385,7 +383,8 @@ class ScenarioConfig:
         return replace(self, solver=replace(self.solver, **kwargs))
 
 
-def _scenario_from_dict(data: dict) -> ScenarioConfig:
+def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """Build and validate a scenario from its ``to_dict`` form."""
     try:
         arr = data["array"]
         arch = Architecture(arr["architecture"])
@@ -436,7 +435,7 @@ def load_scenario(path) -> ScenarioConfig:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-        return _scenario_from_dict(data)
+        return scenario_from_dict(data)
 
     parser = configparser.ConfigParser()
     try:
@@ -493,7 +492,7 @@ def load_scenario(path) -> ScenarioConfig:
             "position": [vals["x"], vals["y"], vals["z"]],
             "eh_requirement": vals["p_target"],
         })
-    return _scenario_from_dict(data)
+    return scenario_from_dict(data)
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:

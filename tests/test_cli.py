@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from wptopt.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                         RunArtifact, main, run_optimization)
+from wptopt.optimize import OuterRecord
 
 SCENARIO = """
 [array]
@@ -46,11 +49,21 @@ def artifact_dir(tmp_path_factory, scenario_file):
 
 def test_optimize_writes_artifact_and_trace(artifact_dir):
     assert (artifact_dir / "artifact.json").exists()
-    assert (artifact_dir / "trace.csv").exists()
     data = json.loads((artifact_dir / "artifact.json").read_text())
     assert data["architecture"] == "dma"
     assert all(p >= 0.999 * 20e-6 for p in data["p_dc"])
     assert "content_hash" in data
+    with open(artifact_dir / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [f.name for f in dataclasses.fields(OuterRecord)]
+    assert "solver_rel_gap" in rows[0]
+    assert len(rows) - 1 == len(data["trace"]) >= 1
+
+
+def test_receiver_behind_array_exit_code(tmp_path):
+    bad = tmp_path / "behind.cfg"
+    bad.write_text(SCENARIO.replace("z = 1.5", "z = -2.2"))
+    assert main(["optimize", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
 def test_malformed_scenario_exit_code(tmp_path):

@@ -1,15 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wptopt.channel import ChannelTensor, build_channel
-from wptopt.optimize import (UnmeetableRequirementError, allocate_chains,
-                             init_digital_weights, init_q_phases,
-                             phase_search, run_asca_dma, run_sca_fd,
-                             run_sca_q, run_sca_w)
+from wptopt.optimize import (UnmeetableRequirementError, _ramp,
+                             allocate_chains, init_digital_weights,
+                             init_q_phases, phase_search, run_asca_dma,
+                             run_sca_fd, run_sca_q, run_sca_w)
 from wptopt.oracle import closed_form_single
 from wptopt.power import sampled_consumption
 from wptopt.rectenna import harvested_voltage
-from wptopt.scenario import Architecture
+from wptopt.scenario import Architecture, load_scenario
 from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 lorentzian_weight)
 
@@ -61,14 +63,15 @@ def test_allocate_chains_requires_enough_chains():
 
 
 def test_phase_search_matches_closed_form(rng):
-    """Grid + golden refinement lands within one grid step of the continuous
-    minimizer of |angle(c * e^{j phi})|."""
-    for _ in range(10):
-        c = rng.normal() + 1j * rng.normal()
-        found = phase_search(lambda p, _c=c: np.abs(np.angle(_c * np.exp(1j * p))))
-        expected = (-np.angle(c)) % (2 * np.pi)
-        diff = abs((found - expected + np.pi) % (2 * np.pi) - np.pi)
-        assert diff <= 2 * np.pi / 4096
+    """The returned phase rotates every coefficient onto the positive real
+    axis; a zero coefficient gets phase 0."""
+    c = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    c[0, 0] = 0.0
+    phase = phase_search(c)
+    assert phase.shape == c.shape
+    assert np.all((phase >= 0.0) & (phase < 2 * np.pi))
+    assert np.max(np.abs(np.angle(c * np.exp(1j * phase)))) <= 1e-12
+    assert phase[0, 0] == 0.0
 
 
 def test_init_q_phases_aligns_products(tiny_dma):
@@ -77,14 +80,63 @@ def test_init_q_phases_aligns_products(tiny_dma):
     plan = allocate_chains(channel, 1, tiny_dma.array.rf_chain_count)
     dma = init_q_phases(channel, plan, tiny_dma)
     n_sel = int(plan.strongest_tone[0])
-    # allocated elements: the tuned product phase is near zero
+    phis = np.arange(0.0, 2 * np.pi, 1e-4)
+    # allocated elements: the tuned product phase is near zero where the
+    # circle reaches the target phase, and q = 0 elsewhere
     for i in plan.chain_sets[0]:
         for l in range(tiny_dma.array.n_h):
-            prod = dma.q[i, l] * dma.h[i, l] * channel.gamma[i, l, 0, n_sel]
+            coeff = dma.h[i, l] * channel.gamma[i, l, 0, n_sel]
+            target = phase_search(coeff)
+            if not 0.0 < target < np.pi:
+                assert dma.q[i, l] == 0
+                continue
             # compare against a brute-force grid at 1e-4 rad resolution
-            phis = np.arange(0.0, 2 * np.pi, 1e-4)
-            ring = lorentzian_weight(phis) * dma.h[i, l] * channel.gamma[i, l, 0, n_sel]
-            assert np.abs(np.angle(prod)) <= np.min(np.abs(np.angle(ring))) + 1e-3
+            ring = lorentzian_weight(phis) * coeff
+            assert np.abs(np.angle(dma.q[i, l] * coeff)) \
+                <= np.min(np.abs(np.angle(ring))) + 1e-3
+
+
+def test_init_pins_sample_scenario():
+    """Start weights of sample_scenario.cfg: 46 of 102 elements start at
+    q = 0, the rest lie on the Lorentzian circle with the product phase
+    aligned, and the ramp stops at the same amplitude as the search-based
+    initialization did (0.025 = 1e-3 * 5**2)."""
+    cfg = load_scenario(Path(__file__).resolve().parent.parent / "sample_scenario.cfg")
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency,
+                            cfg.device.boresight_gain)
+    plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
+    dma = init_q_phases(channel, plan, cfg)
+    coeff = dma.h * channel.gamma[:, :, 0, int(plan.strongest_tone[0])]
+    zero = dma.q == 0
+    assert dma.q.size == 102 and int(np.sum(zero)) == 46
+    assert np.max(np.abs(dma.circle_distance()[~zero])) <= 1e-12
+    assert np.max(np.abs(np.angle(dma.q[~zero] * coeff[~zero]))) <= 1e-9
+    init_digital_weights(cfg, channel, plan, dma)
+    assert plan.w_amp.tolist() == [0.025]
+
+
+def test_repair_ramp_takes_smallest_shared_power():
+    """With one shared amplitude the ramp stops at the smallest power of the
+    ramp factor at which every receiver meets its target."""
+    cfg = make_scenario("fd", length=0.10, n_f=2,
+                        receivers=((0.2, 0.0, 1.4), (-0.3, 0.1, 1.8)))
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
+    plan = allocate_chains(channel, 2, cfg.array.rf_chain_count)
+    omega = init_digital_weights(cfg, channel, plan, None).omega * 1e-3
+    eff = effective_rows(channel, cfg.array, None)
+    scale = _ramp(cfg, eff, lambda a: omega * a[0], np.ones(1), np.zeros(2, dtype=int))
+    factor = cfg.solver.init_ramp_factor
+    k = round(np.log(scale[0]) / np.log(factor))
+    assert k >= 1 and scale[0] == pytest.approx(factor ** k, rel=1e-12)
+    targets = cfg.voltage_targets()
+    dev = cfg.device
+
+    def voltages(s):
+        return np.array([harvested_voltage(eff.chain[m], (omega * s).T, dev.hpa_gain,
+                                           dev.k2, dev.k4) for m in range(2)])
+
+    assert np.all(voltages(scale[0]) >= targets)
+    assert np.any(voltages(scale[0] / factor) < targets)
 
 
 def test_init_q_phases_rejects_fd(tiny_fd):
@@ -281,13 +333,3 @@ def test_dma_vs_fd_matched_aperture_reported():
     print(f"\nmatched-aperture consumption: dma {results['dma']:.4e} W, "
           f"fd {results['fd']:.4e} W")
 
-
-def test_trace_serialization(tmp_path, tiny_dma):
-    cfg = tiny_dma.with_solver(max_sca_iters=6, max_outer_iters=2)
-    _, _, trace = run_asca_dma(cfg)
-    trace.to_csv(tmp_path / "trace.csv")
-    text = (tmp_path / "trace.csv").read_text()
-    assert "p_c_bound" in text.splitlines()[0]
-    assert len(text.splitlines()) == len(trace.records) + 1
-    payload = trace.to_json()
-    assert "records" in payload and "final_p_dc" in payload

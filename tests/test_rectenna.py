@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wptopt.oracle import time_domain_moments
+from wptopt.oracle import moment4_enumerated, time_domain_moments
 from wptopt.rectenna import (dc_power, harvested_voltage, moment2,
                              moment2_from_spectrum, moment4,
-                             moment4_enumerated, moment4_from_spectrum,
-                             output_voltage, tone_amplitudes)
+                             moment4_from_spectrum, output_voltage,
+                             tone_amplitudes)
 
 from conftest import synthetic_plan
 

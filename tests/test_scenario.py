@@ -133,9 +133,17 @@ def test_receiver_validation():
     cfg = make_scenario()
     on_element = cfg.array.element_positions[0, 0].copy()
     with pytest.raises(ScenarioValidationError):
-        ReceiverSpec(on_element, 20e-6).validate(cfg.array)
+        ReceiverSpec(on_element, 20e-6).validate()
     with pytest.raises(ScenarioValidationError):
-        ReceiverSpec(np.array([0.0, 0.0, 1.0]), 0.0).validate(cfg.array)
+        ReceiverSpec(np.array([0.0, 0.0, 1.0]), 0.0).validate()
+
+
+@pytest.mark.parametrize("z", [0.0, -2.2])
+def test_receiver_on_or_behind_array_rejected(z):
+    """The radiation profile is zero behind the array, so such a receiver
+    would see an all-zero channel; it is rejected when the scenario loads."""
+    with pytest.raises(ScenarioValidationError, match="z > 0"):
+        make_scenario(receivers=((0.0, 0.0, z),))
 
 
 def test_chain_count_must_cover_receivers():
