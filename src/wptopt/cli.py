@@ -165,17 +165,22 @@ def _load_with_overrides(args) -> ScenarioConfig:
     return scenario
 
 
+def write_trace_csv(path: Path, rows: list[dict]) -> None:
+    """Write outer-loop trace rows as CSV with the OuterRecord fields as header."""
+    fields = [f.name for f in dataclasses.fields(optimize.OuterRecord)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_optimize(args) -> int:
     scenario = _load_with_overrides(args)
     artifact = run_optimization(scenario, paper_sampling=args.paper_sampling)
     out = Path(args.out) / artifact.scenario_hash[:12]
     out.mkdir(parents=True, exist_ok=True)
     artifact.save(out / "artifact.json")
-    fields = [f.name for f in dataclasses.fields(optimize.OuterRecord)]
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(artifact.trace_rows)
+    write_trace_csv(out / "trace.csv", artifact.trace_rows)
     print(f"artifact: {out / 'artifact.json'}")
     print(f"p_c_sampled: {artifact.power_report.p_c_sampled:.6e} W")
     print(f"p_dc: {' '.join(f'{p:.3e}' for p in artifact.p_dc)} W")

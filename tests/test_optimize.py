@@ -1,9 +1,13 @@
+import csv
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wptopt.channel import ChannelTensor, build_channel
+from wptopt.cli import write_trace_csv
 from wptopt.optimize import (UnmeetableRequirementError, _ramp,
                              allocate_chains, init_digital_weights,
                              init_q_phases, phase_search, run_asca_dma,
@@ -333,3 +337,14 @@ def test_dma_vs_fd_matched_aperture_reported():
     print(f"\nmatched-aperture consumption: dma {results['dma']:.4e} W, "
           f"fd {results['fd']:.4e} W")
 
+
+def test_trace_serialization(tmp_path, tiny_dma):
+    cfg = tiny_dma.with_solver(max_sca_iters=6, max_outer_iters=2)
+    _, _, trace = run_asca_dma(cfg)
+    rows = [dataclasses.asdict(r) for r in trace.records]
+    write_trace_csv(tmp_path / "trace.csv", rows)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert "p_c_bound" in lines[0]
+    assert len(lines) == len(trace.records) + 1
+    assert json.loads(json.dumps(rows)) == rows
