@@ -103,8 +103,11 @@ def build_channel(array: ArraySpec, receivers, plan: FrequencyPlan,
     lam = plan.wavelengths
     amp = (np.sqrt(radiation_profile(theta, boresight_gain))[..., None]
            * lam / (4.0 * np.pi * d[..., None]))
-    phase = np.exp(-2j * np.pi * d[..., None] / lam)
-    gamma = amp * phase
+    # Real phase argument. Times 1/lam, not divided by lam: this rounds like
+    # numpy's complex division, so the coefficients, and with them every
+    # design and artifact hash, stay bit-identical to the complex form.
+    gamma = np.exp(1j * (-2.0 * np.pi * d[..., None] * (1.0 / lam)))
+    gamma *= amp
     for a in (gamma, amp, d, theta):
         a.flags.writeable = False
     return ChannelTensor(gamma=gamma, gain=amp, distances=d, elevations=theta)

@@ -58,6 +58,7 @@ class RunArtifact:
     trace_rows: list[dict]
     p_dc: np.ndarray
     converged: bool
+    paper_sampling: bool = False         # P_c sampled on the 1 ms paper grid
 
     def content_hash(self) -> str:
         blob = json.dumps(self._payload(with_hash=False), sort_keys=True).encode()
@@ -76,6 +77,7 @@ class RunArtifact:
                        if not k.endswith("_seconds")} for row in self.trace_rows],
             "p_dc": list(map(float, self.p_dc)),
             "converged": self.converged,
+            "paper_sampling": self.paper_sampling,
         }
         if self.dma_q is not None:
             payload["dma"] = {"shape": list(self.dma_q.shape),
@@ -113,6 +115,7 @@ class RunArtifact:
             trace_rows=data["trace"],
             p_dc=np.array(data["p_dc"]),
             converged=data["converged"],
+            paper_sampling=data.get("paper_sampling", False),
         )
 
 
@@ -151,6 +154,7 @@ def run_optimization(scenario: ScenarioConfig,
         trace_rows=[dataclasses.asdict(r) for r in trace.records],
         p_dc=trace.final_p_dc,
         converged=trace.converged,
+        paper_sampling=paper_sampling,
     )
 
 
@@ -293,7 +297,8 @@ def cmd_simulate(args) -> int:
     report = power.sampled_consumption(waveform, dma, scenario.array,
                                        scenario.frequency, dev.hpa_gain,
                                        dev.hpa_saturation_power,
-                                       dev.hpa_max_efficiency)
+                                       dev.hpa_max_efficiency,
+                                       paper_sampling=artifact.paper_sampling)
     jensen = report.p_hpa_sampled <= report.p_hpa_bound + 1e-9 * max(1.0, report.p_hpa_bound)
     checks.append(("amplifier-bound-holds", jensen,
                    f"sampled {report.p_hpa_sampled:.6e} <= bound {report.p_hpa_bound:.6e}"))
@@ -392,6 +397,9 @@ def main(argv=None) -> int:
     except optimize.OptimizationError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_ITER_LIMIT
+    except FloatingPointError as exc:  # e.g. an unbounded cone program
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -310,13 +310,15 @@ def field_map(scenario: ScenarioConfig, waveform: Waveform,
     dev = scenario.device
     plan = scenario.frequency
     xs, zs = plane.grid()
-    cells = np.array([[x, plane.y_offset, z] for z in zs for x in xs])
-    channel = build_channel(scenario.array, cells, plan, dev.boresight_gain)
-    eff = effective_rows(channel, scenario.array, dma)
-    s = np.einsum("mnc,cn->mn", eff.chain, waveform.omega)
-    p_rf = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
     n_el = scenario.array.n_elements
-    loss = np.mean(channel.gain[:, :, :, 0].reshape(n_el, len(cells)) ** 2, axis=0)
+    p_rf = np.empty((len(zs), len(xs)))
+    loss = np.empty((len(zs), len(xs)))
+    for k, z in enumerate(zs):  # one grid row at a time keeps the channel small
+        cells = np.column_stack([xs, np.full_like(xs, plane.y_offset), np.full_like(xs, z)])
+        channel = build_channel(scenario.array, cells, plan, dev.boresight_gain)
+        eff = effective_rows(channel, scenario.array, dma)
+        s = np.einsum("mnc,cn->mn", eff.chain, waveform.omega)
+        p_rf[k] = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
+        loss[k] = np.mean(channel.gain[:, :, :, 0].reshape(n_el, len(xs)) ** 2, axis=0)
     values = np.where(loss > 0, p_rf / np.maximum(loss, 1e-300), 0.0)
-    return FieldMap(plane=plane, xs=xs, zs=zs,
-                    values=values.reshape(len(zs), len(xs)))
+    return FieldMap(plane=plane, xs=xs, zs=zs, values=values)

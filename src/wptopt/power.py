@@ -76,20 +76,41 @@ class PowerReport:
         return asdict(self)
 
 
+def _output_power_chunks(amps: np.ndarray, tones: np.ndarray, count: int,
+                         step: float):
+    """Per-chain instantaneous output power ``P_out[i, k]`` on the uniform grid
+    ``t_k = k * step``, ``k < count``, yielded in blocks of ``_CHUNK`` samples.
+
+    The phasors ``exp(2j*pi*f_n*j*step)`` of one block are tabulated once as
+    the real matrix ``[cos; sin]``; each block rotates the amplitudes to its
+    start time (n_f exponentials), so every sample is one column of a real
+    matrix product. Samples run along the last axis to keep the per-chain
+    reductions contiguous.
+    """
+    n_rf, n_el, n_f = amps.shape
+    flat = amps.reshape(n_rf * n_el, n_f)
+    arg = 2.0 * np.pi * np.outer(tones, np.arange(min(_CHUNK, count)) * step)
+    table = np.concatenate([np.cos(arg), np.sin(arg)])  # [2 n_f, chunk]
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
+        a = flat * np.exp(2j * np.pi * tones * (start * step))
+        # Re{a e^{jθ}} = Re a cos θ - Im a sin θ
+        x = np.hstack([a.real, -a.imag]) @ table[:, :n]  # [n_rf n_el, n]
+        x = x.reshape(n_rf, n_el, n)
+        yield np.einsum("cek,cek->ck", x, x)
+
+
 def sampled_output_means(waveform: Waveform, dma: DmaState | None,
-                         plan: FrequencyPlan, hpa_gain: float,
-                         times: np.ndarray | None = None) -> np.ndarray:
+                         plan: FrequencyPlan, hpa_gain: float) -> np.ndarray:
     """Exact per-chain time averages of the radiated power ``E{P_out,i}``.
 
     Discrete means over the default grid are exact for the squared signal, so
     the result equals the frequency-domain value ``sum_{l,n}(G^2/2)|w q h|^2``.
     """
-    if times is None:
-        times = plan.quadrature_times(degree=2)
+    count, step = plan.quadrature_grid(degree=2)
     amps = _chain_element_amplitudes(waveform, dma, hpa_gain)
-    phases = np.exp(2j * np.pi * np.outer(times, plan.tones))  # [K, n_f]
-    x = np.real(np.einsum("kn,cen->kce", phases, amps))
-    return np.mean(np.sum(x * x, axis=2), axis=0)
+    chunks = _output_power_chunks(amps, plan.tones, count, step)
+    return sum(p_out.sum(axis=1) for p_out in chunks) / count
 
 
 def sampled_consumption(waveform: Waveform, dma: DmaState | None,
@@ -105,19 +126,14 @@ def sampled_consumption(waveform: Waveform, dma: DmaState | None,
     if array.architecture is Architecture.DMA and dma is None:
         raise ValueError("DMA architecture requires a DmaState")
     if paper_sampling:
-        times = plan.nyquist_times(duration=1e-3)
+        count, step = plan.nyquist_grid(duration=1e-3)
     else:
-        times = plan.quadrature_times(degree=2)
+        count, step = plan.quadrature_grid(degree=2)
     amps = _chain_element_amplitudes(waveform, dma, hpa_gain)
     n_rf = amps.shape[0]
     sqrt_sum = np.zeros(n_rf)
-    count = 0
-    for start in range(0, len(times), _CHUNK):
-        t = times[start:start + _CHUNK]
-        phases = np.exp(2j * np.pi * np.outer(t, plan.tones))
-        x = np.real(np.einsum("kn,cen->kce", phases, amps))
-        sqrt_sum += np.sum(np.sqrt(np.sum(x * x, axis=2)), axis=0)
-        count += len(t)
+    for p_out in _output_power_chunks(amps, plan.tones, count, step):
+        sqrt_sum += np.sum(np.sqrt(p_out, out=p_out), axis=1)
     p_hpa = float(np.sqrt(p_max) / eta_max * np.sum(sqrt_sum) / count)
     p_in = input_power(waveform)
     scales = chain_norm_scales(dma, n_rf, hpa_gain, p_max, eta_max)

@@ -171,6 +171,16 @@ class FrequencyPlan:
     def fundamental_period(self) -> float:
         return self.cycle_ratio().denominator / self.delta_f
 
+    def quadrature_grid(self, degree: int) -> tuple[int, float]:
+        """Sample count and spacing of ``quadrature_times(degree)``."""
+        frac = self.cycle_ratio()
+        p, q = frac.numerator, frac.denominator
+        k = degree * (p + (self.n_f - 1) * q) + 1
+        if k > 20_000_000:
+            raise ScenarioValidationError("periodic sampling grid too large")
+        period = q / self.delta_f
+        return k, period / k
+
     def quadrature_times(self, degree: int) -> np.ndarray:
         """Uniform samples over one fundamental period whose discrete mean is
         exact for any trigonometric polynomial of the tones up to ``degree``.
@@ -179,21 +189,21 @@ class FrequencyPlan:
         ``delta_f/q``; with more samples per period than the largest multiple,
         no component aliases onto DC.
         """
-        frac = self.cycle_ratio()
-        p, q = frac.numerator, frac.denominator
-        k = degree * (p + (self.n_f - 1) * q) + 1
-        if k > 20_000_000:
-            raise ScenarioValidationError("periodic sampling grid too large")
-        period = q / self.delta_f
-        return np.arange(k) * (period / k)
+        k, step = self.quadrature_grid(degree)
+        return np.arange(k) * step
 
-    def nyquist_times(self, duration: float) -> np.ndarray:
-        """Samples at exactly twice the highest tone over ``duration``."""
+    def nyquist_grid(self, duration: float) -> tuple[int, float]:
+        """Sample count and spacing of ``nyquist_times(duration)``."""
         rate = 2.0 * self.f_max
         k = int(round(duration * rate))
         if k > 50_000_000:
             raise ScenarioValidationError("sampling grid too large")
-        return np.arange(k) / rate
+        return k, 1.0 / rate
+
+    def nyquist_times(self, duration: float) -> np.ndarray:
+        """Samples at exactly twice the highest tone over ``duration``."""
+        k, step = self.nyquist_grid(duration)
+        return np.arange(k) * step
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,9 @@ def effective_rows(channel: ChannelTensor, array: ArraySpec,
     """
     n_v, n_h, m_count, n_f = channel.shape
     n = n_v * n_h
-    gamma_rows = np.stack([channel.rows(m) for m in range(m_count)])  # [M, n_f, N]
+    # [M, n_f, N], laid out like a stack of channel.rows(m) (tones fastest)
+    gamma_rows = np.moveaxis(channel.gamma, 2, 0).reshape(m_count, n, n_f) \
+        .copy().transpose(0, 2, 1)
     if array.architecture is Architecture.FULLY_DIGITAL:
         if dma is not None:
             raise ValueError("fully-digital array takes no DMA state")

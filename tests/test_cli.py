@@ -127,6 +127,41 @@ def test_simulate_fd_skips_disk_checks(scenario_file, tmp_path, capsys):
     assert "lorentzian" not in out
 
 
+def test_simulate_resamples_paper_artifact_on_its_grid(scenario_file, tmp_path,
+                                                       capsys):
+    """An artifact whose P_c was sampled on the 1 ms paper grid is re-checked
+    on that grid; an artifact without the key loads as the default grid."""
+    cfg = tmp_path / "fd4.cfg"
+    cfg.write_text(scenario_file.read_text().replace("n_tones = 2", "n_tones = 4"))
+    out = tmp_path / "runs"
+    assert main(["optimize", str(cfg), "--arch", "fd", "--paper-sampling",
+                 "--out", str(out)]) == EXIT_OK
+    path = next(out.iterdir()) / "artifact.json"
+    assert RunArtifact.load(path).paper_sampling is True
+    capsys.readouterr()
+    code = main(["simulate", str(path)])
+    out_text = capsys.readouterr().out
+    assert code == EXIT_OK, out_text
+    assert "PASS p-c-matches-artifact" in out_text
+    data = json.loads(path.read_text())
+    del data["paper_sampling"]
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(data))
+    assert RunArtifact.load(legacy).paper_sampling is False
+
+
+def test_unbounded_cone_program_exit_code(scenario_file, tmp_path, monkeypatch,
+                                          capsys):
+    def unbounded(*args, **kwargs):
+        raise FloatingPointError("cone program is unbounded below")
+
+    monkeypatch.setattr("wptopt.optimize.solve", unbounded)
+    code = main(["optimize", str(scenario_file), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == ["numerical failure: cone program is unbounded below"]
+
+
 def test_fieldmap_command(artifact_dir, tmp_path):
     code = main(["fieldmap", str(artifact_dir / "artifact.json"),
                  "--xmin", "-0.4", "--xmax", "0.4", "--zmin", "0.5",

@@ -160,6 +160,27 @@ def test_field_map_values_nonnegative_and_shape(tiny_fd, rng):
     assert np.all(fmap.values >= 0.0)
 
 
+def test_field_map_rows_equal_whole_grid(tiny_dma, rng):
+    """The map evaluated one grid row at a time equals one evaluation over
+    every cell of the plane."""
+    from wptopt.transmitter import DmaState
+    arr, plan, dev = tiny_dma.array, tiny_dma.frequency, tiny_dma.device
+    dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
+                               arr.inter_element_dx, tiny_dma.microstrip)
+    wf = Waveform(rng.normal(size=(arr.n_v, plan.n_f))
+                  + 1j * rng.normal(size=(arr.n_v, plan.n_f)))
+    plane = PlaneSpec(-0.6, 0.5, 0.3, 1.4, 0.1)
+    fmap = field_map(tiny_dma, wf, dma, plane)
+    cells = np.array([[x, plane.y_offset, z] for z in fmap.zs for x in fmap.xs])
+    ch = build_channel(arr, cells, plan, dev.boresight_gain)
+    s = np.einsum("mnc,cn->mn", effective_rows(ch, arr, dma).chain, wf.omega)
+    p_rf = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
+    loss = np.mean(ch.gain[:, :, :, 0].reshape(arr.n_elements, len(cells)) ** 2, axis=0)
+    whole = (p_rf / loss).reshape(len(fmap.zs), len(fmap.xs))
+    assert fmap.values.shape == whole.shape == (12, 12)
+    np.testing.assert_allclose(fmap.values, whole, rtol=1e-13, atol=0)
+
+
 def test_field_map_csv(tmp_path, tiny_fd, rng):
     wf = Waveform(rng.normal(size=(tiny_fd.array.rf_chain_count, 2))
                   + 1j * rng.normal(size=(tiny_fd.array.rf_chain_count, 2)))

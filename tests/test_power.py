@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wptopt import power
 from wptopt.power import (chain_norm_scales, hpa_bound_objective, input_power,
                           sampled_consumption, sampled_output_means)
 from wptopt.scenario import MicrostripParams
@@ -157,3 +158,46 @@ def test_paper_sampling_window(tiny_fd):
                                 paper_sampling=True)
     assert paper.p_hpa_sampled == pytest.approx(exact.p_hpa_sampled, rel=5e-2)
     assert paper.p_in == exact.p_in
+
+
+def reference_output_power(amps, plan, times):
+    """Per-sample loop the chunk kernel must reproduce: one exponential per
+    sample and tone, a complex einsum and its real part; P_out is [K, n_rf]."""
+    phases = np.exp(2j * np.pi * np.outer(times, plan.tones))
+    x = np.real(np.einsum("kn,cen->kce", phases, amps))
+    return np.sum(x * x, axis=2)
+
+
+@pytest.mark.parametrize("paper", [False, True], ids=["period", "paper"])
+@pytest.mark.parametrize("arch", ["fd", "dma"])
+def test_chunk_kernel_matches_per_sample_loop(arch, paper, rng, monkeypatch):
+    """The tabulated-phasor kernel agrees with the per-sample loop to 1e-10
+    relative, sample by sample and in every mean, over a grid that spans
+    several chunks and ends inside one."""
+    for n_f in (1, 2, 3):
+        plan = synthetic_plan(n_f, ratio=int(rng.integers(3, 9)))
+        times = plan.nyquist_times(1e-3) if paper else plan.quadrature_times(2)
+        chunk = len(times) // 3 + 1
+        assert len(times) > 2 * chunk and len(times) % chunk
+        monkeypatch.setattr(power, "_CHUNK", chunk)
+        array = make_scenario(arch, n_f=n_f).array
+        dma = random_dma_state(rng, array.n_v, array.n_h) if arch == "dma" else None
+        n_rf = array.rf_chain_count
+        wf = Waveform(rng.normal(size=(n_rf, n_f)) + 1j * rng.normal(size=(n_rf, n_f)))
+        g, p_max, eta = float(rng.uniform(0.5, 1.5)), 2.0, 0.7
+        amps = g * wf.omega[:, None, :]
+        if dma is not None:
+            amps = amps * (dma.q * dma.h)[:, :, None]
+        ref = reference_output_power(amps, plan, times)
+
+        step = times[1] - times[0]
+        got = np.concatenate(list(power._output_power_chunks(
+            amps, plan.tones, len(times), step)), axis=1).T
+        assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * ref.max())
+        rep = sampled_consumption(wf, dma, array, plan, g, p_max, eta,
+                                  paper_sampling=paper)
+        expected = math.sqrt(p_max) / eta * np.sum(np.sqrt(ref)) / len(times)
+        assert rep.p_hpa_sampled == pytest.approx(expected, rel=1e-10)
+        if not paper:
+            assert np.allclose(sampled_output_means(wf, dma, plan, g),
+                               ref.mean(axis=0), rtol=1e-10, atol=0.0)

@@ -7,6 +7,9 @@ from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 expand_dma_weights, lorentzian_weight,
                                 microstrip_response)
 
+from conftest import make_scenario
+
+
 def test_lorentzian_named_points():
     assert lorentzian_weight(np.pi / 2) == pytest.approx(1j)
     assert lorentzian_weight(3 * np.pi / 2) == pytest.approx(0.0, abs=1e-15)
@@ -118,6 +121,34 @@ def test_effective_rows_dma_phase_rotation(tiny_dma):
     expected = gamma_rows * (1j * dma.h.reshape(-1))[None, :]
     assert np.allclose(eff.a[0], expected)
     assert np.allclose(np.abs(eff.a[0]), np.abs(gamma_rows))
+
+
+def test_effective_rows_equal_per_receiver_stack(rng):
+    """Rows for all receivers at once are bitwise the rows, chain sums and
+    focusing rows computed from a stack of per-receiver rows. The chain sums
+    are bitwise equal only if the rows have the stack's memory layout."""
+    receivers = ((0.0, 0.0, 1.5), (0.3, -0.2, 2.0), (-0.5, 0.1, 1.0))
+    for arch, n_f in (("fd", 3), ("dma", 3), ("dma", 8)):
+        cfg = make_scenario(arch, length=0.2, n_f=n_f, receivers=receivers)
+        arr = cfg.array
+        ch = build_channel(arr, cfg.receivers, cfg.frequency, 0.0)
+        stacked = np.stack([ch.rows(m) for m in range(len(receivers))])
+        if arch == "fd":
+            eff = effective_rows(ch, arr)
+            assert np.array_equal(eff.a, stacked)
+            assert np.array_equal(eff.chain, stacked)
+            continue
+        dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
+                                   arr.inter_element_dx, cfg.microstrip)
+        wf = Waveform(rng.normal(size=(arr.n_v, n_f)) + 1j * rng.normal(size=(arr.n_v, n_f)))
+        eff = effective_rows(ch, arr, dma, wf)
+        a = stacked * (dma.q * dma.h).reshape(-1)[None, None, :]
+        assert np.array_equal(eff.a, a)
+        assert np.array_equal(
+            eff.chain, a.reshape(len(receivers), n_f, arr.n_v, arr.n_h).sum(axis=3))
+        a_hat = (stacked * expand_dma_weights(wf, arr.n_h)[None, :, :]
+                 * dma.h.reshape(-1)[None, None, :])
+        assert np.array_equal(eff.a_hat, a_hat)
 
 
 def test_effective_rows_zero_waveform_gives_zero_a_hat(tiny_dma):
