@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except optimize.OptimizationError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_ITER_LIMIT
-    except FloatingPointError as exc:  # e.g. an unbounded cone program
+    except FloatingPointError as exc:  # unbounded or falsely infeasible cone program
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except FileNotFoundError as exc:

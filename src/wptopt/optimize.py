@@ -310,7 +310,8 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
         prog = assemble_q_subproblem(scenario, waveform, lins, q0)
         sol = solve(prog, settings)
         if sol.status is SolveStatus.INFEASIBLE:
-            raise OptimizationError("focusing restriction reported infeasible")
+            # the restriction always contains its expansion point q0
+            raise FloatingPointError("focusing restriction reported infeasible")
         if sol.status is SolveStatus.ITER_LIMIT and prog.max_violation(sol.x) > 1e-7:
             break
         dma = dma.with_weights(unstack_complex(sol.x[:2 * n_el]))

@@ -5,11 +5,21 @@ expressed over stacked real variables in a structured :class:`ConeProgram`
 (linear cost, sum-of-norm groups, squared-norm epigraphs, affine rows, disk
 constraints, equalities). :func:`solve` lowers the structure to a standard
 conic form ``min c^T x  s.t.  E x = f,  A x + s = b,  s in K`` and runs a
-homogeneous self-dual Mehrotra predictor-corrector with Nesterov-Todd scaling
-and dense linear algebra. Problem sizes here are a few hundred to a few
-thousand variables, solved hundreds of times per run, so an embedded
-deterministic solver with contractual tolerances is preferred over an
-external dependency.
+homogeneous self-dual Mehrotra predictor-corrector with Nesterov-Todd scaling.
+Problem sizes here are a few hundred to a few thousand variables, solved
+hundreds of times per run, so an embedded deterministic solver with
+contractual tolerances is preferred over an external dependency.
+
+Each Newton step solves ``A^T W^-2 A dx + E^T dy = r`` through its structure
+(Vandenberghe, "The CVXOPT linear and quadratic cone program solvers", 2010):
+a cone's NT term is a diagonal plus a low-rank term on the variables its rows
+read. Cones with disjoint supports give small dense blocks, factored in one
+batched call per block size (2x2 per Lorentzian disk, one block per chain's
+norm group with its epigraph variable). The orthant rows, the equality rows,
+the rank-2 term of a cone that spans several blocks (the squared norm) and
+the variables no cone reads form one bordered Schur system of about M + 3
+unknowns, factored by LU. Iterative refinement against the exact KKT operator
+checks the accuracy of every solve.
 """
 
 from __future__ import annotations
@@ -32,6 +42,18 @@ class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
+
+
+class ExitReason(enum.Enum):
+    """Why the interior-point iteration stopped."""
+
+    TOLERANCE = "tolerance met"
+    INFEASIBLE = "infeasibility certificate"
+    LOST_INTERIOR = "iterate left the cone interior"
+    FACTORIZATION = "Newton block or Schur factorization failed"
+    FLOATING_POINT = "floating-point error in the search direction"
+    SHORT_STEP = "step length <= 1e-11"
+    ITER_CAP = "iteration cap"
 
 
 @dataclass(frozen=True)
@@ -170,6 +192,7 @@ class ConeSolution:
     duality_gap: float
     status: SolveStatus
     iterations: int
+    exit_reason: ExitReason
     violation_report: str = ""
 
 
@@ -275,6 +298,29 @@ def assemble_q_subproblem(scenario: ScenarioConfig, waveform: Waveform,
 # standard-form lowering
 # ---------------------------------------------------------------------------
 
+class _AffineRows:
+    """The standard form's ``A = [C; S]``.
+
+    ``C`` holds the dense orthant rows (the program's affine inequalities).
+    Every cone row that ``_lower`` emits reads at most one variable, so ``S``
+    is stored as one column index and one coefficient per row; a constant
+    row, such as a disk's radius, has coefficient 0.
+    """
+
+    def __init__(self, lin: np.ndarray, col: np.ndarray, coef: np.ndarray):
+        self.lin, self.col, self.coef = lin, col, coef
+        self.n = lin.shape[1]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.lin @ x, self.coef * x[self.col]])
+
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        """``A^T z``."""
+        p = len(self.lin)
+        return self.lin.T @ z[:p] + np.bincount(self.col, self.coef * z[p:],
+                                                minlength=self.n)
+
+
 def _lower(prog: ConeProgram):
     """Lower the structure to ``min c.x; E x = f; A x + s = b, s in K``.
 
@@ -286,43 +332,32 @@ def _lower(prog: ConeProgram):
     n = n0 + len(prog.norm_groups) + len(prog.quad_groups)
     c = np.zeros(n)
     c[:n0] = prog.linear_cost
-    rows, rhs, soc_dims = [], [], []
-    m_lin = len(prog.ineq_rhs)
-    if m_lin:
-        pad = np.zeros((m_lin, n - n0))
-        rows.append(np.hstack([prog.ineq_lhs, pad]))
-        rhs.append(prog.ineq_rhs)
-    next_aux = n0
+    cols, coefs, rhs = [], [], [prog.ineq_rhs]
+    t = n0
     for g in prog.norm_groups:
-        t = next_aux; next_aux += 1
         c[t] = g.scale
-        dim = 1 + len(g.indices)
-        blk = np.zeros((dim, n)); vec = np.zeros(dim)
-        blk[0, t] = -1.0
-        for j, ix in enumerate(g.indices):
-            blk[1 + j, ix] = -1.0
-        rows.append(blk); rhs.append(vec); soc_dims.append(dim)
+        cols.append(np.r_[t, g.indices])                # s = (t, x_g)
+        coefs.append(np.full(1 + len(g.indices), -1.0))
+        rhs.append(np.zeros(1 + len(g.indices)))
+        t += 1
     for g in prog.quad_groups:
-        t = next_aux; next_aux += 1
         c[t] = 1.0
-        dim = 2 + len(g.indices)
-        blk = np.zeros((dim, n)); vec = np.zeros(dim)
-        blk[0, t] = -1.0; vec[0] = 1.0      # s0 = t + 1
-        blk[1, t] = -1.0; vec[1] = -1.0     # s1 = t - 1
-        for j, ix in enumerate(g.indices):
-            blk[2 + j, ix] = -2.0
-            vec[2 + j] = -2.0 * g.offset[j]  # s = 2(x - o)
-        rows.append(blk); rhs.append(vec); soc_dims.append(dim)
+        cols.append(np.r_[t, t, g.indices])             # s = (t + 1, t - 1, 2(x - o))
+        coefs.append(np.r_[-1.0, -1.0, np.full(len(g.indices), -2.0)])
+        rhs.append(np.r_[1.0, -1.0, -2.0 * np.asarray(g.offset, dtype=float)])
+        t += 1
     for dsk in prog.disks:
-        blk = np.zeros((3, n)); vec = np.zeros(3)
-        vec[0] = dsk.radius
-        blk[1, dsk.ix_re] = -1.0; vec[1] = -dsk.center.real
-        blk[2, dsk.ix_im] = -1.0; vec[2] = -dsk.center.imag
-        rows.append(blk); rhs.append(vec); soc_dims.append(3)
-    a_mat = np.vstack(rows) if rows else np.zeros((0, n))
-    b_vec = np.concatenate(rhs) if rhs else np.zeros(0)
+        cols.append(np.array([0, dsk.ix_re, dsk.ix_im]))  # s = (radius, x - center)
+        coefs.append(np.array([0.0, -1.0, -1.0]))
+        rhs.append(np.array([dsk.radius, -dsk.center.real, -dsk.center.imag]))
+    soc_dims = [len(col) for col in cols]
+    m_lin = len(prog.ineq_rhs)
+    lin = np.hstack([prog.ineq_lhs, np.zeros((m_lin, n - n0))])
+    a_op = _AffineRows(lin, np.concatenate([np.zeros(0, dtype=int)] + cols),
+                       np.concatenate([np.zeros(0)] + coefs))
     e_mat = np.hstack([prog.eq_lhs, np.zeros((len(prog.eq_rhs), n - n0))])
-    return c, a_mat, b_vec, _ConeLayout(m_lin, soc_dims), e_mat, prog.eq_rhs, n0
+    return (c, a_op, np.concatenate(rhs), _ConeLayout(m_lin, soc_dims), e_mat,
+            prog.eq_rhs, n0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +454,13 @@ class _ConeLayout:
 
 
 class _NTScaling:
-    """Nesterov-Todd scaling point W with ``W z = W^{-1} s``."""
+    """Nesterov-Todd scaling point W with ``W z = W^{-1} s``.
+
+    Per cone, ``W = eta [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]]`` with
+    ``w0^2 - |w1|^2 = 1``, so ``W^2 = eta^2 (2 wbar wbar^T - J)`` and
+    ``W^{-2} = eta^{-2} (2 u u^T - J)`` with ``u = J wbar``,
+    ``J = diag(1, -1, ..., -1)``.
+    """
 
     def __init__(self, cones: _ConeLayout, s: np.ndarray, z: np.ndarray):
         self.cones = cones
@@ -427,6 +468,7 @@ class _NTScaling:
         self.diag = np.sqrt(s[:p] / z[:p])
         self.eta: dict[int, np.ndarray] = {}
         self.wbar: dict[int, np.ndarray] = {}
+        self.u: dict[int, np.ndarray] = {}
         for d, rows in cones.groups.items():
             sb, zb = s[rows], z[rows]
             rs = np.sqrt(sb[:, 0] ** 2 - np.sum(sb[:, 1:] ** 2, axis=1))
@@ -439,40 +481,225 @@ class _NTScaling:
             wb /= (2.0 * gamma)[:, None]
             self.eta[d] = np.sqrt(rs / rz)
             self.wbar[d] = wb
+            self.u[d] = np.concatenate([wb[:, :1], -wb[:, 1:]], axis=1)
 
     def apply(self, x: np.ndarray, inv: bool = False) -> np.ndarray:
-        """W x (or W^{-1} x); accepts a vector or a matrix of columns."""
+        """W x (or W^{-1} x)."""
         c = self.cones
-        y = np.array(x, dtype=float, copy=True)
-        vec = y.ndim == 1
-        if vec:
-            y = y[:, None]
-        y[:c.p] *= (1.0 / self.diag if inv else self.diag)[:, None]
+        y = np.empty(c.m)
+        y[:c.p] = x[:c.p] * (1.0 / self.diag if inv else self.diag)
         sgn = -1.0 if inv else 1.0
         for d, rows in c.groups.items():
             wb = self.wbar[d]
-            eta = self.eta[d]
-            blk = y[rows]                      # [B, d, ncols]
-            x0, x1 = blk[:, 0], blk[:, 1:]     # [B, ncols], [B, d-1, ncols]
+            blk = x[rows]
+            x0, x1 = blk[:, 0], blk[:, 1:]
             w0, w1 = wb[:, 0], wb[:, 1:]
-            dot = np.einsum("bi,bic->bc", w1, x1)
-            y0 = w0[:, None] * x0 + sgn * dot
-            y1 = (sgn * w1[:, :, None] * x0[:, None, :] + x1
-                  + w1[:, :, None] * (dot / (1.0 + w0)[:, None])[:, None, :])
-            fac = 1.0 / eta if inv else eta
-            y[rows[:, 0]] = fac[:, None] * y0
-            y[rows[:, 1:]] = fac[:, None, None] * y1
-        return y[:, 0] if vec else y
+            dot = np.sum(w1 * x1, axis=1)
+            fac = 1.0 / self.eta[d] if inv else self.eta[d]
+            y[rows[:, 0]] = fac * (w0 * x0 + sgn * dot)
+            y[rows[:, 1:]] = fac[:, None] * (sgn * w1 * x0[:, None] + x1
+                                             + w1 * (dot / (1.0 + w0))[:, None])
+        return y
+
+    def apply_sq(self, x: np.ndarray, inv: bool = False) -> np.ndarray:
+        """W^2 x (or W^{-2} x) in one pass."""
+        c = self.cones
+        y = np.empty(c.m)
+        y[:c.p] = x[:c.p] / self.diag ** 2 if inv else x[:c.p] * self.diag ** 2
+        for d, rows in c.groups.items():
+            a = self.u[d] if inv else self.wbar[d]
+            blk = x[rows]
+            out = a * (2.0 * np.sum(a * blk, axis=1))[:, None] + blk
+            out[:, 0] -= 2.0 * blk[:, 0]                  # - J x
+            y[rows] = out * (self.eta[d] ** (-2.0 if inv else 2.0))[:, None]
+        return y
+
+
+# ---------------------------------------------------------------------------
+# structured Newton system
+# ---------------------------------------------------------------------------
+
+class _BlockPlan:
+    """Static block structure of ``H = A^T W^{-2} A`` for one program.
+
+    Each cone k adds ``A_k^T W_k^{-2} A_k`` on its support, the variables its
+    rows read. Cones that share variables are merged into one dense block,
+    except a cone that meets two cones sharing no variable with each other:
+    it would join otherwise separate blocks (the quad cone spans every
+    chain's norm group), so it goes to the border. Its term
+    ``eta^-2 A_k^T (I + 2 u u^T - 2 e0 e0^T) A_k`` splits into a diagonal,
+    kept in the blocks, and the rank-one terms along ``A_k^T u`` and
+    ``A_k^T e0``. The border also holds the orthant rows, the equality rows
+    and the variables no cone reads (``free``).
+    """
+
+    def __init__(self, cones: _ConeLayout, a_op: _AffineRows, e_mat: np.ndarray):
+        n, p = a_op.n, cones.p
+        self.n, self.a_op, self.e_mat = n, a_op, e_mat
+        keys = [(d, j) for d, rows in cones.groups.items() for j in range(len(rows))]
+        rows_of = {(d, j): cones.groups[d][j] - p for d, j in keys}
+        supports = {key: set(a_op.col[r][a_op.coef[r] != 0].tolist())
+                    for key, r in rows_of.items()}
+        readers: dict[int, list] = {}
+        for key, sup in supports.items():
+            for v in sup:
+                readers.setdefault(v, []).append(key)
+
+        def bridges(key):
+            near = sorted({k for v in supports[key] for k in readers[v]} - {key})
+            return any(not supports[a] & supports[b]
+                       for i, a in enumerate(near) for b in near[i + 1:])
+
+        on_border = {key: bridges(key) for key in keys}
+        parent = list(range(n))   # union-find over the variables of block cones
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for key, sup in supports.items():
+            if not on_border[key]:
+                r = root(min(sup))
+                for v in sup:
+                    parent[root(v)] = r
+        touched = sorted(set().union(*supports.values()))
+        members: dict[int, list[int]] = {}
+        for v in touched:
+            members.setdefault(root(v), []).append(v)
+        by_size: dict[int, list[list[int]]] = {}
+        for vs in members.values():
+            by_size.setdefault(len(vs), []).append(vs)
+        self.free = np.setdiff1d(np.arange(n), touched)
+
+        # blocks of equal size share one [n_blocks, size, size] slab of a
+        # flat store; the store's last entry collects the unused products
+        base = np.zeros(n, dtype=int)
+        loc = np.zeros(n, dtype=int)
+        width = np.ones(n, dtype=int)
+        self.slabs = []
+        off = 0
+        for size in sorted(by_size):
+            idx = np.array(by_size[size])
+            base[idx] = off + size * size * np.arange(len(idx))[:, None]
+            loc[idx] = np.arange(size)
+            width[idx] = size
+            self.slabs.append((size, len(idx), off))
+            off += idx.size * size
+        self.store_size = off
+        self.perm = np.array([v for size in sorted(by_size) for vs in by_size[size]
+                              for v in vs], dtype=int)
+
+        def flat(i, j):
+            return base[i] + loc[i] * width[i] + loc[j]
+
+        self.diag_pos = flat(self.perm, self.perm)
+        self.terms = []    # block cones: (dim, group positions, targets, c c^T, c c^T J)
+        for d, rows in cones.groups.items():
+            ks = np.array([j for j in range(len(rows)) if not on_border[d, j]], dtype=int)
+            if len(ks):
+                col = a_op.col[rows[ks] - p]
+                cf = a_op.coef[rows[ks] - p]
+                live = (cf != 0)[:, :, None] & (cf != 0)[:, None, :]
+                tgt = np.where(live, flat(col[:, :, None], col[:, None, :]), self.store_size)
+                cc = cf[:, :, None] * cf[:, None, :]
+                self.terms.append((d, ks, tgt.ravel(), cc,
+                                   cc * np.diag(np.r_[1.0, -np.ones(d - 1)])))
+        # border cones: (dim, group position, cols, coefs, diagonal targets)
+        self.border = [(d, j, a_op.col[r], a_op.coef[r], flat(a_op.col[r], a_op.col[r]))
+                       for (d, j), r in rows_of.items() if on_border[d, j]]
+
+
+class _NewtonSystem:
+    """Factored reduced Newton system ``[[H + reg I, E^T], [E, -1e-13 I]]``.
+
+    ``H = B + V G V^T``: ``B`` block-diagonal after the permutation of
+    :class:`_BlockPlan`, ``V`` the border columns with diagonal weights
+    ``G``. With ``xi = G V^T dx`` the system is solved through the blocks
+    and one small Schur complement in ``(dx_free, xi, dy)``.
+    """
+
+    def __init__(self, plan: _BlockPlan, W: _NTScaling):
+        self.plan = plan
+        n, e_mat = plan.n, plan.e_mat
+        tgts, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for d, ks, tgt, cc, ccj in plan.terms:
+            u = W.u[d][ks]
+            blk = 2.0 * cc * u[:, :, None] * u[:, None, :] - ccj
+            tgts.append(tgt)
+            vals.append((blk / W.eta[d][ks, None, None] ** 2).ravel())
+        cols, ginv = [plan.a_op.lin.T], [W.diag ** 2]
+        for d, j, col, cf, pos in plan.border:
+            eta2 = W.eta[d][j] ** 2
+            tgts.append(pos)
+            vals.append(cf * cf / eta2)
+            cols.append(np.bincount(col, cf * W.u[d][j], minlength=n)[:, None])
+            ginv.append([0.5 * eta2])
+            if cf[0] != 0:
+                head = np.zeros((n, 1))
+                head[col[0]] = cf[0]
+                cols.append(head)
+                ginv.append([-0.5 * eta2])
+        store = np.bincount(np.concatenate(tgts), np.concatenate(vals),
+                            minlength=plan.store_size + 1)[:plan.store_size].astype(float)
+        if not np.all(np.isfinite(store)):
+            raise np.linalg.LinAlgError("non-finite Newton block")
+        v_mat = np.hstack(cols)
+        ginv = np.concatenate(ginv)
+        trace = np.sum(store[plan.diag_pos]) + np.sum(v_mat * v_mat, axis=0) @ (1.0 / ginv)
+        self.reg = 1e-13 * (1.0 + trace / n)
+        store[plan.diag_pos] += self.reg
+        self.inverses = [np.linalg.inv(store[off:off + nb * size * size]
+                                       .reshape(nb, size, size))
+                         for size, nb, off in plan.slabs]
+        border = np.hstack([v_mat, e_mat.T])
+        self.r = v_mat.shape[1]
+        self.k_mat = border[plan.perm]
+        self.p_mat = self._block_solve(self.k_mat)
+        nf = len(plan.free)
+        f_mat = border[plan.free]
+        schur = np.zeros((nf + border.shape[1],) * 2)
+        schur[:nf, :nf] = self.reg * np.eye(nf)
+        schur[:nf, nf:] = f_mat
+        schur[nf:, :nf] = f_mat.T
+        schur[nf:, nf:] = -(self.k_mat.T @ self.p_mat) - np.diag(
+            np.concatenate([ginv, np.full(e_mat.shape[0], 1e-13)]))
+        self.lu = sla.lu_factor(schur) if len(schur) else None
+
+    def _block_solve(self, v: np.ndarray) -> np.ndarray:
+        """``B^{-1} v`` for ``v`` in block order (a vector or columns)."""
+        out = np.empty_like(v)
+        pos = 0
+        for inv in self.inverses:
+            nb, size = inv.shape[:2]
+            seg = v[pos:pos + nb * size]
+            out[pos:pos + nb * size] = (inv @ seg.reshape(nb, size, -1)).reshape(seg.shape)
+            pos += nb * size
+        return out
+
+    def solve(self, rx: np.ndarray, ry: np.ndarray):
+        """``(dx, dy)`` with ``(H + reg I) dx + E^T dy = rx``, ``E dx - 1e-13 dy = ry``."""
+        plan = self.plan
+        nf = len(plan.free)
+        t = self._block_solve(rx[plan.perm])
+        rhs = np.concatenate([rx[plan.free], np.zeros(self.r), ry])
+        rhs[nf:] -= self.k_mat.T @ t
+        sol = sla.lu_solve(self.lu, rhs) if self.lu is not None else rhs
+        dx = np.empty(plan.n)
+        dx[plan.perm] = t - self.p_mat @ sol[nf:]
+        dx[plan.free] = sol[:nf]
+        return dx, sol[nf + self.r:]
 
 
 # ---------------------------------------------------------------------------
 # homogeneous self-dual predictor-corrector
 # ---------------------------------------------------------------------------
 
-def _solve_standard(c, a_mat, b_vec, cones: _ConeLayout, e_mat, f_vec,
+def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_vec,
                     tol: float, max_iter: int):
     n = len(c)
     meq = e_mat.shape[0]
+    plan = _BlockPlan(cones, a_op, e_mat)
     x = np.zeros(n); y = np.zeros(meq)
     s = cones.identity(); z = cones.identity()
     tau, kappa = 1.0, 1.0
@@ -485,8 +712,8 @@ def _solve_standard(c, a_mat, b_vec, cones: _ConeLayout, e_mat, f_vec,
     def scaled_metrics():
         xh, yh, zh, sh = x / tau, y / tau, z / tau, s / tau
         pres = np.linalg.norm(np.concatenate([e_mat @ xh - f_vec,
-                                              a_mat @ xh + sh - b_vec])) / bnorm
-        dres = np.linalg.norm(e_mat.T @ yh + a_mat.T @ zh + c) / cnorm
+                                              a_op @ xh + sh - b_vec])) / bnorm
+        dres = np.linalg.norm(e_mat.T @ yh + a_op.rmatvec(zh) + c) / cnorm
         pobj = c @ xh
         dobj = -f_vec @ yh - b_vec @ zh
         gap = abs(pobj - dobj)
@@ -494,10 +721,11 @@ def _solve_standard(c, a_mat, b_vec, cones: _ConeLayout, e_mat, f_vec,
         return xh, pobj, gap, pres, dres, relgap
 
     it = 0
+    reason = ExitReason.ITER_CAP
     while it < max_iter:
-        r1 = e_mat.T @ y + a_mat.T @ z + c * tau
+        r1 = e_mat.T @ y + a_op.rmatvec(z) + c * tau
         r2 = -e_mat @ x + f_vec * tau
-        r3 = -a_mat @ x + b_vec * tau - s
+        r3 = -(a_op @ x) + b_vec * tau - s
         r4 = -c @ x - f_vec @ y - b_vec @ z - kappa
         mu = (s @ z + tau * kappa) / nu
 
@@ -506,67 +734,55 @@ def _solve_standard(c, a_mat, b_vec, cones: _ConeLayout, e_mat, f_vec,
         if best is None or merit < best[0]:
             best = (merit, xh, pobj, gap, max(pres, dres), it)
         if merit <= tol:
+            reason = ExitReason.TOLERANCE
             break
         # certificates: tau -> 0 with a strictly improving ray
         ct = -(b_vec @ z + f_vec @ y)
         if ct > 0 and tau <= 1e-9 * max(1.0, kappa):
-            if np.linalg.norm(e_mat.T @ y + a_mat.T @ z) / ct <= 1e-6:
-                return None, "infeasible", it
+            if np.linalg.norm(e_mat.T @ y + a_op.rmatvec(z)) / ct <= 1e-6:
+                return None, ExitReason.INFEASIBLE, it
         if c @ x < 0 and tau <= 1e-9 * max(1.0, kappa):
-            ray = np.linalg.norm(np.concatenate([e_mat @ x, a_mat @ x + s]))
+            ray = np.linalg.norm(np.concatenate([e_mat @ x, a_op @ x + s]))
             if ray / (-(c @ x)) <= 1e-6:
-                return None, "unbounded", it
+                raise FloatingPointError("cone program is unbounded below")
         if not (cones.interior(s) and cones.interior(z)):
+            reason = ExitReason.LOST_INTERIOR
             break
 
         W = _NTScaling(cones, s, z)
         lam = W.apply(z)
-        wia = W.apply(a_mat, inv=True)
-        kdim = n + meq
-        kkt = np.zeros((kdim, kdim))
-        h_blk = wia.T @ wia
-        reg = 1e-13 * (1.0 + np.trace(h_blk) / n)
-        kkt[:n, :n] = h_blk + reg * np.eye(n)
-        if meq:
-            kkt[:n, n:] = e_mat.T
-            kkt[n:, :n] = e_mat
-            kkt[n:, n:] = -1e-13 * np.eye(meq)
         try:
-            lu = sla.lu_factor(kkt)
+            newton = _NewtonSystem(plan, W)
         except (ValueError, np.linalg.LinAlgError):
+            reason = ExitReason.FACTORIZATION
             break
-
-        def kkt_apply(dx, dy, dz):
-            return (e_mat.T @ dy + a_mat.T @ dz,
-                    e_mat @ dx,
-                    a_mat @ dx - W.apply(W.apply(dz)))
 
         def kkt_solve(rx, ry, rz):
             # [0 E^T A^T; E 0 0; A 0 -W^2] with iterative refinement
             dx = np.zeros(n); dy = np.zeros(meq); dz = np.zeros(cones.m)
+            q1, q2, q3 = rx, ry, rz
             scale = 1.0 + np.linalg.norm(np.concatenate([rx, ry, rz]))
             for _ in range(3):
-                a1, a2, a3 = kkt_apply(dx, dy, dz)
-                q1, q2, q3 = rx - a1, ry - a2, rz - a3
                 if np.linalg.norm(np.concatenate([q1, q2, q3])) <= 1e-14 * scale:
                     break
-                rhs = np.concatenate([q1 + wia.T @ W.apply(q3, inv=True), q2])
-                sol = sla.lu_solve(lu, rhs)
-                ex, ey = sol[:n], sol[n:]
-                ez = W.apply(W.apply(a_mat @ ex - q3, inv=True), inv=True)
+                ex, ey = newton.solve(q1 + a_op.rmatvec(W.apply_sq(q3, inv=True)), q2)
+                ez = W.apply_sq(a_op @ ex - q3, inv=True)
                 dx = dx + ex; dy = dy + ey; dz = dz + ez
+                q1 = rx - e_mat.T @ dy - a_op.rmatvec(dz)
+                q2 = ry - e_mat @ dx
+                q3 = rz - (a_op @ dx) + W.apply_sq(dz)
             return dx, dy, dz
 
-        def direction(eta_r, vc, dtk_rhs):
+        def direction(eta_r, vc, dtk_rhs, tau_dir):
             dx0, dy0, dz0 = kkt_solve(-eta_r * r1, eta_r * r2, eta_r * r3 - W.apply(vc))
-            dx1, dy1, dz1 = kkt_solve(-c, f_vec, b_vec)
+            dx1, dy1, dz1 = tau_dir
             num = -eta_r * r4 + c @ dx0 + f_vec @ dy0 + b_vec @ dz0 + dtk_rhs / tau
             den = kappa / tau - (c @ dx1 + f_vec @ dy1 + b_vec @ dz1)
             if den == 0.0 or not np.isfinite(den):
                 raise FloatingPointError("singular tau step")
             dtau = num / den
             dx = dx0 + dtau * dx1; dy = dy0 + dtau * dy1; dz = dz0 + dtau * dz1
-            ds = W.apply(vc) - W.apply(W.apply(dz))
+            ds = W.apply(vc) - W.apply_sq(dz)
             dkappa = (dtk_rhs - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
 
@@ -580,8 +796,9 @@ def _solve_standard(c, a_mat, b_vec, cones: _ConeLayout, e_mat, f_vec,
 
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
+                tau_dir = kkt_solve(-c, f_vec, b_vec)  # shared by both directions
                 vc_aff = cones.solve_prod(lam, -cones.prod(lam, lam))
-                aff = direction(1.0, vc_aff, -tau * kappa)
+                aff = direction(1.0, vc_aff, -tau * kappa, tau_dir)
                 dsa, dza, dta, dka = aff[3], aff[2], aff[4], aff[5]
                 astep = min(1.0, boundary_step(dsa, dza, dta, dka))
                 mu_aff = ((s + astep * dsa) @ (z + astep * dza)
@@ -590,21 +807,21 @@ def _solve_standard(c, a_mat, b_vec, cones: _ConeLayout, e_mat, f_vec,
                 corr = cones.prod(W.apply(dsa, inv=True), W.apply(dza))
                 vc = cones.solve_prod(lam, sigma * mu * e - cones.prod(lam, lam) - corr)
                 corr_t = sigma * mu - tau * kappa - dta * dka
-                dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, vc, corr_t)
+                dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, vc, corr_t, tau_dir)
                 step = min(1.0, 0.99 * boundary_step(ds, dz, dtau, dkappa))
         except FloatingPointError:
+            reason = ExitReason.FLOATING_POINT
             break
         if not np.isfinite(step) or step <= 1e-11:
+            reason = ExitReason.SHORT_STEP
             break
         x = x + step * dx; y = y + step * dy
         z = z + step * dz; s = s + step * ds
         tau += step * dtau; kappa += step * dkappa
         it += 1
 
-    if best is None:
-        return None, "iterlimit", it
     merit, xh, pobj, gap, kkt_res, bit = best
-    return (xh, pobj, gap, kkt_res, merit), ("optimal" if merit <= tol else "iterlimit"), it
+    return (xh, pobj, gap, kkt_res, merit), reason, it
 
 
 def solve(prog: ConeProgram, settings: SolverSettings | None = None,
@@ -613,29 +830,29 @@ def solve(prog: ConeProgram, settings: SolverSettings | None = None,
 
     An ``OPTIMAL`` status certifies primal and dual residuals and the duality
     gap at or below the tolerance; ``INFEASIBLE`` carries a separating
-    certificate found by the homogeneous embedding.
+    certificate found by the homogeneous embedding. ``exit_reason`` says why
+    the iteration stopped.
     """
     if settings is not None and tol is None:
         tol = settings.cone_solver_kkt_tol
     if tol is None:
         tol = 1e-9
-    c, a_mat, b_vec, cones, e_mat, f_vec, n0 = _lower(prog)
-    result, status, iters = _solve_standard(c, a_mat, b_vec, cones, e_mat,
+    c, a_op, b_vec, cones, e_mat, f_vec, n0 = _lower(prog)
+    result, reason, iters = _solve_standard(c, a_op, b_vec, cones, e_mat,
                                             f_vec, tol, max_iter)
-    if status == "infeasible":
+    if reason is ExitReason.INFEASIBLE:
         return ConeSolution(x=np.full(prog.n_vars, np.nan), objective=np.nan,
                             kkt_residual=np.inf, duality_gap=np.inf,
                             status=SolveStatus.INFEASIBLE, iterations=iters,
+                            exit_reason=reason,
                             violation_report="no point satisfies the affine/cone rows")
-    if status == "unbounded":
-        raise FloatingPointError("cone program is unbounded below")
     xh, pobj, gap, kkt_res, merit = result
     x = xh[:n0]
-    status_enum = SolveStatus.OPTIMAL if status == "optimal" else SolveStatus.ITER_LIMIT
+    status = SolveStatus.OPTIMAL if reason is ExitReason.TOLERANCE else SolveStatus.ITER_LIMIT
     report = ""
-    if status_enum is not SolveStatus.OPTIMAL:
-        report = f"stalled at KKT merit {merit:.3e} (tol {tol:.1e})"
+    if status is not SolveStatus.OPTIMAL:
+        report = f"stalled at KKT merit {merit:.3e} (tol {tol:.1e}): {reason.value}"
     return ConeSolution(x=x, objective=prog.objective_value(x),
                         kkt_residual=float(merit), duality_gap=float(gap),
-                        status=status_enum, iterations=iters,
+                        status=status, iterations=iters, exit_reason=reason,
                         violation_report=report)

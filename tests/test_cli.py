@@ -8,6 +8,7 @@ import pytest
 from wptopt.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                         RunArtifact, main, run_optimization)
 from wptopt.optimize import OuterRecord
+from wptopt.socp import ConeSolution, ExitReason, SolveStatus
 
 SCENARIO = """
 [array]
@@ -160,6 +161,23 @@ def test_unbounded_cone_program_exit_code(scenario_file, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.splitlines() == ["numerical failure: cone program is unbounded below"]
+
+
+def test_infeasible_focusing_restriction_exit_code(scenario_file, tmp_path,
+                                                   monkeypatch, capsys):
+    """The focusing restriction contains its own expansion point, so an
+    infeasible report there is a numerical failure, not an iteration limit."""
+    def infeasible(prog, *args, **kwargs):
+        return ConeSolution(x=np.full(prog.n_vars, np.nan), objective=np.nan,
+                            kkt_residual=np.inf, duality_gap=np.inf,
+                            status=SolveStatus.INFEASIBLE, iterations=3,
+                            exit_reason=ExitReason.INFEASIBLE)
+
+    monkeypatch.setattr("wptopt.optimize.solve", infeasible)
+    code = main(["optimize", str(scenario_file), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == ["numerical failure: focusing restriction reported infeasible"]
 
 
 def test_fieldmap_command(artifact_dir, tmp_path):

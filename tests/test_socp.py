@@ -4,9 +4,9 @@ import pytest
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
 from wptopt.rectenna import harvested_voltage
-from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
-                         assemble_q_subproblem, assemble_w_subproblem, solve,
-                         stack_complex, unstack_complex)
+from wptopt.socp import (ConeProgram, Disk, ExitReason, NormGroup, QuadGroup,
+                         SolveStatus, assemble_q_subproblem, assemble_w_subproblem,
+                         solve, stack_complex, unstack_complex)
 from wptopt.transmitter import Waveform, effective_rows, lorentzian_weight
 
 from conftest import make_scenario
@@ -64,6 +64,26 @@ def test_infeasible_program_detected():
     sol = solve(prog, tol=1e-9)
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.violation_report
+
+
+def test_exit_reasons():
+    """Each way the iteration stops is reported; only a met tolerance is OPTIMAL."""
+    g = np.array([1.0, -2.0, 0.5])
+    prog = ConeProgram(n_vars=3, norm_groups=[NormGroup(np.arange(3), 1.0)],
+                       quad_groups=[QuadGroup(np.arange(3), np.zeros(3))],
+                       ineq_lhs=-g[None, :], ineq_rhs=np.array([-1.0]))
+    capped = solve(prog, tol=1e-9, max_iter=1)
+    assert capped.exit_reason is ExitReason.ITER_CAP
+    assert capped.status is SolveStatus.ITER_LIMIT and capped.iterations == 1
+    assert ExitReason.ITER_CAP.value in capped.violation_report
+    done = solve(prog, tol=1e-9)
+    assert done.exit_reason is ExitReason.TOLERANCE
+    assert done.status is SolveStatus.OPTIMAL
+    empty = ConeProgram(n_vars=1, ineq_lhs=np.array([[1.0], [-1.0]]),
+                        ineq_rhs=np.array([-1.0, -1.0]))
+    sol = solve(empty, tol=1e-9)
+    assert sol.exit_reason is ExitReason.INFEASIBLE
+    assert sol.status is SolveStatus.INFEASIBLE
 
 
 def test_zero_gradient_row_infeasibility():

@@ -1,0 +1,193 @@
+"""The structured Newton solve of the interior-point method, checked against
+a dense reference, and the solver checked against the M = 1 closed forms of
+both restrictions."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wptopt.channel import build_channel
+from wptopt.linearize import linearize_vo_in_q
+from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
+from wptopt.scenario import load_scenario
+from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
+                         _BlockPlan, _lower, _NewtonSystem, _NTScaling,
+                         assemble_q_subproblem, solve, unstack_complex)
+from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS, effective_rows
+
+SAMPLE = Path(__file__).resolve().parents[1] / "sample_scenario.cfg"
+
+
+# ---------------------------------------------------------------------------
+# program shapes
+# ---------------------------------------------------------------------------
+
+def focusing_program(rng, n_el, m_rows, n_eq=0):
+    """Disks on every element pair, a free epigraph variable R, M rows."""
+    n = 2 * n_el + 1
+    rows = rng.normal(size=(m_rows, n))
+    rows[:, -1] = 1.0
+    cost = np.zeros(n)
+    cost[-1] = -1.0
+    return ConeProgram(n_vars=n, linear_cost=cost, ineq_lhs=rows,
+                       ineq_rhs=rng.uniform(0.5, 2.0, m_rows),
+                       disks=[Disk(2 * k, 2 * k + 1, LORENTZIAN_CENTER, LORENTZIAN_RADIUS)
+                              for k in range(n_el)],
+                       eq_lhs=rng.normal(size=(n_eq, n)), eq_rhs=rng.normal(size=n_eq))
+
+
+def waveform_program(rng, n_rf, n_f, m_rows, n_eq=0, scales=None):
+    """Per-chain norm groups, one squared norm over every chain, M rows."""
+    nw = 2 * n_rf * n_f
+    if scales is None:
+        scales = rng.uniform(0.0, 2.0, n_rf)
+    groups = [NormGroup(np.arange(2 * i * n_f, 2 * (i + 1) * n_f), float(scales[i]))
+              for i in range(n_rf)]
+    return ConeProgram(n_vars=nw, norm_groups=groups,
+                       quad_groups=[QuadGroup(np.arange(nw), np.zeros(nw))],
+                       ineq_lhs=-rng.normal(size=(m_rows, nw)),
+                       ineq_rhs=-rng.uniform(0.5, 2.0, m_rows),
+                       eq_lhs=rng.normal(size=(n_eq, nw)), eq_rhs=rng.normal(size=n_eq))
+
+
+def overlapping_program(rng, n, n_groups, m_rows):
+    """Norm groups that all share variable 0, plus a quad over all of them."""
+    groups = [NormGroup(np.unique(np.r_[0, rng.choice(n, size=rng.integers(1, n + 1),
+                                                      replace=False)]), 1.0)
+              for _ in range(n_groups)]
+    return ConeProgram(n_vars=n, norm_groups=groups,
+                       quad_groups=[QuadGroup(np.arange(n), rng.normal(size=n))],
+                       ineq_lhs=rng.normal(size=(m_rows, n)),
+                       ineq_rhs=rng.uniform(0.5, 2.0, m_rows))
+
+
+@st.composite
+def programs(draw):
+    shape = draw(st.sampled_from(["focusing", "waveform", "overlap"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_eq = draw(st.integers(0, 2))
+    if shape == "focusing":
+        prog = focusing_program(rng, draw(st.integers(1, 12)), draw(st.integers(1, 3)), n_eq)
+    elif shape == "waveform":
+        prog = waveform_program(rng, draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+                                draw(st.integers(0, 3)), n_eq)
+    else:
+        prog = overlapping_program(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)),
+                                   draw(st.integers(0, 2)))
+    return shape, prog, rng
+
+
+def interior_point(cones, rng):
+    """A point strictly inside the cone, some blocks close to its boundary."""
+    u = np.empty(cones.m)
+    u[:cones.p] = 10.0 ** rng.uniform(-3.0, 1.0, cones.p)
+    for d, rows in cones.groups.items():
+        tail = rng.normal(size=(len(rows), d - 1))
+        u[rows[:, 1:]] = tail
+        u[rows[:, 0]] = np.linalg.norm(tail, axis=1) + 10.0 ** rng.uniform(-3.0, 0.0, len(rows))
+    return u
+
+
+def dense_newton_matrix(a_op, e_mat, W, reg):
+    """Test-only reference: ``[[A^T W^-2 A + reg I, E^T], [E, -1e-13 I]]``
+    from the dense ``A`` and ``W^-2`` applied column by column."""
+    p = len(a_op.lin)
+    a_mat = np.zeros((p + len(a_op.col), a_op.n))
+    a_mat[:p] = a_op.lin
+    np.add.at(a_mat, (p + np.arange(len(a_op.col)), a_op.col), a_op.coef)
+    w_inv2 = np.column_stack([W.apply(W.apply(col, inv=True), inv=True)
+                              for col in np.eye(a_mat.shape[0])])
+    h_mat = a_mat.T @ w_inv2 @ a_mat
+    n, meq = a_op.n, e_mat.shape[0]
+    kkt = np.zeros((n + meq, n + meq))
+    kkt[:n, :n] = h_mat + reg * np.eye(n)
+    kkt[:n, n:] = e_mat.T
+    kkt[n:, :n] = e_mat
+    kkt[n:, n:] = -1e-13 * np.eye(meq)
+    return kkt, np.trace(h_mat)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(programs())
+def test_structured_newton_solve_matches_dense(case):
+    shape, prog, rng = case
+    _, a_op, _, cones, e_mat, _, _ = _lower(prog)
+    plan = _BlockPlan(cones, a_op, e_mat)
+    if shape == "focusing":
+        assert [size for size, _, _ in plan.slabs] == [2] and len(plan.free) == 1
+    if shape == "waveform" and len(prog.norm_groups) >= 2:
+        assert len(plan.border) == 1  # the squared norm spans every chain
+    if shape == "overlap":
+        assert not plan.border and len(plan.slabs) == 1
+    W = _NTScaling(cones, interior_point(cones, rng), interior_point(cones, rng))
+    v = rng.normal(size=cones.m)
+    for inv in (False, True):
+        twice = W.apply(W.apply(v, inv=inv), inv=inv)
+        assert np.linalg.norm(W.apply_sq(v, inv=inv) - twice) <= 1e-12 * np.linalg.norm(twice)
+    newton = _NewtonSystem(plan, W)
+    kkt, trace = dense_newton_matrix(a_op, e_mat, W, newton.reg)
+    assert newton.reg == pytest.approx(1e-13 * (1.0 + trace / a_op.n), rel=1e-9)
+    rhs = rng.normal(size=len(kkt))
+    dx, dy = newton.solve(rhs[:a_op.n], rhs[a_op.n:])
+    res = kkt @ np.concatenate([dx, dy]) - rhs
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+
+
+# ---------------------------------------------------------------------------
+# M = 1 closed forms as oracles of the interior-point solver
+# ---------------------------------------------------------------------------
+
+def test_focusing_matches_closed_form_on_sample_scenario():
+    """One receiver: the focusing restriction maximizes a linear function over
+    a product of disks, so each element sits at ``j/2 + c_k/(2|c_k|)``."""
+    cfg = load_scenario(SAMPLE)
+    dev = cfg.device
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, dev.boresight_gain)
+    plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
+    dma = init_q_phases(channel, plan, cfg)
+    w = init_digital_weights(cfg, channel, plan, dma)
+    eff = effective_rows(channel, cfg.array, dma, w)
+    q0 = dma.q_flat()
+    lin = linearize_vo_in_q(eff.a_hat[0], q0, dev.k2, dev.k4, dev.hpa_gain)
+    prog = assemble_q_subproblem(cfg, w, [lin], q0)
+    sol = solve(prog, cfg.solver)
+    assert sol.status is SolveStatus.OPTIMAL
+    coeffs = np.asarray(lin.coeffs).reshape(-1)
+    assert len(coeffs) == 102
+    q_sol = unstack_complex(sol.x[:2 * len(coeffs)])
+    live = np.abs(coeffs) > 1e-9 * np.max(np.abs(coeffs))
+    q_closed = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * coeffs / np.where(live, np.abs(coeffs), 1.0)
+    assert np.max(np.abs(q_sol - q_closed)[live]) <= 1e-8
+
+
+def group_soft_threshold(scales, g_chains, r):
+    """min sum s_i ||w_i|| + ||w||^2 s.t. g.w >= r: ``||w_i|| =
+    (mu ||g_i|| - s_i)_+ / 2`` with mu set by the active row."""
+    a = np.linalg.norm(g_chains, axis=1)
+    order = np.argsort(scales / a)
+    act_aa = act_as = 0.0
+    for k, i in enumerate(order):
+        act_aa += a[i] ** 2
+        act_as += a[i] * scales[i]
+        mu = (2.0 * r + act_as) / act_aa
+        nxt = scales[order[k + 1]] / a[order[k + 1]] if k + 1 < len(order) else np.inf
+        if mu <= nxt:
+            break
+    norms = np.maximum(mu * a - scales, 0.0) / 2.0
+    return float(scales @ norms + norms @ norms)
+
+
+def test_waveform_matches_group_soft_threshold():
+    rng = np.random.default_rng(606)
+    for _ in range(20):
+        n_rf, n_f = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        scales = rng.uniform(0.0, 2.0, n_rf)
+        prog = waveform_program(rng, n_rf, n_f, 1, scales=scales)
+        sol = solve(prog, tol=1e-9)
+        assert sol.status is SolveStatus.OPTIMAL
+        g_chains = -prog.ineq_lhs[0].reshape(n_rf, 2 * n_f)
+        expected = group_soft_threshold(scales, g_chains, -prog.ineq_rhs[0])
+        assert sol.objective == pytest.approx(expected, rel=1e-8)
