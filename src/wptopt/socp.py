@@ -536,8 +536,8 @@ class _BlockPlan:
     def __init__(self, cones: _ConeLayout, a_op: _AffineRows, e_mat: np.ndarray):
         n, p = a_op.n, cones.p
         self.n, self.a_op, self.e_mat = n, a_op, e_mat
-        keys = [(d, j) for d, rows in cones.groups.items() for j in range(len(rows))]
-        rows_of = {(d, j): cones.groups[d][j] - p for d, j in keys}
+        rows_of = {(d, j): rows[j] - p for d, rows in cones.groups.items()
+                   for j in range(len(rows))}
         supports = {key: set(a_op.col[r][a_op.coef[r] != 0].tolist())
                     for key, r in rows_of.items()}
         readers: dict[int, list] = {}
@@ -550,7 +550,7 @@ class _BlockPlan:
             return any(not supports[a] & supports[b]
                        for i, a in enumerate(near) for b in near[i + 1:])
 
-        on_border = {key: bridges(key) for key in keys}
+        on_border = {key: bridges(key) for key in rows_of}
         parent = list(range(n))   # union-find over the variables of block cones
 
         def root(v):
@@ -640,7 +640,7 @@ class _NewtonSystem:
                 head[col[0]] = cf[0]
                 cols.append(head)
                 ginv.append([-0.5 * eta2])
-        store = np.bincount(np.concatenate(tgts), np.concatenate(vals),
+        store = np.bincount(np.concatenate(tgts), np.concatenate(vals),  # int if empty
                             minlength=plan.store_size + 1)[:plan.store_size].astype(float)
         if not np.all(np.isfinite(store)):
             raise np.linalg.LinAlgError("non-finite Newton block")
