@@ -25,11 +25,12 @@ checks the accuracy of every solve.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .linearize import LinearizedVoltage
 from .power import chain_norm_scales
@@ -326,35 +327,42 @@ def _lower(prog: ConeProgram):
 
     Epigraph variables are appended after the originals: one per norm group
     (``||x_g|| <= t``) and one per quad group (``||x_g - o||^2 <= t`` via the
-    rotated-cone identity ``||(2(x-o), t-1)|| <= t+1``).
+    rotated-cone identity ``||(2(x-o), t-1)|| <= t+1``). The disks' cones
+    ``(radius, x - center)`` come last, so cones of one dimension are emitted
+    back to back.
     """
     n0 = prog.n_vars
     n = n0 + len(prog.norm_groups) + len(prog.quad_groups)
     c = np.zeros(n)
     c[:n0] = prog.linear_cost
-    cols, coefs, rhs = [], [], [prog.ineq_rhs]
+    cols, coefs, rhs = [np.zeros(0, dtype=int)], [np.zeros(0)], [prog.ineq_rhs]
+    soc_dims = []
     t = n0
     for g in prog.norm_groups:
         c[t] = g.scale
         cols.append(np.r_[t, g.indices])                # s = (t, x_g)
         coefs.append(np.full(1 + len(g.indices), -1.0))
         rhs.append(np.zeros(1 + len(g.indices)))
+        soc_dims.append(1 + len(g.indices))
         t += 1
     for g in prog.quad_groups:
         c[t] = 1.0
         cols.append(np.r_[t, t, g.indices])             # s = (t + 1, t - 1, 2(x - o))
         coefs.append(np.r_[-1.0, -1.0, np.full(len(g.indices), -2.0)])
         rhs.append(np.r_[1.0, -1.0, -2.0 * np.asarray(g.offset, dtype=float)])
+        soc_dims.append(2 + len(g.indices))
         t += 1
-    for dsk in prog.disks:
-        cols.append(np.array([0, dsk.ix_re, dsk.ix_im]))  # s = (radius, x - center)
-        coefs.append(np.array([0.0, -1.0, -1.0]))
-        rhs.append(np.array([dsk.radius, -dsk.center.real, -dsk.center.imag]))
-    soc_dims = [len(col) for col in cols]
+    k = len(prog.disks)
+    if k:
+        ix = np.array([(dsk.ix_re, dsk.ix_im) for dsk in prog.disks])
+        cols.append(np.column_stack([np.zeros(k, dtype=int), ix]).ravel())
+        coefs.append(np.tile([0.0, -1.0, -1.0], k))
+        rhs.append(np.array([(dsk.radius, -dsk.center.real, -dsk.center.imag)
+                             for dsk in prog.disks]).ravel())
+        soc_dims += [3] * k
     m_lin = len(prog.ineq_rhs)
     lin = np.hstack([prog.ineq_lhs, np.zeros((m_lin, n - n0))])
-    a_op = _AffineRows(lin, np.concatenate([np.zeros(0, dtype=int)] + cols),
-                       np.concatenate([np.zeros(0)] + coefs))
+    a_op = _AffineRows(lin, np.concatenate(cols), np.concatenate(coefs))
     e_mat = np.hstack([prog.eq_lhs, np.zeros((len(prog.eq_rhs), n - n0))])
     return (c, a_op, np.concatenate(rhs), _ConeLayout(m_lin, soc_dims), e_mat,
             prog.eq_rhs, n0)
@@ -367,37 +375,38 @@ def _lower(prog: ConeProgram):
 class _ConeLayout:
     """Orthant rows followed by second-order cone blocks.
 
-    SOC blocks of equal dimension are grouped so every Jordan-algebra
-    operation runs batched over [n_blocks, dim] arrays instead of looping.
+    Consecutive blocks of equal dimension form one run, rows ``a:b``, which
+    every Jordan-algebra operation reads and writes as the ``[n_blocks, dim]``
+    view ``x[a:b].reshape(-1, dim)`` instead of looping over blocks.
     """
 
-    def __init__(self, n_nonneg: int, soc_dims: list[int]):
+    def __init__(self, n_nonneg: int, soc_dims):
         self.p = n_nonneg
-        self.soc = list(soc_dims)
-        self.m = n_nonneg + sum(soc_dims)
-        self.degree = n_nonneg + len(soc_dims)
-        offsets = np.cumsum([n_nonneg] + soc_dims[:-1]) if soc_dims else []
-        groups: dict[int, list[int]] = {}
-        for off, d in zip(offsets, soc_dims):
-            groups.setdefault(d, []).append(int(off))
-        # dim -> row index array [n_blocks, dim]
-        self.groups = {d: np.array(offs)[:, None] + np.arange(d)[None, :]
-                       for d, offs in groups.items()}
-        self.head_rows = np.concatenate([rows[:, 0] for rows in self.groups.values()]) \
-            if self.groups else np.array([], dtype=int)
+        self.soc = tuple(soc_dims)
+        self.m = n_nonneg + sum(self.soc)
+        self.degree = n_nonneg + len(self.soc)
+        self.runs: list[tuple[int, int, int]] = []   # (first row, end row, dim)
+        a = n_nonneg
+        for d in self.soc:
+            if self.runs and self.runs[-1][2] == d:
+                self.runs[-1] = (self.runs[-1][0], a + d, d)
+            else:
+                self.runs.append((a, a + d, d))
+            a += d
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.m)
         e[:self.p] = 1.0
-        e[self.head_rows] = 1.0
+        for a, b, d in self.runs:
+            e[a:b:d] = 1.0
         return e
 
     def interior(self, u: np.ndarray) -> bool:
-        if self.p and np.min(u[:self.p]) <= 0.0:
+        if self.p and u[:self.p].min() <= 0.0:
             return False
-        for rows in self.groups.values():
-            blk = u[rows]
-            if np.any(blk[:, 0] <= np.linalg.norm(blk[:, 1:], axis=1)):
+        for a, b, d in self.runs:
+            blk = u[a:b].reshape(-1, d)
+            if (blk[:, 0] <= np.sqrt((blk[:, 1:] ** 2).sum(axis=1))).any():
                 return False
         return True
 
@@ -406,50 +415,48 @@ class _ConeLayout:
         alpha = np.inf
         if self.p:
             neg = du[:self.p] < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-u[:self.p][neg] / du[:self.p][neg])))
-        for rows in self.groups.values():
-            ub, db = u[rows], du[rows]
-            a = db[:, 0] ** 2 - np.sum(db[:, 1:] ** 2, axis=1)
-            b = 2.0 * (ub[:, 0] * db[:, 0] - np.sum(ub[:, 1:] * db[:, 1:], axis=1))
-            cc = ub[:, 0] ** 2 - np.sum(ub[:, 1:] ** 2, axis=1)
-            # smallest positive root of a t^2 + b t + c = 0 per block (c > 0)
-            disc = b * b - 4.0 * a * cc
+            if neg.any():
+                alpha = min(alpha, float((-u[:self.p][neg] / du[:self.p][neg]).min()))
+        for a, b, d in self.runs:
+            ub, db = u[a:b].reshape(-1, d), du[a:b].reshape(-1, d)
+            aa = db[:, 0] ** 2 - (db[:, 1:] ** 2).sum(axis=1)
+            bb = 2.0 * (ub[:, 0] * db[:, 0] - (ub[:, 1:] * db[:, 1:]).sum(axis=1))
+            cc = ub[:, 0] ** 2 - (ub[:, 1:] ** 2).sum(axis=1)
+            disc = bb * bb - 4.0 * aa * cc
             with np.errstate(divide="ignore", invalid="ignore"):
                 sq = np.sqrt(np.maximum(disc, 0.0))
-                qq = -0.5 * (b + np.where(b >= 0, sq, -sq))
-                t1 = np.where(a != 0, qq / np.where(a != 0, a, 1.0), np.inf)
+                qq = -0.5 * (bb + np.where(bb >= 0, sq, -sq))
+                t1 = np.where(aa != 0, qq / np.where(aa != 0, aa, 1.0), np.inf)
                 t2 = np.where(qq != 0, cc / np.where(qq != 0, qq, 1.0), np.inf)
-                lin = np.where(b < 0, -cc / np.where(b < 0, b, -1.0), np.inf)
-            cand = np.full(len(a), np.inf)
+                lin = np.where(bb < 0, -cc / np.where(bb < 0, bb, -1.0), np.inf)
+            cand = np.full(len(aa), np.inf)
             for t in (t1, t2):
-                valid = (disc >= 0) & (np.abs(a) >= 1e-300) & (t > 0)
+                valid = (disc >= 0) & (np.abs(aa) >= 1e-300) & (t > 0)
                 cand = np.where(valid & (t < cand), t, cand)
-            small_a = np.abs(a) < 1e-300
+            small_a = np.abs(aa) < 1e-300
             cand = np.where(small_a & (lin > 0) & (lin < cand), lin, cand)
-            if len(cand):
-                alpha = min(alpha, float(np.min(cand)))
+            alpha = min(alpha, float(cand.min()))
         return alpha
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = np.empty(self.m)
         w[:self.p] = u[:self.p] * v[:self.p]
-        for rows in self.groups.values():
-            ub, vb = u[rows], v[rows]
-            w[rows[:, 0]] = np.sum(ub * vb, axis=1)
-            w[rows[:, 1:]] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
+        for a, b, d in self.runs:
+            ub, vb, wb = u[a:b].reshape(-1, d), v[a:b].reshape(-1, d), w[a:b].reshape(-1, d)
+            wb[:, 0] = (ub * vb).sum(axis=1)
+            wb[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
         return w
 
     def solve_prod(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
         """x with ``lam o x = v`` (Jordan product inverse)."""
         x = np.empty(self.m)
         x[:self.p] = v[:self.p] / lam[:self.p]
-        for rows in self.groups.values():
-            lb, vb = lam[rows], v[rows]
-            det = lb[:, 0] ** 2 - np.sum(lb[:, 1:] ** 2, axis=1)
-            x0 = (lb[:, 0] * vb[:, 0] - np.sum(lb[:, 1:] * vb[:, 1:], axis=1)) / det
-            x[rows[:, 0]] = x0
-            x[rows[:, 1:]] = (vb[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
+        for a, b, d in self.runs:
+            lb, vb, xb = lam[a:b].reshape(-1, d), v[a:b].reshape(-1, d), x[a:b].reshape(-1, d)
+            det = lb[:, 0] ** 2 - (lb[:, 1:] ** 2).sum(axis=1)
+            x0 = (lb[:, 0] * vb[:, 0] - (lb[:, 1:] * vb[:, 1:]).sum(axis=1)) / det
+            xb[:, 0] = x0
+            xb[:, 1:] = (vb[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
         return x
 
 
@@ -459,29 +466,32 @@ class _NTScaling:
     Per cone, ``W = eta [[w0, w1^T], [w1, I + w1 w1^T / (1 + w0)]]`` with
     ``w0^2 - |w1|^2 = 1``, so ``W^2 = eta^2 (2 wbar wbar^T - J)`` and
     ``W^{-2} = eta^{-2} (2 u u^T - J)`` with ``u = J wbar``,
-    ``J = diag(1, -1, ..., -1)``.
+    ``J = diag(1, -1, ..., -1)``. ``eta``, ``wbar`` and ``u`` hold one
+    array per cone run.
     """
 
     def __init__(self, cones: _ConeLayout, s: np.ndarray, z: np.ndarray):
         self.cones = cones
         p = cones.p
         self.diag = np.sqrt(s[:p] / z[:p])
-        self.eta: dict[int, np.ndarray] = {}
-        self.wbar: dict[int, np.ndarray] = {}
-        self.u: dict[int, np.ndarray] = {}
-        for d, rows in cones.groups.items():
-            sb, zb = s[rows], z[rows]
-            rs = np.sqrt(sb[:, 0] ** 2 - np.sum(sb[:, 1:] ** 2, axis=1))
-            rz = np.sqrt(zb[:, 0] ** 2 - np.sum(zb[:, 1:] ** 2, axis=1))
+        self.diag2 = self.diag ** 2
+        self.eta, self.wbar, self.u, self.eta2, self.eta_m2 = [], [], [], [], []
+        for a, b, d in cones.runs:
+            sb, zb = s[a:b].reshape(-1, d), z[a:b].reshape(-1, d)
+            rs = np.sqrt(sb[:, 0] ** 2 - (sb[:, 1:] ** 2).sum(axis=1))
+            rz = np.sqrt(zb[:, 0] ** 2 - (zb[:, 1:] ** 2).sum(axis=1))
             sn, zn = sb / rs[:, None], zb / rz[:, None]
-            gamma = np.sqrt((1.0 + np.sum(sn * zn, axis=1)) / 2.0)
+            gamma = np.sqrt((1.0 + (sn * zn).sum(axis=1)) / 2.0)
             wb = np.empty_like(sn)
             wb[:, 0] = sn[:, 0] + zn[:, 0]
             wb[:, 1:] = sn[:, 1:] - zn[:, 1:]
             wb /= (2.0 * gamma)[:, None]
-            self.eta[d] = np.sqrt(rs / rz)
-            self.wbar[d] = wb
-            self.u[d] = np.concatenate([wb[:, :1], -wb[:, 1:]], axis=1)
+            eta = np.sqrt(rs / rz)
+            self.eta.append(eta)
+            self.eta2.append(eta ** 2.0)
+            self.eta_m2.append(eta ** -2.0)
+            self.wbar.append(wb)
+            self.u.append(np.concatenate([wb[:, :1], -wb[:, 1:]], axis=1))
 
     def apply(self, x: np.ndarray, inv: bool = False) -> np.ndarray:
         """W x (or W^{-1} x)."""
@@ -489,29 +499,28 @@ class _NTScaling:
         y = np.empty(c.m)
         y[:c.p] = x[:c.p] * (1.0 / self.diag if inv else self.diag)
         sgn = -1.0 if inv else 1.0
-        for d, rows in c.groups.items():
-            wb = self.wbar[d]
-            blk = x[rows]
+        for (a, b, d), wb, eta in zip(c.runs, self.wbar, self.eta):
+            blk, out = x[a:b].reshape(-1, d), y[a:b].reshape(-1, d)
             x0, x1 = blk[:, 0], blk[:, 1:]
             w0, w1 = wb[:, 0], wb[:, 1:]
-            dot = np.sum(w1 * x1, axis=1)
-            fac = 1.0 / self.eta[d] if inv else self.eta[d]
-            y[rows[:, 0]] = fac * (w0 * x0 + sgn * dot)
-            y[rows[:, 1:]] = fac[:, None] * (sgn * w1 * x0[:, None] + x1
-                                             + w1 * (dot / (1.0 + w0))[:, None])
+            dot = (w1 * x1).sum(axis=1)
+            fac = 1.0 / eta if inv else eta
+            out[:, 0] = fac * (w0 * x0 + sgn * dot)
+            out[:, 1:] = fac[:, None] * (sgn * w1 * x0[:, None] + x1
+                                         + w1 * (dot / (1.0 + w0))[:, None])
         return y
 
     def apply_sq(self, x: np.ndarray, inv: bool = False) -> np.ndarray:
         """W^2 x (or W^{-2} x) in one pass."""
         c = self.cones
         y = np.empty(c.m)
-        y[:c.p] = x[:c.p] / self.diag ** 2 if inv else x[:c.p] * self.diag ** 2
-        for d, rows in c.groups.items():
-            a = self.u[d] if inv else self.wbar[d]
-            blk = x[rows]
-            out = a * (2.0 * np.sum(a * blk, axis=1))[:, None] + blk
+        y[:c.p] = x[:c.p] / self.diag2 if inv else x[:c.p] * self.diag2
+        for (a, b, d), w, f in zip(c.runs, self.u if inv else self.wbar,
+                                   self.eta_m2 if inv else self.eta2):
+            blk = x[a:b].reshape(-1, d)
+            out = w * (2.0 * (w * blk).sum(axis=1))[:, None] + blk
             out[:, 0] -= 2.0 * blk[:, 0]                  # - J x
-            y[rows] = out * (self.eta[d] ** (-2.0 if inv else 2.0))[:, None]
+            np.multiply(out, f[:, None], out=y[a:b].reshape(-1, d))
         return y
 
 
@@ -520,7 +529,7 @@ class _NTScaling:
 # ---------------------------------------------------------------------------
 
 class _BlockPlan:
-    """Static block structure of ``H = A^T W^{-2} A`` for one program.
+    """Static block structure of ``H = A^T W^{-2} A`` for one program structure.
 
     Each cone k adds ``A_k^T W_k^{-2} A_k`` on its support, the variables its
     rows read. Cones that share variables are merged into one dense block,
@@ -531,15 +540,19 @@ class _BlockPlan:
     kept in the blocks, and the rank-one terms along ``A_k^T u`` and
     ``A_k^T e0``. The border also holds the orthant rows, the equality rows
     and the variables no cone reads (``free``).
+
+    The plan depends only on the cone layout, the cone rows' columns ``col``
+    and coefficients ``coef``, the variable count and the equality count, so
+    :func:`_block_plan` builds it once per structure.
     """
 
-    def __init__(self, cones: _ConeLayout, a_op: _AffineRows, e_mat: np.ndarray):
-        n, p = a_op.n, cones.p
-        self.n, self.a_op, self.e_mat = n, a_op, e_mat
-        rows_of = {(d, j): rows[j] - p for d, rows in cones.groups.items()
-                   for j in range(len(rows))}
-        supports = {key: set(a_op.col[r][a_op.coef[r] != 0].tolist())
-                    for key, r in rows_of.items()}
+    def __init__(self, cones: _ConeLayout, n: int, col: np.ndarray, coef: np.ndarray,
+                 n_eq: int):
+        p = cones.p
+        self.n, self.n_eq = n, n_eq
+        spans = {(i, j): slice(a - p + j * d, a - p + (j + 1) * d)
+                 for i, (a, b, d) in enumerate(cones.runs) for j in range((b - a) // d)}
+        supports = {key: set(col[r][coef[r] != 0].tolist()) for key, r in spans.items()}
         readers: dict[int, list] = {}
         for key, sup in supports.items():
             for v in sup:
@@ -550,7 +563,7 @@ class _BlockPlan:
             return any(not supports[a] & supports[b]
                        for i, a in enumerate(near) for b in near[i + 1:])
 
-        on_border = {key: bridges(key) for key in rows_of}
+        on_border = {key: bridges(key) for key in spans}
         parent = list(range(n))   # union-find over the variables of block cones
 
         def root(v):
@@ -594,20 +607,34 @@ class _BlockPlan:
             return base[i] + loc[i] * width[i] + loc[j]
 
         self.diag_pos = flat(self.perm, self.perm)
-        self.terms = []    # block cones: (dim, group positions, targets, c c^T, c c^T J)
-        for d, rows in cones.groups.items():
-            ks = np.array([j for j in range(len(rows)) if not on_border[d, j]], dtype=int)
+        self.terms = []    # block cones: (run, block positions, targets, c c^T, c c^T J)
+        for i, (a, b, d) in enumerate(cones.runs):
+            ks = np.array([j for j in range((b - a) // d) if not on_border[i, j]], dtype=int)
             if len(ks):
-                col = a_op.col[rows[ks] - p]
-                cf = a_op.coef[rows[ks] - p]
+                rows = (a - p) + d * ks[:, None] + np.arange(d)
+                cb, cf = col[rows], coef[rows]
                 live = (cf != 0)[:, :, None] & (cf != 0)[:, None, :]
-                tgt = np.where(live, flat(col[:, :, None], col[:, None, :]), self.store_size)
+                tgt = np.where(live, flat(cb[:, :, None], cb[:, None, :]), self.store_size)
                 cc = cf[:, :, None] * cf[:, None, :]
-                self.terms.append((d, ks, tgt.ravel(), cc,
+                self.terms.append((i, ks, tgt.ravel(), cc,
                                    cc * np.diag(np.r_[1.0, -np.ones(d - 1)])))
-        # border cones: (dim, group position, cols, coefs, diagonal targets)
-        self.border = [(d, j, a_op.col[r], a_op.coef[r], flat(a_op.col[r], a_op.col[r]))
-                       for (d, j), r in rows_of.items() if on_border[d, j]]
+        # border cones: (run, block position, cols, coefs, diagonal targets)
+        self.border = [(i, j, col[r], coef[r], flat(col[r], col[r]))
+                       for (i, j), r in spans.items() if on_border[i, j]]
+
+
+@functools.lru_cache(maxsize=8)
+def _plan_for(structure) -> _BlockPlan:
+    n, p, soc, n_eq, col, coef = structure
+    return _BlockPlan(_ConeLayout(p, soc), n, np.frombuffer(col, dtype=int),
+                      np.frombuffer(coef), n_eq)
+
+
+def _block_plan(cones: _ConeLayout, a_op: _AffineRows, n_eq: int) -> _BlockPlan:
+    """The block plan of this program's structure, shared by every program of
+    that structure (the SCA stages solve one structure over and over)."""
+    return _plan_for((a_op.n, cones.p, cones.soc, n_eq,
+                      a_op.col.astype(int).tobytes(), a_op.coef.tobytes()))
 
 
 class _NewtonSystem:
@@ -619,21 +646,22 @@ class _NewtonSystem:
     and one small Schur complement in ``(dx_free, xi, dy)``.
     """
 
-    def __init__(self, plan: _BlockPlan, W: _NTScaling):
+    def __init__(self, plan: _BlockPlan, W: _NTScaling, lin: np.ndarray,
+                 e_mat: np.ndarray):
         self.plan = plan
-        n, e_mat = plan.n, plan.e_mat
+        n = plan.n
         tgts, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for d, ks, tgt, cc, ccj in plan.terms:
-            u = W.u[d][ks]
+        for i, ks, tgt, cc, ccj in plan.terms:
+            u = W.u[i][ks]
             blk = 2.0 * cc * u[:, :, None] * u[:, None, :] - ccj
             tgts.append(tgt)
-            vals.append((blk / W.eta[d][ks, None, None] ** 2).ravel())
-        cols, ginv = [plan.a_op.lin.T], [W.diag ** 2]
-        for d, j, col, cf, pos in plan.border:
-            eta2 = W.eta[d][j] ** 2
+            vals.append((blk / W.eta[i][ks, None, None] ** 2).ravel())
+        cols, ginv = [lin.T], [W.diag2]
+        for i, j, col, cf, pos in plan.border:
+            eta2 = W.eta[i][j] ** 2
             tgts.append(pos)
             vals.append(cf * cf / eta2)
-            cols.append(np.bincount(col, cf * W.u[d][j], minlength=n)[:, None])
+            cols.append(np.bincount(col, cf * W.u[i][j], minlength=n)[:, None])
             ginv.append([0.5 * eta2])
             if cf[0] != 0:
                 head = np.zeros((n, 1))
@@ -642,11 +670,11 @@ class _NewtonSystem:
                 ginv.append([-0.5 * eta2])
         store = np.bincount(np.concatenate(tgts), np.concatenate(vals),  # int if empty
                             minlength=plan.store_size + 1)[:plan.store_size].astype(float)
-        if not np.all(np.isfinite(store)):
+        if not np.isfinite(store).all():
             raise np.linalg.LinAlgError("non-finite Newton block")
         v_mat = np.hstack(cols)
         ginv = np.concatenate(ginv)
-        trace = np.sum(store[plan.diag_pos]) + np.sum(v_mat * v_mat, axis=0) @ (1.0 / ginv)
+        trace = store[plan.diag_pos].sum() + (v_mat * v_mat).sum(axis=0) @ (1.0 / ginv)
         self.reg = 1e-13 * (1.0 + trace / n)
         store[plan.diag_pos] += self.reg
         self.inverses = [np.linalg.inv(store[off:off + nb * size * size]
@@ -664,7 +692,13 @@ class _NewtonSystem:
         schur[nf:, :nf] = f_mat.T
         schur[nf:, nf:] = -(self.k_mat.T @ self.p_mat) - np.diag(
             np.concatenate([ginv, np.full(e_mat.shape[0], 1e-13)]))
-        self.lu = sla.lu_factor(schur) if len(schur) else None
+        self.lu = None
+        if len(schur):
+            if not np.isfinite(schur).all():
+                raise ValueError("non-finite Schur complement")
+            self.lu, self.piv, info = dgetrf(schur)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular Schur complement")
 
     def _block_solve(self, v: np.ndarray) -> np.ndarray:
         """``B^{-1} v`` for ``v`` in block order (a vector or columns)."""
@@ -684,7 +718,11 @@ class _NewtonSystem:
         t = self._block_solve(rx[plan.perm])
         rhs = np.concatenate([rx[plan.free], np.zeros(self.r), ry])
         rhs[nf:] -= self.k_mat.T @ t
-        sol = sla.lu_solve(self.lu, rhs) if self.lu is not None else rhs
+        sol = rhs
+        if self.lu is not None:
+            if not np.isfinite(rhs).all():
+                raise ValueError("non-finite Schur right-hand side")
+            sol, _ = dgetrs(self.lu, self.piv, rhs)
         dx = np.empty(plan.n)
         dx[plan.perm] = t - self.p_mat @ sol[nf:]
         dx[plan.free] = sol[:nf]
@@ -699,7 +737,7 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
                     tol: float, max_iter: int):
     n = len(c)
     meq = e_mat.shape[0]
-    plan = _BlockPlan(cones, a_op, e_mat)
+    plan = _block_plan(cones, a_op, meq)
     x = np.zeros(n); y = np.zeros(meq)
     s = cones.identity(); z = cones.identity()
     tau, kappa = 1.0, 1.0
@@ -752,7 +790,7 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
         W = _NTScaling(cones, s, z)
         lam = W.apply(z)
         try:
-            newton = _NewtonSystem(plan, W)
+            newton = _NewtonSystem(plan, W, a_op.lin, e_mat)
         except (ValueError, np.linalg.LinAlgError):
             reason = ExitReason.FACTORIZATION
             break
@@ -774,7 +812,8 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
             return dx, dy, dz
 
         def direction(eta_r, vc, dtk_rhs, tau_dir):
-            dx0, dy0, dz0 = kkt_solve(-eta_r * r1, eta_r * r2, eta_r * r3 - W.apply(vc))
+            wvc = W.apply(vc)
+            dx0, dy0, dz0 = kkt_solve(-eta_r * r1, eta_r * r2, eta_r * r3 - wvc)
             dx1, dy1, dz1 = tau_dir
             num = -eta_r * r4 + c @ dx0 + f_vec @ dy0 + b_vec @ dz0 + dtk_rhs / tau
             den = kappa / tau - (c @ dx1 + f_vec @ dy1 + b_vec @ dz1)
@@ -782,7 +821,7 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
                 raise FloatingPointError("singular tau step")
             dtau = num / den
             dx = dx0 + dtau * dx1; dy = dy0 + dtau * dy1; dz = dz0 + dtau * dz1
-            ds = W.apply(vc) - W.apply_sq(dz)
+            ds = wvc - W.apply_sq(dz)
             dkappa = (dtk_rhs - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
 
