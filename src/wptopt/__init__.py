@@ -17,9 +17,9 @@ from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
 from .socp import (ConeProgram, ConeSolution, ExitReason, SolveStatus,
                    assemble_q_subproblem, assemble_w_subproblem, solve)
 from .optimize import (InitPlan, OptimizationError, RunTrace,
-                       UnmeetableRequirementError, allocate_chains,
-                       init_digital_weights, init_q_phases, run_asca_dma,
-                       run_sca_fd, run_sca_q, run_sca_w)
+                       TargetMissedError, UnmeetableRequirementError,
+                       allocate_chains, init_digital_weights, init_q_phases,
+                       run_asca_dma, run_sca_fd, run_sca_q, run_sca_w)
 from .oracle import (BruteForceResult, FieldMap, PlaneSpec, SampledSignal,
                      brute_force_small, check_gradient_q, check_gradient_w,
                      closed_form_single, field_map, synthesize_received)

@@ -394,6 +394,9 @@ def main(argv=None) -> int:
     except optimize.UnmeetableRequirementError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except optimize.TargetMissedError as exc:
+        print(f"optimization failed: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except optimize.OptimizationError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_ITER_LIMIT

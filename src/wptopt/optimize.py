@@ -22,8 +22,8 @@ from .channel import ChannelTensor, build_channel
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
 from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
-from .socp import (SolveStatus, assemble_q_subproblem, assemble_w_subproblem,
-                   solve, unstack_complex)
+from .socp import (ExitReason, SolveStatus, assemble_q_subproblem,
+                   assemble_w_subproblem, solve, unstack_complex)
 from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
 
 _AMP_CAP = 1e6
@@ -35,6 +35,10 @@ class OptimizationError(RuntimeError):
 
 class UnmeetableRequirementError(OptimizationError):
     """EH targets unreachable within the amplitude cap."""
+
+
+class TargetMissedError(OptimizationError):
+    """The final state misses an EH target although the loop ended normally."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +199,15 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
 
 @dataclass
 class StageTrace:
+    """Per accepted step: objective, solver iterations, KKT residual and gap.
+    ``exit_reasons`` holds one entry per cone solve the stage made, including
+    a final solve whose result it discarded; it stays out of the artifact."""
+
     objectives: list[float] = field(default_factory=list)
     solver_iterations: list[int] = field(default_factory=list)
     kkt_residuals: list[float] = field(default_factory=list)
     duality_gaps: list[float] = field(default_factory=list)
+    exit_reasons: list[ExitReason] = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -272,6 +281,7 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
                 for m in range(scenario.n_receivers)]
         prog = assemble_w_subproblem(scenario, dma, lins, w)
         sol = solve(prog, settings)
+        trace.exit_reasons.append(sol.exit_reason)
         if sol.status is SolveStatus.INFEASIBLE:
             if not trace.objectives:
                 raise _SubproblemInfeasible
@@ -309,6 +319,7 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
                 for m in range(scenario.n_receivers)]
         prog = assemble_q_subproblem(scenario, waveform, lins, q0)
         sol = solve(prog, settings)
+        trace.exit_reasons.append(sol.exit_reason)
         if sol.status is SolveStatus.INFEASIBLE:
             # the restriction always contains its expansion point q0
             raise FloatingPointError("focusing restriction reported infeasible")
@@ -403,7 +414,7 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
         _, w, dma = best
     trace.final_p_dc = _final_p_dc(scenario, channel, dma, w)
     if np.any(trace.final_p_dc < 0.999 * scenario.eh_targets):
-        raise OptimizationError("converged state misses an EH target by >0.1%")
+        raise TargetMissedError("converged state misses an EH target by >0.1%")
     return w, dma, trace
 
 
@@ -429,5 +440,5 @@ def run_sca_fd(scenario: ScenarioConfig) -> tuple[Waveform, RunTrace]:
         solver_rel_gap=_worst_rel_gap(w_trace)))
     trace.final_p_dc = _final_p_dc(scenario, channel, None, w)
     if np.any(trace.final_p_dc < 0.999 * scenario.eh_targets):
-        raise OptimizationError("converged state misses an EH target by >0.1%")
+        raise TargetMissedError("converged state misses an EH target by >0.1%")
     return w, trace

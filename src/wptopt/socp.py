@@ -19,7 +19,16 @@ norm group with its epigraph variable). The orthant rows, the equality rows,
 the rank-2 term of a cone that spans several blocks (the squared norm) and
 the variables no cone reads form one bordered Schur system of about M + 3
 unknowns, factored by LU. Iterative refinement against the exact KKT operator
-checks the accuracy of every solve.
+checks the accuracy of every solve. That block plan depends only on the
+program's structure (cone dimensions, the cone rows' columns and
+coefficients, the orthant and equality row counts), so it is built once per
+structure and reused by every SCA step that solves the same shape.
+
+Cones of one dimension sit back to back, so each run of them is read and
+written as one ``[n_blocks, dim]`` view of the stacked vector. The step to
+the cone boundary has a closed form per block (as in ECOS, Domahidi, Chu &
+Boyd, ECC 2013): rotate the iterate to the identity and read the step off
+the rotated direction.
 """
 
 from __future__ import annotations
@@ -411,32 +420,35 @@ class _ConeLayout:
         return True
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """Largest step keeping ``u + alpha*du`` inside the closed cone."""
+        """Largest step keeping ``u + alpha*du`` inside the closed cone, for
+        ``u`` in the interior.
+
+        Per cone block, the hyperbolic rotation that takes
+        ``ubar = u / sqrt(det u)`` to ``e`` takes ``du`` to ``(rho0, rho1)``
+        with ``rho0 = ubar0 du0 - ubar1.du1`` and
+        ``rho1 = du1 - (rho0 + du0) / (ubar0 + 1) ubar1``, so the step is
+        ``sqrt(det u) / max(0, |rho1| - rho0)`` (ECOS, Domahidi et al. 2013),
+        taken over all blocks as one over the largest
+        ``(|rho1| - rho0) / sqrt(det u)``. ``det u`` is formed as
+        ``(u0 - |u1|)(u0 + |u1|)``, which stays positive for a block at
+        rounding distance from its boundary.
+        """
         alpha = np.inf
         if self.p:
             neg = du[:self.p] < 0
             if neg.any():
-                alpha = min(alpha, float((-u[:self.p][neg] / du[:self.p][neg]).min()))
+                alpha = float((-u[:self.p][neg] / du[:self.p][neg]).min())
+        inv_step = 0.0   # the largest 1/step over the cone blocks
         for a, b, d in self.runs:
             ub, db = u[a:b].reshape(-1, d), du[a:b].reshape(-1, d)
-            aa = db[:, 0] ** 2 - (db[:, 1:] ** 2).sum(axis=1)
-            bb = 2.0 * (ub[:, 0] * db[:, 0] - (ub[:, 1:] * db[:, 1:]).sum(axis=1))
-            cc = ub[:, 0] ** 2 - (ub[:, 1:] ** 2).sum(axis=1)
-            disc = bb * bb - 4.0 * aa * cc
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sq = np.sqrt(np.maximum(disc, 0.0))
-                qq = -0.5 * (bb + np.where(bb >= 0, sq, -sq))
-                t1 = np.where(aa != 0, qq / np.where(aa != 0, aa, 1.0), np.inf)
-                t2 = np.where(qq != 0, cc / np.where(qq != 0, qq, 1.0), np.inf)
-                lin = np.where(bb < 0, -cc / np.where(bb < 0, bb, -1.0), np.inf)
-            cand = np.full(len(aa), np.inf)
-            for t in (t1, t2):
-                valid = (disc >= 0) & (np.abs(aa) >= 1e-300) & (t > 0)
-                cand = np.where(valid & (t < cand), t, cand)
-            small_a = np.abs(aa) < 1e-300
-            cand = np.where(small_a & (lin > 0) & (lin < cand), lin, cand)
-            alpha = min(alpha, float(cand.min()))
-        return alpha
+            norm1 = np.sqrt((ub[:, 1:] ** 2).sum(axis=1))
+            root_det = np.sqrt((ub[:, 0] - norm1) * (ub[:, 0] + norm1))
+            ubar = ub / root_det[:, None]
+            rho0 = ubar[:, 0] * db[:, 0] - (ubar[:, 1:] * db[:, 1:]).sum(axis=1)
+            rho1 = db[:, 1:] - ((rho0 + db[:, 0]) / (ubar[:, 0] + 1.0))[:, None] * ubar[:, 1:]
+            inv_step = max(inv_step, float(((np.sqrt((rho1 ** 2).sum(axis=1)) - rho0)
+                                            / root_det).max()))
+        return min(alpha, 1.0 / inv_step) if inv_step > 0.0 else alpha
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = np.empty(self.m)
@@ -542,14 +554,15 @@ class _BlockPlan:
     and the variables no cone reads (``free``).
 
     The plan depends only on the cone layout, the cone rows' columns ``col``
-    and coefficients ``coef``, the variable count and the equality count, so
-    :func:`_block_plan` builds it once per structure.
+    and coefficients ``coef``, the variable count and the equality count
+    (which size the Schur system), so :func:`_block_plan` builds it once per
+    structure.
     """
 
     def __init__(self, cones: _ConeLayout, n: int, col: np.ndarray, coef: np.ndarray,
                  n_eq: int):
         p = cones.p
-        self.n, self.n_eq = n, n_eq
+        self.n = n
         spans = {(i, j): slice(a - p + j * d, a - p + (j + 1) * d)
                  for i, (a, b, d) in enumerate(cones.runs) for j in range((b - a) // d)}
         supports = {key: set(col[r][coef[r] != 0].tolist()) for key, r in spans.items()}
@@ -621,6 +634,9 @@ class _BlockPlan:
         # border cones: (run, block position, cols, coefs, diagonal targets)
         self.border = [(i, j, col[r], coef[r], flat(col[r], col[r]))
                        for (i, j), r in spans.items() if on_border[i, j]]
+        # border columns: the orthant rows, then one or two per border cone
+        self.n_border = p + sum(1 + (cf[0] != 0) for _, _, _, cf, _ in self.border)
+        self.schur_size = len(self.free) + self.n_border + n_eq
 
 
 @functools.lru_cache(maxsize=8)
@@ -634,7 +650,7 @@ def _block_plan(cones: _ConeLayout, a_op: _AffineRows, n_eq: int) -> _BlockPlan:
     """The block plan of this program's structure, shared by every program of
     that structure (the SCA stages solve one structure over and over)."""
     return _plan_for((a_op.n, cones.p, cones.soc, n_eq,
-                      a_op.col.astype(int).tobytes(), a_op.coef.tobytes()))
+                      a_op.col.tobytes(), a_op.coef.tobytes()))
 
 
 class _NewtonSystem:
@@ -681,12 +697,11 @@ class _NewtonSystem:
                                        .reshape(nb, size, size))
                          for size, nb, off in plan.slabs]
         border = np.hstack([v_mat, e_mat.T])
-        self.r = v_mat.shape[1]
         self.k_mat = border[plan.perm]
         self.p_mat = self._block_solve(self.k_mat)
         nf = len(plan.free)
         f_mat = border[plan.free]
-        schur = np.zeros((nf + border.shape[1],) * 2)
+        schur = np.zeros((plan.schur_size, plan.schur_size))
         schur[:nf, :nf] = self.reg * np.eye(nf)
         schur[:nf, nf:] = f_mat
         schur[nf:, :nf] = f_mat.T
@@ -716,17 +731,17 @@ class _NewtonSystem:
         plan = self.plan
         nf = len(plan.free)
         t = self._block_solve(rx[plan.perm])
-        rhs = np.concatenate([rx[plan.free], np.zeros(self.r), ry])
+        rhs = np.concatenate([rx[plan.free], np.zeros(plan.n_border), ry])
         rhs[nf:] -= self.k_mat.T @ t
         sol = rhs
         if self.lu is not None:
             if not np.isfinite(rhs).all():
-                raise ValueError("non-finite Schur right-hand side")
+                raise FloatingPointError("non-finite Schur right-hand side")
             sol, _ = dgetrs(self.lu, self.piv, rhs)
         dx = np.empty(plan.n)
         dx[plan.perm] = t - self.p_mat @ sol[nf:]
         dx[plan.free] = sol[:nf]
-        return dx, sol[nf + self.r:]
+        return dx, sol[nf + plan.n_border:]
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,21 @@ def test_infeasible_focusing_restriction_exit_code(scenario_file, tmp_path,
     assert err.splitlines() == ["numerical failure: focusing restriction reported infeasible"]
 
 
+@pytest.mark.parametrize("arch", [[], ["--arch", "fd"]], ids=["dma", "fd"])
+def test_missed_target_exit_code(scenario_file, tmp_path, monkeypatch, capsys, arch):
+    """A final state below an EH target is a failure of its own (exit 1), not
+    an iteration limit: neither loop hit a cap."""
+    def short(scenario, *args):
+        return 0.5 * scenario.eh_targets
+
+    monkeypatch.setattr("wptopt.optimize._final_p_dc", short)
+    code = main(["optimize", str(scenario_file), "--out", str(tmp_path)] + arch)
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == [
+        "optimization failed: converged state misses an EH target by >0.1%"]
+
+
 def test_fieldmap_command(artifact_dir, tmp_path):
     code = main(["fieldmap", str(artifact_dir / "artifact.json"),
                  "--xmin", "-0.4", "--xmax", "0.4", "--zmin", "0.5",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wptopt.channel import ChannelTensor, build_channel
+from wptopt import optimize as optimize_module
 from wptopt.cli import write_trace_csv
 from wptopt.optimize import (UnmeetableRequirementError, _ramp,
                              allocate_chains, init_digital_weights,
@@ -16,6 +17,7 @@ from wptopt.oracle import closed_form_single
 from wptopt.power import sampled_consumption
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import Architecture, load_scenario
+from wptopt.socp import ExitReason, SolveStatus
 from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 lorentzian_weight)
 
@@ -269,6 +271,55 @@ def test_run_sca_q_improves_min_voltage(tiny_dma, rng):
                                 dev.k2, dev.k4)
     assert v_after >= v_before - 1e-12
     assert np.all(np.abs(dma.q - 0.5j) <= 0.5 + 1e-9)
+
+
+def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
+    """Each stage records the exit reason of every cone solve it makes, also
+    of its second solve here, which the stage discards."""
+    cfg = tiny_dma.with_solver(max_sca_iters=6)
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
+    plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
+    dma0 = init_q_phases(channel, plan, cfg)
+    w0 = init_digital_weights(cfg, channel, plan, dma0)
+    real_solve = optimize_module.solve
+    reasons = []
+
+    def solve_spoiling_second(spoiled):
+        def wrapped(prog, settings):
+            sol = real_solve(prog, settings)
+            if len(reasons) == 1:
+                sol = spoiled(sol)
+            reasons.append(sol.exit_reason)
+            return sol
+        return wrapped
+
+    # focusing: a stalled solve whose point leaves the disks is discarded
+    monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(
+        lambda sol: dataclasses.replace(sol, x=np.full_like(sol.x, 1e3),
+                                        status=SolveStatus.ITER_LIMIT,
+                                        exit_reason=ExitReason.ITER_CAP)))
+    _, q_trace = run_sca_q(cfg, channel, w0, dma0)
+    assert q_trace.exit_reasons == reasons
+    assert len(reasons) == 2 and q_trace.iterations == 1
+    assert reasons == [ExitReason.TOLERANCE, ExitReason.ITER_CAP]
+
+    # waveform: an infeasible report after the first step ends the stage
+    reasons.clear()
+    monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(
+        lambda sol: dataclasses.replace(sol, status=SolveStatus.INFEASIBLE,
+                                        exit_reason=ExitReason.INFEASIBLE)))
+    _, w_trace = run_sca_w(cfg, channel, dma0, w0)
+    assert w_trace.exit_reasons == reasons
+    assert reasons == [ExitReason.TOLERANCE, ExitReason.INFEASIBLE]
+    assert w_trace.iterations == 1
+
+    # unmodified solves
+    monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(lambda sol: sol))
+    for run_stage, args in ((run_sca_q, (w0, dma0)), (run_sca_w, (dma0, w0))):
+        reasons.clear()
+        _, trace = run_stage(cfg, channel, *args)
+        assert trace.exit_reasons == reasons
+        assert len(reasons) >= trace.iterations >= 2
 
 
 def test_run_asca_dma_end_to_end(tiny_dma):

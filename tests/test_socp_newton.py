@@ -1,6 +1,7 @@
 """The structured Newton solve of the interior-point method, checked against
-a dense reference, and the solver checked against the M = 1 closed forms of
-both restrictions."""
+a dense reference, its step length checked against the roots of the cone's
+quadratic, its block plan's reuse, and the solver checked against the M = 1
+closed forms of both restrictions."""
 
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from wptopt.linearize import linearize_vo_in_q
 from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
 from wptopt.scenario import load_scenario
 from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
-                         _BlockPlan, _lower, _NewtonSystem, _NTScaling,
+                         _block_plan, _BlockPlan, _ConeLayout, _lower,
+                         _NewtonSystem, _NTScaling, _plan_for,
                          assemble_q_subproblem, solve, unstack_complex)
 from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS, effective_rows
 
@@ -134,6 +136,129 @@ def test_structured_newton_solve_matches_dense(case):
     dx, dy = newton.solve(rhs[:a_op.n], rhs[a_op.n:])
     res = kkt @ np.concatenate([dx, dy]) - rhs
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+
+
+# ---------------------------------------------------------------------------
+# step length
+# ---------------------------------------------------------------------------
+
+def root_max_step(cones, u, du):
+    """Test-only oracle: the largest ``alpha`` with ``u + alpha du`` in the
+    closed cone, per block the smallest positive root of
+    ``(u0 + t du0)^2 - |u1 + t du1|^2``, by the numerically stable quadratic
+    formula."""
+    alpha = np.inf
+    neg = du[:cones.p] < 0
+    if neg.any():
+        alpha = float(np.min(-u[:cones.p][neg] / du[:cones.p][neg]))
+    for a, b, d in cones.runs:
+        ub, db = u[a:b].reshape(-1, d), du[a:b].reshape(-1, d)
+        qa = db[:, 0] ** 2 - np.sum(db[:, 1:] ** 2, axis=1)
+        qb = 2.0 * (ub[:, 0] * db[:, 0] - np.sum(ub[:, 1:] * db[:, 1:], axis=1))
+        qc = ub[:, 0] ** 2 - np.sum(ub[:, 1:] ** 2, axis=1)
+        disc = qb * qb - 4.0 * qa * qc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            qq = -0.5 * (qb + np.where(qb >= 0, sq, -sq))
+            t1 = np.where(qa != 0, qq / np.where(qa != 0, qa, 1.0), np.inf)
+            t2 = np.where(qq != 0, qc / np.where(qq != 0, qq, 1.0), np.inf)
+            lin = np.where(qb < 0, -qc / np.where(qb < 0, qb, -1.0), np.inf)
+        cand = np.full(len(qa), np.inf)
+        for t in (t1, t2):
+            valid = (disc >= 0) & (np.abs(qa) >= 1e-300) & (t > 0)
+            cand = np.where(valid & (t < cand), t, cand)
+        small_a = np.abs(qa) < 1e-300
+        cand = np.where(small_a & (lin > 0) & (lin < cand), lin, cand)
+        alpha = min(alpha, float(np.min(cand)))
+    return alpha
+
+
+def cone_margins(cones, u):
+    """``u0 - |u1|`` of every block, orthant rows as blocks of one."""
+    out = [u[:cones.p]]
+    for a, b, d in cones.runs:
+        blk = u[a:b].reshape(-1, d)
+        out.append(blk[:, 0] - np.linalg.norm(blk[:, 1:], axis=1))
+    return np.concatenate(out)
+
+
+STEP_LAYOUTS = {
+    "orthant": lambda k: [],
+    "dim 3": lambda k: [3] * k,
+    "dim 17": lambda k: [17] * k,
+    "dim 98": lambda k: [98] * k,
+    "interleaved 3, 17, 3": lambda k: [3, 17, 3] * k,
+}
+
+
+@st.composite
+def step_cases(draw):
+    layout = draw(st.sampled_from(sorted(STEP_LAYOUTS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.integers(1, 5)) if layout == "orthant" else draw(st.integers(0, 3))
+    cones = _ConeLayout(p, STEP_LAYOUTS[layout](draw(st.integers(1, 6))))
+    u = np.empty(cones.m)
+    u[:p] = 10.0 ** rng.uniform(-3.0, 1.0, p)
+    near = draw(st.booleans())   # some blocks at relative distance 1e-5 of the boundary
+    for a, b, d in cones.runs:
+        blk = u[a:b].reshape(-1, d)
+        blk[:, 1:] = rng.normal(size=(len(blk), d - 1)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        lo = np.where(near & (rng.uniform(size=len(blk)) < 0.5), -5.0, -2.0)
+        blk[:, 0] = np.linalg.norm(blk[:, 1:], axis=1) * (1.0 + 10.0 ** rng.uniform(lo, 0.0))
+    inward = draw(st.booleans())
+    if inward:   # a direction inside the cone never leaves it
+        du = np.abs(rng.normal(size=cones.m))
+        for a, b, d in cones.runs:
+            blk = du[a:b].reshape(-1, d)
+            blk[:, 0] = 1.01 * np.linalg.norm(blk[:, 1:], axis=1)
+    else:
+        du = rng.normal(size=cones.m) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return cones, u, du, inward
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step_cases())
+def test_closed_form_step_matches_quadratic_roots(case):
+    cones, u, du, inward = case
+    alpha = cones.max_step(u, du)
+    expected = root_max_step(cones, u, du)
+    if inward:
+        assert expected == np.inf
+    if expected == np.inf:
+        assert alpha == np.inf
+        return
+    assert alpha == pytest.approx(expected, rel=1e-10)
+    at_step = u + alpha * du
+    scale = 1e-10 * np.linalg.norm(u)
+    margins = cone_margins(cones, at_step)
+    assert margins.min() <= scale   # a block binds
+    assert margins.min() >= -scale  # and none is crossed
+
+
+# ---------------------------------------------------------------------------
+# block plan reuse
+# ---------------------------------------------------------------------------
+
+def plan_of(prog):
+    _, a_op, _, cones, e_mat, _, _ = _lower(prog)
+    return _block_plan(cones, a_op, e_mat.shape[0])
+
+
+def test_block_plan_is_shared_by_one_structure():
+    rng = np.random.default_rng(31)
+    plan = plan_of(focusing_program(rng, 5, 2))
+    assert plan_of(focusing_program(rng, 5, 2)) is plan   # other rows and rhs
+    for other in (focusing_program(rng, 5, 3),            # another M
+                  focusing_program(rng, 5, 2, n_eq=1),    # an equality row
+                  focusing_program(rng, 6, 2)):           # another disk count
+        assert plan_of(other) is not plan
+    prog = focusing_program(rng, 7, 2)
+    _plan_for.cache_clear()
+    fresh = solve(prog)
+    assert _plan_for.cache_info().misses == 1
+    reused = solve(prog)
+    assert _plan_for.cache_info().hits == 1
+    assert fresh.x.tobytes() == reused.x.tobytes()
 
 
 # ---------------------------------------------------------------------------
