@@ -381,6 +381,15 @@ def _lower(prog: ConeProgram):
 # cone arithmetic
 # ---------------------------------------------------------------------------
 
+def _soc_det(blk: np.ndarray) -> np.ndarray:
+    """``u0^2 - |u1|^2`` of each ``[n_blocks, dim]`` row, formed as
+    ``(u0 - |u1|)(u0 + |u1|)`` so that it stays positive wherever
+    ``u0 > |u1|`` holds in floating point, also at rounding distance from
+    the cone's boundary."""
+    norm1 = np.sqrt((blk[:, 1:] ** 2).sum(axis=1))
+    return (blk[:, 0] - norm1) * (blk[:, 0] + norm1)
+
+
 class _ConeLayout:
     """Orthant rows followed by second-order cone blocks.
 
@@ -427,28 +436,23 @@ class _ConeLayout:
         ``ubar = u / sqrt(det u)`` to ``e`` takes ``du`` to ``(rho0, rho1)``
         with ``rho0 = ubar0 du0 - ubar1.du1`` and
         ``rho1 = du1 - (rho0 + du0) / (ubar0 + 1) ubar1``, so the step is
-        ``sqrt(det u) / max(0, |rho1| - rho0)`` (ECOS, Domahidi et al. 2013),
-        taken over all blocks as one over the largest
-        ``(|rho1| - rho0) / sqrt(det u)``. ``det u`` is formed as
-        ``(u0 - |u1|)(u0 + |u1|)``, which stays positive for a block at
-        rounding distance from its boundary.
+        ``sqrt(det u) / max(0, |rho1| - rho0)`` (ECOS, Domahidi et al. 2013).
         """
         alpha = np.inf
         if self.p:
             neg = du[:self.p] < 0
             if neg.any():
                 alpha = float((-u[:self.p][neg] / du[:self.p][neg]).min())
-        inv_step = 0.0   # the largest 1/step over the cone blocks
         for a, b, d in self.runs:
             ub, db = u[a:b].reshape(-1, d), du[a:b].reshape(-1, d)
-            norm1 = np.sqrt((ub[:, 1:] ** 2).sum(axis=1))
-            root_det = np.sqrt((ub[:, 0] - norm1) * (ub[:, 0] + norm1))
+            root_det = np.sqrt(_soc_det(ub))
             ubar = ub / root_det[:, None]
             rho0 = ubar[:, 0] * db[:, 0] - (ubar[:, 1:] * db[:, 1:]).sum(axis=1)
             rho1 = db[:, 1:] - ((rho0 + db[:, 0]) / (ubar[:, 0] + 1.0))[:, None] * ubar[:, 1:]
-            inv_step = max(inv_step, float(((np.sqrt((rho1 ** 2).sum(axis=1)) - rho0)
-                                            / root_det).max()))
-        return min(alpha, 1.0 / inv_step) if inv_step > 0.0 else alpha
+            den = np.sqrt((rho1 ** 2).sum(axis=1)) - rho0
+            steps = np.divide(root_det, den, out=np.full(len(den), np.inf), where=den > 0)
+            alpha = min(alpha, float(steps.min()))
+        return alpha
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = np.empty(self.m)
@@ -465,8 +469,7 @@ class _ConeLayout:
         x[:self.p] = v[:self.p] / lam[:self.p]
         for a, b, d in self.runs:
             lb, vb, xb = lam[a:b].reshape(-1, d), v[a:b].reshape(-1, d), x[a:b].reshape(-1, d)
-            det = lb[:, 0] ** 2 - (lb[:, 1:] ** 2).sum(axis=1)
-            x0 = (lb[:, 0] * vb[:, 0] - (lb[:, 1:] * vb[:, 1:]).sum(axis=1)) / det
+            x0 = (lb[:, 0] * vb[:, 0] - (lb[:, 1:] * vb[:, 1:]).sum(axis=1)) / _soc_det(lb)
             xb[:, 0] = x0
             xb[:, 1:] = (vb[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
         return x
