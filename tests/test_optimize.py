@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wptopt.channel import ChannelTensor, build_channel
 from wptopt import optimize as optimize_module
+from wptopt.channel import ChannelTensor, build_channel
 from wptopt.cli import write_trace_csv
 from wptopt.optimize import (UnmeetableRequirementError, _ramp,
                              allocate_chains, init_digital_weights,
