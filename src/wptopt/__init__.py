@@ -16,8 +16,8 @@ from .power import PowerReport, hpa_bound_objective, input_power, \
 from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
 from .socp import (ConeProgram, ConeSolution, ExitReason, SolveStatus,
                    assemble_q_subproblem, assemble_w_subproblem, solve)
-from .optimize import (InitPlan, OptimizationError, RunTrace,
-                       TargetMissedError, UnmeetableRequirementError,
+from .optimize import (InfeasibleRestrictionError, InitPlan, OptimizationError,
+                       RunTrace, TargetMissedError, UnmeetableRequirementError,
                        allocate_chains, init_digital_weights, init_q_phases,
                        run_asca_dma, run_sca_fd, run_sca_q, run_sca_w)
 from .oracle import (BruteForceResult, FieldMap, PlaneSpec, SampledSignal,

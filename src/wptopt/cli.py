@@ -397,10 +397,13 @@ def main(argv=None) -> int:
     except optimize.TargetMissedError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except optimize.InfeasibleRestrictionError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except optimize.OptimizationError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_ITER_LIMIT
-    except FloatingPointError as exc:  # unbounded or falsely infeasible cone program
+    except FloatingPointError as exc:  # unbounded cone program
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except FileNotFoundError as exc:

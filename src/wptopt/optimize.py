@@ -8,6 +8,12 @@ repeat solve/re-linearize until their objectives move by less than the
 configured relative tolerance. Because every linearization is a global
 underestimator of the true output voltage, each accepted waveform iterate
 satisfies the exact non-linear harvesting constraints.
+
+With one receiver the focusing restriction maximizes a linear function over
+a product of disks, so :func:`focusing_step_single` solves it in closed form
+(Boyd & Vandenberghe, *Convex Optimization*, ch. 5); with two or more
+receivers, and in the waveform stage, each restriction is a cone program
+solved by the interior-point method of :mod:`wptopt.socp`.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelTensor, build_channel
-from .linearize import linearize_vo_in_q, linearize_vo_in_w
+from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
 from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
 from .socp import (ExitReason, SolveStatus, assemble_q_subproblem,
                    assemble_w_subproblem, solve, unstack_complex)
-from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
+from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
+                          EffectiveChannel, Waveform, effective_rows)
 
 _AMP_CAP = 1e6
 
@@ -39,6 +46,12 @@ class UnmeetableRequirementError(OptimizationError):
 
 class TargetMissedError(OptimizationError):
     """The final state misses an EH target although the loop ended normally."""
+
+
+class InfeasibleRestrictionError(OptimizationError):
+    """A convex restriction was reported infeasible although it holds a point:
+    the focusing restriction contains its expansion point, and scaling the
+    waveform up meets every linearized harvesting row. A numerical failure."""
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +213,10 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
 @dataclass
 class StageTrace:
     """Per accepted step: objective, solver iterations, KKT residual and gap.
-    ``exit_reasons`` holds one entry per cone solve the stage made, including
-    a final solve whose result it discarded; it stays out of the artifact."""
+    ``exit_reasons`` holds one entry per restriction step the stage made,
+    including a final step whose result it discarded; it stays out of the
+    artifact. A closed-form step counts 0 iterations, KKT residual 0 and
+    exits on ``TOLERANCE``."""
 
     objectives: list[float] = field(default_factory=list)
     solver_iterations: list[int] = field(default_factory=list)
@@ -284,7 +299,8 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
         trace.exit_reasons.append(sol.exit_reason)
         if sol.status is SolveStatus.INFEASIBLE:
             if not trace.objectives:
-                raise _SubproblemInfeasible
+                raise InfeasibleRestrictionError(
+                    "waveform restriction reported infeasible")
             break  # keep the last feasible iterate
         if sol.status is SolveStatus.ITER_LIMIT and prog.max_violation(sol.x) > 1e-7:
             break
@@ -302,10 +318,39 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
     return w, trace
 
 
+@dataclass(frozen=True)
+class FocusingStep:
+    """Solution of the one-receiver focusing restriction."""
+
+    q: np.ndarray        # element weights, flat
+    objective: float     # linearized voltage at ``q``: the restriction's maximum
+    dual_bound: float    # support function of the disks: an upper bound on it
+
+
+def focusing_step_single(lin: LinearizedVoltage) -> FocusingStep:
+    """Maximize ``v0 + 2*Re{c^H (q - q0)}`` over the Lorentzian disks.
+
+    The objective separates over elements, and each term is largest on the
+    disk's rim in the direction of its coefficient:
+    ``q_k = j/2 + c_k/(2|c_k|)``. The restriction does not depend on an
+    element with ``c_k = 0``, which keeps its expansion weight.
+    """
+    c = np.asarray(lin.coeffs).reshape(-1)
+    q0 = np.asarray(lin.expansion_point).reshape(-1)
+    live = c != 0
+    q = q0.copy()
+    # exp(j*arg c) is a unit phasor also where c/|c| would round off it
+    q[live] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.angle(c[live]))
+    bound = lin.base_value + 2.0 * (np.real(np.vdot(c, LORENTZIAN_CENTER - q0))
+                                    + LORENTZIAN_RADIUS * float(np.sum(np.abs(c))))
+    return FocusingStep(q=q, objective=lin.predict(q), dual_bound=float(bound))
+
+
 def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
               waveform: Waveform, q_init: DmaState) -> tuple[DmaState, StageTrace]:
     """Iterate the beam-focusing restriction; the minimum exact output voltage
-    over receivers never decreases across iterations."""
+    over receivers never decreases across iterations. One receiver takes the
+    closed-form step; two or more solve the max-min cone program."""
     dev = scenario.device
     settings = scenario.solver
     eff = effective_rows(channel, scenario.array, q_init, waveform)
@@ -317,29 +362,34 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
         q0 = dma.q_flat()
         lins = [linearize_vo_in_q(eff.a_hat[m], q0, dev.k2, dev.k4, dev.hpa_gain)
                 for m in range(scenario.n_receivers)]
-        prog = assemble_q_subproblem(scenario, waveform, lins, q0)
-        sol = solve(prog, settings)
-        trace.exit_reasons.append(sol.exit_reason)
-        if sol.status is SolveStatus.INFEASIBLE:
-            # the restriction always contains its expansion point q0
-            raise FloatingPointError("focusing restriction reported infeasible")
-        if sol.status is SolveStatus.ITER_LIMIT and prog.max_violation(sol.x) > 1e-7:
-            break
-        dma = dma.with_weights(unstack_complex(sol.x[:2 * n_el]))
-        xi = -sol.objective  # program minimizes -R
+        if len(lins) == 1:
+            step = focusing_step_single(lins[0])
+            trace.exit_reasons.append(ExitReason.TOLERANCE)
+            q, xi = step.q, step.objective
+            iterations, kkt, gap = 0, 0.0, abs(step.dual_bound - step.objective)
+        else:
+            prog = assemble_q_subproblem(scenario, waveform, lins, q0)
+            sol = solve(prog, settings)
+            trace.exit_reasons.append(sol.exit_reason)
+            if sol.status is SolveStatus.INFEASIBLE:
+                # the restriction always contains its expansion point q0
+                raise InfeasibleRestrictionError(
+                    "focusing restriction reported infeasible")
+            if sol.status is SolveStatus.ITER_LIMIT and prog.max_violation(sol.x) > 1e-7:
+                break
+            q = unstack_complex(sol.x[:2 * n_el])
+            xi = -sol.objective  # program minimizes -R
+            iterations, kkt, gap = sol.iterations, sol.kkt_residual, sol.duality_gap
+        dma = dma.with_weights(q)
         trace.objectives.append(xi)
-        trace.solver_iterations.append(sol.iterations)
-        trace.kkt_residuals.append(sol.kkt_residual)
-        trace.duality_gaps.append(sol.duality_gap)
+        trace.solver_iterations.append(iterations)
+        trace.kkt_residuals.append(kkt)
+        trace.duality_gaps.append(gap)
         if _relative_move(xi, xi_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break
         xi_prev = xi
     return dma, trace
-
-
-class _SubproblemInfeasible(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +433,7 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
         t1 = time.perf_counter()
         try:
             w_new, w_trace = run_sca_w(scenario, channel, dma_new, w)
-        except _SubproblemInfeasible:
+        except InfeasibleRestrictionError:
             # feasibility repair: scale the whole waveform up by one shared amplitude
             eff = effective_rows(channel, scenario.array, dma_new)
             scale = _ramp(scenario, eff, lambda a: w.omega * a[0], np.ones(1),

@@ -1,9 +1,12 @@
 """Second-order-cone subproblems and the embedded primal-dual solver.
 
-The two convex restrictions solved repeatedly by the outer algorithm are
-expressed over stacked real variables in a structured :class:`ConeProgram`
-(linear cost, sum-of-norm groups, squared-norm epigraphs, affine rows, disk
-constraints, equalities). :func:`solve` lowers the structure to a standard
+The convex restrictions solved repeatedly by the outer algorithm (every
+waveform restriction, and the focusing restriction when two or more receivers
+share it) are expressed over stacked real variables in a structured
+:class:`ConeProgram` (linear cost, sum-of-norm groups, squared-norm
+epigraphs, affine rows, disk constraints, equalities). With one receiver the
+focusing restriction has a closed form, ``optimize.focusing_step_single``;
+:func:`assemble_q_subproblem` then serves the tests as its reference. :func:`solve` lowers the structure to a standard
 conic form ``min c^T x  s.t.  E x = f,  A x + s = b,  s in K`` and runs a
 homogeneous self-dual Mehrotra predictor-corrector with Nesterov-Todd scaling.
 Problem sizes here are a few hundred to a few thousand variables, solved

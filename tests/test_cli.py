@@ -40,6 +40,20 @@ def scenario_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def two_receiver_file(tmp_path_factory):
+    """Two receivers: the focusing stage solves its cone program by the IPM."""
+    path = tmp_path_factory.mktemp("cli") / "two_receivers.cfg"
+    path.write_text(SCENARIO.replace("[solver]", """[receiver.2]
+x = 0.2
+y = 0.1
+z = 1.8
+p_target = 20e-6
+
+[solver]"""))
+    return path
+
+
+@pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory, scenario_file):
     out = tmp_path_factory.mktemp("runs")
     code = main(["optimize", str(scenario_file), "--out", str(out)])
@@ -163,21 +177,36 @@ def test_unbounded_cone_program_exit_code(scenario_file, tmp_path, monkeypatch,
     assert err.splitlines() == ["numerical failure: cone program is unbounded below"]
 
 
-def test_infeasible_focusing_restriction_exit_code(scenario_file, tmp_path,
+def _infeasible(prog, *args, **kwargs):
+    return ConeSolution(x=np.full(prog.n_vars, np.nan), objective=np.nan,
+                        kkt_residual=np.inf, duality_gap=np.inf,
+                        status=SolveStatus.INFEASIBLE, iterations=3,
+                        exit_reason=ExitReason.INFEASIBLE)
+
+
+def test_infeasible_focusing_restriction_exit_code(two_receiver_file, tmp_path,
                                                    monkeypatch, capsys):
     """The focusing restriction contains its own expansion point, so an
-    infeasible report there is a numerical failure, not an iteration limit."""
-    def infeasible(prog, *args, **kwargs):
-        return ConeSolution(x=np.full(prog.n_vars, np.nan), objective=np.nan,
-                            kkt_residual=np.inf, duality_gap=np.inf,
-                            status=SolveStatus.INFEASIBLE, iterations=3,
-                            exit_reason=ExitReason.INFEASIBLE)
-
-    monkeypatch.setattr("wptopt.optimize.solve", infeasible)
-    code = main(["optimize", str(scenario_file), "--out", str(tmp_path)])
+    infeasible report there is a numerical failure, not an iteration limit.
+    Two receivers, because one receiver takes the closed-form step."""
+    monkeypatch.setattr("wptopt.optimize.solve", _infeasible)
+    code = main(["optimize", str(two_receiver_file), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.splitlines() == ["numerical failure: focusing restriction reported infeasible"]
+
+
+@pytest.mark.parametrize("arch", [[], ["--arch", "fd"]], ids=["dma", "fd"])
+def test_infeasible_waveform_restriction_exit_code(scenario_file, tmp_path,
+                                                   monkeypatch, capsys, arch):
+    """A waveform restriction still infeasible at its first step (for DMA,
+    after the repair ramp) is a numerical failure: scaling the waveform up
+    meets every linearized row."""
+    monkeypatch.setattr("wptopt.optimize.solve", _infeasible)
+    code = main(["optimize", str(scenario_file), "--out", str(tmp_path)] + arch)
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == ["numerical failure: waveform restriction reported infeasible"]
 
 
 @pytest.mark.parametrize("arch", [[], ["--arch", "fd"]], ids=["dma", "fd"])

@@ -273,14 +273,25 @@ def test_run_sca_q_improves_min_voltage(tiny_dma, rng):
     assert np.all(np.abs(dma.q - 0.5j) <= 0.5 + 1e-9)
 
 
+TWO_RECEIVERS = ((0.2, 0.0, 1.4), (-0.3, 0.1, 1.8))
+
+
+def _initial_state(cfg):
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
+    plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
+    dma0 = init_q_phases(channel, plan, cfg)
+    return channel, dma0, init_digital_weights(cfg, channel, plan, dma0)
+
+
 def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
     """Each stage records the exit reason of every cone solve it makes, also
-    of its second solve here, which the stage discards."""
+    of its second solve here, which the stage discards. The focusing stage
+    runs on two receivers, where it solves cone programs."""
     cfg = tiny_dma.with_solver(max_sca_iters=6)
-    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
-    plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
-    dma0 = init_q_phases(channel, plan, cfg)
-    w0 = init_digital_weights(cfg, channel, plan, dma0)
+    channel, dma0, w0 = _initial_state(cfg)
+    cfg2 = make_scenario("dma", length=0.10, n_f=2,
+                         receivers=TWO_RECEIVERS).with_solver(max_sca_iters=6)
+    channel2, dma2, w2 = _initial_state(cfg2)
     real_solve = optimize_module.solve
     reasons = []
 
@@ -298,7 +309,7 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
         lambda sol: dataclasses.replace(sol, x=np.full_like(sol.x, 1e3),
                                         status=SolveStatus.ITER_LIMIT,
                                         exit_reason=ExitReason.ITER_CAP)))
-    _, q_trace = run_sca_q(cfg, channel, w0, dma0)
+    _, q_trace = run_sca_q(cfg2, channel2, w2, dma2)
     assert q_trace.exit_reasons == reasons
     assert len(reasons) == 2 and q_trace.iterations == 1
     assert reasons == [ExitReason.TOLERANCE, ExitReason.ITER_CAP]
@@ -315,11 +326,31 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
 
     # unmodified solves
     monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(lambda sol: sol))
-    for run_stage, args in ((run_sca_q, (w0, dma0)), (run_sca_w, (dma0, w0))):
+    for run_stage, stage_args in ((run_sca_q, (cfg2, channel2, w2, dma2)),
+                                  (run_sca_w, (cfg, channel, dma0, w0))):
         reasons.clear()
-        _, trace = run_stage(cfg, channel, *args)
+        _, trace = run_stage(*stage_args)
         assert trace.exit_reasons == reasons
         assert len(reasons) >= trace.iterations >= 2
+
+
+def test_single_receiver_focusing_takes_closed_form_steps(tiny_dma, monkeypatch):
+    """One receiver: every focusing step is the closed form, which calls no
+    cone solver and exits on TOLERANCE with 0 iterations and KKT residual 0."""
+    cfg = tiny_dma.with_solver(max_sca_iters=6)
+    channel, dma0, w0 = _initial_state(cfg)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the one-receiver focusing stage called the cone solver")
+
+    monkeypatch.setattr(optimize_module, "solve", no_solve)
+    _, trace = run_sca_q(cfg, channel, w0, dma0)
+    assert trace.iterations >= 2
+    assert trace.exit_reasons == [ExitReason.TOLERANCE] * trace.iterations
+    assert trace.solver_iterations == [0] * trace.iterations
+    assert trace.kkt_residuals == [0.0] * trace.iterations
+    assert all(gap <= 1e-12 * (1.0 + abs(obj))
+               for gap, obj in zip(trace.duality_gaps, trace.objectives))
 
 
 def test_run_asca_dma_end_to_end(tiny_dma):
@@ -363,6 +394,18 @@ def test_run_is_bitwise_deterministic(tiny_dma):
     assert np.array_equal(w1.omega, w2.omega)
     assert np.array_equal(dma1.q, dma2.q)
     assert [r.p_c_bound for r in tr1.records] == [r.p_c_bound for r in tr2.records]
+
+
+def test_two_receiver_run_is_bitwise_deterministic():
+    """The same check where the focusing stage runs the interior-point method."""
+    cfg = make_scenario("dma", length=0.10, n_f=2, receivers=TWO_RECEIVERS) \
+        .with_solver(max_sca_iters=10, max_outer_iters=3)
+    w1, dma1, tr1 = run_asca_dma(cfg)
+    w2, dma2, tr2 = run_asca_dma(cfg)
+    assert np.array_equal(w1.omega, w2.omega)
+    assert np.array_equal(dma1.q, dma2.q)
+    assert [r.p_c_bound for r in tr1.records] == [r.p_c_bound for r in tr2.records]
+    assert [r.q_sca_iters for r in tr1.records] == [r.q_sca_iters for r in tr2.records]
 
 
 def test_dma_vs_fd_matched_aperture_reported():

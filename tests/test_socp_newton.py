@@ -1,7 +1,8 @@
 """The structured Newton solve of the interior-point method, checked against
 a dense reference, its step length checked against the roots of the cone's
 quadratic, its block plan's reuse, and the solver checked against the M = 1
-closed forms of both restrictions."""
+closed forms of both restrictions: the production focusing step and a test
+oracle of the waveform step."""
 
 from pathlib import Path
 
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_q
-from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
-from wptopt.scenario import load_scenario
+from wptopt.optimize import (allocate_chains, focusing_step_single,
+                             init_digital_weights, init_q_phases)
+from wptopt.rectenna import harvested_voltage
+from wptopt.scenario import DeviceParams, load_scenario
 from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
                          _block_plan, _BlockPlan, _ConeLayout, _lower,
                          _NewtonSystem, _NTScaling, _plan_for,
@@ -265,9 +268,18 @@ def test_block_plan_is_shared_by_one_structure():
 # M = 1 closed forms as oracles of the interior-point solver
 # ---------------------------------------------------------------------------
 
+def ipm_focusing(lin, q0):
+    """The focusing restriction solved by the interior-point method: the
+    optimal weights and the maximum linearized voltage."""
+    sol = solve(assemble_q_subproblem(None, None, [lin], q0), tol=1e-9)
+    assert sol.status is SolveStatus.OPTIMAL
+    return unstack_complex(sol.x[:2 * len(q0)]), -sol.objective
+
+
 def test_focusing_matches_closed_form_on_sample_scenario():
     """One receiver: the focusing restriction maximizes a linear function over
-    a product of disks, so each element sits at ``j/2 + c_k/(2|c_k|)``."""
+    a product of disks, so each element sits at ``j/2 + c_k/(2|c_k|)``; the
+    production step matches the interior-point solution."""
     cfg = load_scenario(SAMPLE)
     dev = cfg.device
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, dev.boresight_gain)
@@ -277,15 +289,62 @@ def test_focusing_matches_closed_form_on_sample_scenario():
     eff = effective_rows(channel, cfg.array, dma, w)
     q0 = dma.q_flat()
     lin = linearize_vo_in_q(eff.a_hat[0], q0, dev.k2, dev.k4, dev.hpa_gain)
-    prog = assemble_q_subproblem(cfg, w, [lin], q0)
-    sol = solve(prog, cfg.solver)
-    assert sol.status is SolveStatus.OPTIMAL
+    q_ipm, r_ipm = ipm_focusing(lin, q0)
+    step = focusing_step_single(lin)
     coeffs = np.asarray(lin.coeffs).reshape(-1)
     assert len(coeffs) == 102
-    q_sol = unstack_complex(sol.x[:2 * len(coeffs)])
     live = np.abs(coeffs) > 1e-9 * np.max(np.abs(coeffs))
-    q_closed = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * coeffs / np.where(live, np.abs(coeffs), 1.0)
-    assert np.max(np.abs(q_sol - q_closed)[live]) <= 1e-8
+    assert np.max(np.abs(q_ipm - step.q)[live]) <= 1e-8
+    assert step.objective == pytest.approx(r_ipm, rel=1e-9)
+    assert abs(step.dual_bound - step.objective) <= 1e-12 * step.objective
+
+
+@st.composite
+def single_receiver_restrictions(draw):
+    """Effective rows ``a_hat`` [n_f, N] and an expansion point inside the
+    disks; whole columns of ``a_hat`` are zero, so those coefficients are
+    exactly 0. The rows are scaled so that the voltage at ``q0`` lies in
+    1 mV - 1 V, the range a design's focusing stage starts from (a 20 uW
+    target on 50 ohm is 32 mV)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_el = draw(st.integers(1, 731))
+    n_f = draw(st.integers(1, 4))
+    spread = 10.0 ** rng.uniform(-2.0, 0.0, (n_f, n_el))
+    a_hat = spread * (rng.normal(size=(n_f, n_el)) + 1j * rng.normal(size=(n_f, n_el)))
+    a_hat[:, rng.random(n_el) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    radius = LORENTZIAN_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, n_el))
+    q0 = LORENTZIAN_CENTER + radius * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n_el))
+    # v(t a_hat) = A t^2 + B t^4: read A and B off t = 1, 2 and solve for t
+    dev = DeviceParams()
+    v1, v2 = (harvested_voltage(t * a_hat, q0, dev.hpa_gain, dev.k2, dev.k4)
+              for t in (1.0, 2.0))
+    if v1 > 0.0:
+        quartic = (v2 - 4.0 * v1) / 12.0
+        quadratic = v1 - quartic
+        target = 10.0 ** rng.uniform(-3.0, 0.0)
+        a_hat *= np.sqrt(2.0 * target / (quadratic + np.sqrt(quadratic ** 2
+                                                             + 4.0 * quartic * target)))
+    return a_hat, q0
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(single_receiver_restrictions())
+def test_focusing_step_matches_ipm_on_random_restrictions(case):
+    a_hat, q0 = case
+    dev = DeviceParams()
+    lin = linearize_vo_in_q(a_hat, q0, dev.k2, dev.k4, dev.hpa_gain)
+    step = focusing_step_single(lin)
+    _, r_ipm = ipm_focusing(lin, q0)
+    # the interior-point method stops at a duality gap of 1e-9 (1 + |R|)
+    assert step.objective == pytest.approx(r_ipm, rel=1e-9, abs=1e-9)
+    assert abs(step.dual_bound - step.objective) <= 1e-12 * (1.0 + step.objective)
+    assert np.all(np.abs(step.q - LORENTZIAN_CENTER) <= LORENTZIAN_RADIUS * (1.0 + 1e-15))
+    dead = np.asarray(lin.coeffs) == 0
+    assert np.array_equal(step.q[dead], q0[dead])
+    # the tangent plane underestimates the voltage, and q0 is feasible
+    v0 = harvested_voltage(a_hat, q0, dev.hpa_gain, dev.k2, dev.k4)
+    v1 = harvested_voltage(a_hat, step.q, dev.hpa_gain, dev.k2, dev.k4)
+    assert v1 >= v0
 
 
 def group_soft_threshold(scales, g_chains, r):
