@@ -335,8 +335,7 @@ def focusing_step_single(lin: LinearizedVoltage) -> FocusingStep:
     ``q_k = j/2 + c_k/(2|c_k|)``. The restriction does not depend on an
     element with ``c_k = 0``, which keeps its expansion weight.
     """
-    c = np.asarray(lin.coeffs).reshape(-1)
-    q0 = np.asarray(lin.expansion_point).reshape(-1)
+    c, q0 = lin.coeffs, lin.expansion_point
     live = c != 0
     q = q0.copy()
     # exp(j*arg c) is a unit phasor also where c/|c| would round off it
