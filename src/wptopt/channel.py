@@ -60,10 +60,6 @@ class ChannelTensor:
     def n_receivers(self) -> int:
         return self.gamma.shape[2]
 
-    @property
-    def n_tones(self) -> int:
-        return self.gamma.shape[3]
-
     def rows(self, m: int) -> np.ndarray:
         """Per-tone flattened coefficient rows for receiver ``m``:
         shape [n_f, N] with element order ``(i-1)*n_h + l``."""
@@ -73,21 +69,6 @@ class ChannelTensor:
     def vector_norms(self) -> np.ndarray:
         """l2 norm of the per-receiver channel vector at each tone, [M, n_f]."""
         return np.sqrt(np.sum(self.gain ** 2, axis=(0, 1)))
-
-    def to_csv(self, path) -> None:
-        """Debug dump: one row per (element, receiver, tone) coefficient."""
-        n_v, n_h, m_count, n_f = self.gamma.shape
-        with open(path, "w") as fh:
-            fh.write("row,col,receiver,tone,re,im,gain,distance,elevation\n")
-            for i in range(n_v):
-                for l in range(n_h):
-                    for m in range(m_count):
-                        for n in range(n_f):
-                            g = self.gamma[i, l, m, n]
-                            fh.write(f"{i},{l},{m},{n},{g.real:.12e},{g.imag:.12e},"
-                                     f"{self.gain[i, l, m, n]:.12e},"
-                                     f"{self.distances[i, l, m]:.12e},"
-                                     f"{self.elevations[i, l, m]:.12e}\n")
 
 
 def build_channel(array: ArraySpec, receivers, plan: FrequencyPlan,

@@ -169,9 +169,9 @@ def _load_with_overrides(args) -> ScenarioConfig:
     return scenario
 
 
-def write_trace_csv(path: Path, rows: list[dict]) -> None:
-    """Write outer-loop trace rows as CSV with the OuterRecord fields as header."""
-    fields = [f.name for f in dataclasses.fields(optimize.OuterRecord)]
+def write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` as CSV under the header ``fields``; a field holding a
+    comma or a quote is quoted."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fields, lineterminator="\n")
         writer.writeheader()
@@ -184,7 +184,8 @@ def cmd_optimize(args) -> int:
     out = Path(args.out) / artifact.scenario_hash[:12]
     out.mkdir(parents=True, exist_ok=True)
     artifact.save(out / "artifact.json")
-    write_trace_csv(out / "trace.csv", artifact.trace_rows)
+    write_csv(out / "trace.csv", [f.name for f in dataclasses.fields(optimize.OuterRecord)],
+              artifact.trace_rows)
     print(f"artifact: {out / 'artifact.json'}")
     print(f"p_c_sampled: {artifact.power_report.p_c_sampled:.6e} W")
     print(f"p_dc: {' '.join(f'{p:.3e}' for p in artifact.p_dc)} W")
@@ -256,10 +257,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"sweep_{args.axis}.csv"
     fields = ["value", "p_c_bound", "p_c_sampled", "outer_iters", "feasible", "status"]
-    with open(path, "w") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in results:
-            fh.write(",".join(str(row[k]) for k in fields) + "\n")
+    write_csv(path, fields, results)
     print(f"sweep table: {path}")
     return EXIT_OK if all(r["status"] == "ok" for r in results) else EXIT_ERROR
 

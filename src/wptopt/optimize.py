@@ -295,7 +295,7 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
                                   dev.hpa_gain)
                 for m in range(scenario.n_receivers)]
         prog = assemble_w_subproblem(scenario, dma, lins, w)
-        sol = solve(prog, settings)
+        sol = solve(prog, settings.cone_solver_kkt_tol)
         trace.exit_reasons.append(sol.exit_reason)
         if sol.status is SolveStatus.INFEASIBLE:
             if not trace.objectives:
@@ -367,8 +367,8 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
             q, xi = step.q, step.objective
             iterations, kkt, gap = 0, 0.0, abs(step.dual_bound - step.objective)
         else:
-            prog = assemble_q_subproblem(scenario, waveform, lins, q0)
-            sol = solve(prog, settings)
+            prog = assemble_q_subproblem(lins, q0)
+            sol = solve(prog, settings.cone_solver_kkt_tol)
             trace.exit_reasons.append(sol.exit_reason)
             if sol.status is SolveStatus.INFEASIBLE:
                 # the restriction always contains its expansion point q0

@@ -315,10 +315,6 @@ class ScenarioConfig:
         return len(self.receivers)
 
     @property
-    def receiver_positions(self) -> np.ndarray:
-        return np.array([r.position for r in self.receivers], dtype=float)
-
-    @property
     def eh_targets(self) -> np.ndarray:
         return np.array([r.eh_requirement for r in self.receivers], dtype=float)
 

@@ -4,28 +4,29 @@ The convex restrictions solved repeatedly by the outer algorithm (every
 waveform restriction, and the focusing restriction when two or more receivers
 share it) are expressed over stacked real variables in a structured
 :class:`ConeProgram` (linear cost, sum-of-norm groups, squared-norm
-epigraphs, affine rows, disk constraints, equalities). With one receiver the
-focusing restriction has a closed form, ``optimize.focusing_step_single``;
-:func:`assemble_q_subproblem` then serves the tests as its reference. :func:`solve` lowers the structure to a standard
-conic form ``min c^T x  s.t.  E x = f,  A x + s = b,  s in K`` and runs a
-homogeneous self-dual Mehrotra predictor-corrector with Nesterov-Todd scaling.
+epigraphs, affine rows, disk constraints). With one receiver the focusing
+restriction has a closed form, ``optimize.focusing_step_single``;
+:func:`assemble_q_subproblem` then serves the tests as its reference.
+:func:`solve` lowers the structure to a standard conic form
+``min c^T x  s.t.  A x + s = b,  s in K`` and runs a homogeneous self-dual
+Mehrotra predictor-corrector with Nesterov-Todd scaling.
 Problem sizes here are a few hundred to a few thousand variables, solved
 hundreds of times per run, so an embedded deterministic solver with
 contractual tolerances is preferred over an external dependency.
 
-Each Newton step solves ``A^T W^-2 A dx + E^T dy = r`` through its structure
+Each Newton step solves ``A^T W^-2 A dx = r`` through its structure
 (Vandenberghe, "The CVXOPT linear and quadratic cone program solvers", 2010):
 a cone's NT term is a diagonal plus a low-rank term on the variables its rows
 read. Cones with disjoint supports give small dense blocks, factored in one
 batched call per block size (2x2 per Lorentzian disk, one block per chain's
-norm group with its epigraph variable). The orthant rows, the equality rows,
-the rank-2 term of a cone that spans several blocks (the squared norm) and
-the variables no cone reads form one bordered Schur system of about M + 3
-unknowns, factored by LU. Iterative refinement against the exact KKT operator
-checks the accuracy of every solve. That block plan depends only on the
-program's structure (cone dimensions, the cone rows' columns and
-coefficients, the orthant and equality row counts), so it is built once per
-structure and reused by every SCA step that solves the same shape.
+norm group with its epigraph variable). The orthant rows, the rank-2 term
+of a cone that spans several blocks (the squared norm) and the variables no
+cone reads form one bordered Schur system of about M + 3 unknowns, factored
+by LU. Iterative refinement against the exact KKT operator checks the
+accuracy of every solve. That block plan depends only on the program's
+structure (cone dimensions, the cone rows' columns and coefficients, the
+orthant row count), so it is built once per structure and reused by every SCA
+step that solves the same shape.
 
 Cones of one dimension sit back to back, so each run of them is read and
 written as one ``[n_blocks, dim]`` view of the stacked vector. The step to
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .linearize import LinearizedVoltage
 from .power import chain_norm_scales
-from .scenario import ScenarioConfig, SolverSettings
+from .scenario import ScenarioConfig
 from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
                           Waveform)
 
@@ -100,8 +100,6 @@ class ConeProgram:
     ineq_lhs: np.ndarray = None   # rows C with C x <= d
     ineq_rhs: np.ndarray = None
     disks: list[Disk] = field(default_factory=list)
-    eq_lhs: np.ndarray = None
-    eq_rhs: np.ndarray = None
 
     def __post_init__(self):
         if self.linear_cost is None:
@@ -109,9 +107,6 @@ class ConeProgram:
         if self.ineq_lhs is None:
             self.ineq_lhs = np.zeros((0, self.n_vars))
             self.ineq_rhs = np.zeros(0)
-        if self.eq_lhs is None:
-            self.eq_lhs = np.zeros((0, self.n_vars))
-            self.eq_rhs = np.zeros(0)
         self.validate()
 
     def validate(self):
@@ -135,8 +130,6 @@ class ConeProgram:
                 raise ValueError("disk radius must be positive")
         if self.ineq_lhs.shape != (len(self.ineq_rhs), n):
             raise ValueError("inequality block shape mismatch")
-        if self.eq_lhs.shape != (len(self.eq_rhs), n):
-            raise ValueError("equality block shape mismatch")
 
     # -- direct evaluation against the original structure -------------------
     def objective_value(self, x: np.ndarray) -> float:
@@ -158,43 +151,10 @@ class ConeProgram:
                                 x[dsk.ix_im] - dsk.center.imag)
                 worst = max(worst, dist - dsk.radius)
             out["disk"] = worst
-        if len(self.eq_rhs):
-            out["eq"] = float(np.max(np.abs(self.eq_lhs @ x - self.eq_rhs), initial=0.0))
         return out
 
     def max_violation(self, x: np.ndarray) -> float:
         return max(self.constraint_violations(x).values(), default=0.0)
-
-    def dumps(self) -> str:
-        """Plain-text rendering of the program for external cross-checking."""
-        buf = io.StringIO()
-        buf.write(f"vars {self.n_vars}\n")
-        nz = np.nonzero(self.linear_cost)[0]
-        buf.write("min-linear " + " ".join(f"{i}:{self.linear_cost[i]:.17g}" for i in nz) + "\n")
-        for g in self.norm_groups:
-            idx = " ".join(map(str, g.indices))
-            buf.write(f"min-norm scale={g.scale:.17g} idx=[{idx}]\n")
-        for g in self.quad_groups:
-            idx = " ".join(map(str, g.indices))
-            off = " ".join(f"{v:.17g}" for v in g.offset)
-            buf.write(f"min-quad idx=[{idx}] offset=[{off}]\n")
-        for row, rhs in zip(self.ineq_lhs, self.ineq_rhs):
-            nz = np.nonzero(row)[0]
-            terms = " ".join(f"{row[i]:.17g}*x{i}" for i in nz)
-            buf.write(f"ineq {terms} <= {rhs:.17g}\n")
-        for dsk in self.disks:
-            buf.write(f"disk re=x{dsk.ix_re} im=x{dsk.ix_im} "
-                      f"center={dsk.center.real:.17g}{dsk.center.imag:+.17g}j "
-                      f"radius={dsk.radius:.17g}\n")
-        for row, rhs in zip(self.eq_lhs, self.eq_rhs):
-            nz = np.nonzero(row)[0]
-            terms = " ".join(f"{row[i]:.17g}*x{i}" for i in nz)
-            buf.write(f"eq {terms} == {rhs:.17g}\n")
-        return buf.getvalue()
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
 
 
 @dataclass(frozen=True)
@@ -212,11 +172,6 @@ class ConeSolution:
 # ---------------------------------------------------------------------------
 # subproblem assembly
 # ---------------------------------------------------------------------------
-
-def complex_index_pairs(n_complex: int, offset: int = 0) -> np.ndarray:
-    """Interleaved (re, im) index layout for a stacked complex vector."""
-    return offset + np.arange(2 * n_complex).reshape(n_complex, 2)
-
 
 def stack_complex(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=complex).reshape(-1)
@@ -277,8 +232,7 @@ def assemble_w_subproblem(scenario: ScenarioConfig, dma: DmaState | None,
                        ineq_lhs=rows, ineq_rhs=rhs)
 
 
-def assemble_q_subproblem(scenario: ScenarioConfig, waveform: Waveform,
-                          linearizations: list[LinearizedVoltage],
+def assemble_q_subproblem(linearizations: list[LinearizedVoltage],
                           q0: np.ndarray) -> ConeProgram:
     """Max-min-voltage restriction over the element weights at ``q0``.
 
@@ -335,7 +289,7 @@ class _AffineRows:
 
 
 def _lower(prog: ConeProgram):
-    """Lower the structure to ``min c.x; E x = f; A x + s = b, s in K``.
+    """Lower the structure to ``min c.x; A x + s = b, s in K``.
 
     Epigraph variables are appended after the originals: one per norm group
     (``||x_g|| <= t``) and one per quad group (``||x_g - o||^2 <= t`` via the
@@ -375,9 +329,7 @@ def _lower(prog: ConeProgram):
     m_lin = len(prog.ineq_rhs)
     lin = np.hstack([prog.ineq_lhs, np.zeros((m_lin, n - n0))])
     a_op = _AffineRows(lin, np.concatenate(cols), np.concatenate(coefs))
-    e_mat = np.hstack([prog.eq_lhs, np.zeros((len(prog.eq_rhs), n - n0))])
-    return (c, a_op, np.concatenate(rhs), _ConeLayout(m_lin, soc_dims), e_mat,
-            prog.eq_rhs, n0)
+    return c, a_op, np.concatenate(rhs), _ConeLayout(m_lin, soc_dims), n0
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +508,15 @@ class _BlockPlan:
     chain's norm group), so it goes to the border. Its term
     ``eta^-2 A_k^T (I + 2 u u^T - 2 e0 e0^T) A_k`` splits into a diagonal,
     kept in the blocks, and the rank-one terms along ``A_k^T u`` and
-    ``A_k^T e0``. The border also holds the orthant rows, the equality rows
-    and the variables no cone reads (``free``).
+    ``A_k^T e0``. The border also holds the orthant rows and the variables no
+    cone reads (``free``).
 
     The plan depends only on the cone layout, the cone rows' columns ``col``
-    and coefficients ``coef``, the variable count and the equality count
-    (which size the Schur system), so :func:`_block_plan` builds it once per
-    structure.
+    and coefficients ``coef`` and the variable count, so :func:`_block_plan`
+    builds it once per structure.
     """
 
-    def __init__(self, cones: _ConeLayout, n: int, col: np.ndarray, coef: np.ndarray,
-                 n_eq: int):
+    def __init__(self, cones: _ConeLayout, n: int, col: np.ndarray, coef: np.ndarray):
         p = cones.p
         self.n = n
         spans = {(i, j): slice(a - p + j * d, a - p + (j + 1) * d)
@@ -642,34 +592,34 @@ class _BlockPlan:
                        for (i, j), r in spans.items() if on_border[i, j]]
         # border columns: the orthant rows, then one or two per border cone
         self.n_border = p + sum(1 + (cf[0] != 0) for _, _, _, cf, _ in self.border)
-        self.schur_size = len(self.free) + self.n_border + n_eq
+        self.schur_size = len(self.free) + self.n_border
 
 
 @functools.lru_cache(maxsize=8)
 def _plan_for(structure) -> _BlockPlan:
-    n, p, soc, n_eq, col, coef = structure
+    n, p, soc, col, coef = structure
     return _BlockPlan(_ConeLayout(p, soc), n, np.frombuffer(col, dtype=int),
-                      np.frombuffer(coef), n_eq)
+                      np.frombuffer(coef))
 
 
-def _block_plan(cones: _ConeLayout, a_op: _AffineRows, n_eq: int) -> _BlockPlan:
+def _block_plan(cones: _ConeLayout, a_op: _AffineRows) -> _BlockPlan:
     """The block plan of this program's structure, shared by every program of
     that structure (the SCA stages solve one structure over and over)."""
-    return _plan_for((a_op.n, cones.p, cones.soc, n_eq,
+    return _plan_for((a_op.n, cones.p, cones.soc,
                       a_op.col.tobytes(), a_op.coef.tobytes()))
 
 
 class _NewtonSystem:
-    """Factored reduced Newton system ``[[H + reg I, E^T], [E, -1e-13 I]]``.
+    """Factored reduced Newton system ``H + reg I``.
 
     ``H = B + V G V^T``: ``B`` block-diagonal after the permutation of
     :class:`_BlockPlan`, ``V`` the border columns with diagonal weights
     ``G``. With ``xi = G V^T dx`` the system is solved through the blocks
-    and one small Schur complement in ``(dx_free, xi, dy)``.
+    and one small Schur complement in ``(dx_free, xi)`` whose diagonal on
+    ``xi`` is ``-G^-1``.
     """
 
-    def __init__(self, plan: _BlockPlan, W: _NTScaling, lin: np.ndarray,
-                 e_mat: np.ndarray):
+    def __init__(self, plan: _BlockPlan, W: _NTScaling, lin: np.ndarray):
         self.plan = plan
         n = plan.n
         tgts, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
@@ -702,17 +652,15 @@ class _NewtonSystem:
         self.inverses = [np.linalg.inv(store[off:off + nb * size * size]
                                        .reshape(nb, size, size))
                          for size, nb, off in plan.slabs]
-        border = np.hstack([v_mat, e_mat.T])
-        self.k_mat = border[plan.perm]
+        self.k_mat = v_mat[plan.perm]
         self.p_mat = self._block_solve(self.k_mat)
         nf = len(plan.free)
-        f_mat = border[plan.free]
+        f_mat = v_mat[plan.free]
         schur = np.zeros((plan.schur_size, plan.schur_size))
         schur[:nf, :nf] = self.reg * np.eye(nf)
         schur[:nf, nf:] = f_mat
         schur[nf:, :nf] = f_mat.T
-        schur[nf:, nf:] = -(self.k_mat.T @ self.p_mat) - np.diag(
-            np.concatenate([ginv, np.full(e_mat.shape[0], 1e-13)]))
+        schur[nf:, nf:] = -(self.k_mat.T @ self.p_mat) - np.diag(ginv)
         self.lu = None
         if len(schur):
             if not np.isfinite(schur).all():
@@ -732,12 +680,12 @@ class _NewtonSystem:
             pos += nb * size
         return out
 
-    def solve(self, rx: np.ndarray, ry: np.ndarray):
-        """``(dx, dy)`` with ``(H + reg I) dx + E^T dy = rx``, ``E dx - 1e-13 dy = ry``."""
+    def solve(self, rx: np.ndarray) -> np.ndarray:
+        """``dx`` with ``(H + reg I) dx = rx``."""
         plan = self.plan
         nf = len(plan.free)
         t = self._block_solve(rx[plan.perm])
-        rhs = np.concatenate([rx[plan.free], np.zeros(plan.n_border), ry])
+        rhs = np.concatenate([rx[plan.free], np.zeros(plan.n_border)])
         rhs[nf:] -= self.k_mat.T @ t
         sol = rhs
         if self.lu is not None:
@@ -747,34 +695,32 @@ class _NewtonSystem:
         dx = np.empty(plan.n)
         dx[plan.perm] = t - self.p_mat @ sol[nf:]
         dx[plan.free] = sol[:nf]
-        return dx, sol[nf + plan.n_border:]
+        return dx
 
 
 # ---------------------------------------------------------------------------
 # homogeneous self-dual predictor-corrector
 # ---------------------------------------------------------------------------
 
-def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_vec,
+def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout,
                     tol: float, max_iter: int):
     n = len(c)
-    meq = e_mat.shape[0]
-    plan = _block_plan(cones, a_op, meq)
-    x = np.zeros(n); y = np.zeros(meq)
+    plan = _block_plan(cones, a_op)
+    x = np.zeros(n)
     s = cones.identity(); z = cones.identity()
     tau, kappa = 1.0, 1.0
     e = cones.identity()
     nu = cones.degree + 1.0
-    bnorm = 1.0 + np.linalg.norm(np.concatenate([f_vec, b_vec]))
+    bnorm = 1.0 + np.linalg.norm(b_vec)
     cnorm = 1.0 + np.linalg.norm(c)
     best = None
 
     def scaled_metrics():
-        xh, yh, zh, sh = x / tau, y / tau, z / tau, s / tau
-        pres = np.linalg.norm(np.concatenate([e_mat @ xh - f_vec,
-                                              a_op @ xh + sh - b_vec])) / bnorm
-        dres = np.linalg.norm(e_mat.T @ yh + a_op.rmatvec(zh) + c) / cnorm
+        xh, zh, sh = x / tau, z / tau, s / tau
+        pres = np.linalg.norm(a_op @ xh + sh - b_vec) / bnorm
+        dres = np.linalg.norm(a_op.rmatvec(zh) + c) / cnorm
         pobj = c @ xh
-        dobj = -f_vec @ yh - b_vec @ zh
+        dobj = -(b_vec @ zh)
         gap = abs(pobj - dobj)
         relgap = gap / (1.0 + abs(pobj))
         return xh, pobj, gap, pres, dres, relgap
@@ -782,10 +728,9 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
     it = 0
     reason = ExitReason.ITER_CAP
     while it < max_iter:
-        r1 = e_mat.T @ y + a_op.rmatvec(z) + c * tau
-        r2 = -e_mat @ x + f_vec * tau
-        r3 = -(a_op @ x) + b_vec * tau - s
-        r4 = -c @ x - f_vec @ y - b_vec @ z - kappa
+        r_x = a_op.rmatvec(z) + c * tau
+        r_z = -(a_op @ x) + b_vec * tau - s
+        r_tau = -c @ x - b_vec @ z - kappa
         mu = (s @ z + tau * kappa) / nu
 
         xh, pobj, gap, pres, dres, relgap = scaled_metrics()
@@ -796,13 +741,12 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
             reason = ExitReason.TOLERANCE
             break
         # certificates: tau -> 0 with a strictly improving ray
-        ct = -(b_vec @ z + f_vec @ y)
+        ct = -(b_vec @ z)
         if ct > 0 and tau <= 1e-9 * max(1.0, kappa):
-            if np.linalg.norm(e_mat.T @ y + a_op.rmatvec(z)) / ct <= 1e-6:
+            if np.linalg.norm(a_op.rmatvec(z)) / ct <= 1e-6:
                 return None, ExitReason.INFEASIBLE, it
         if c @ x < 0 and tau <= 1e-9 * max(1.0, kappa):
-            ray = np.linalg.norm(np.concatenate([e_mat @ x, a_op @ x + s]))
-            if ray / (-(c @ x)) <= 1e-6:
+            if np.linalg.norm(a_op @ x + s) / (-(c @ x)) <= 1e-6:
                 raise FloatingPointError("cone program is unbounded below")
         if not (cones.interior(s) and cones.interior(z)):
             reason = ExitReason.LOST_INTERIOR
@@ -811,40 +755,39 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
         W = _NTScaling(cones, s, z)
         lam = W.apply(z)
         try:
-            newton = _NewtonSystem(plan, W, a_op.lin, e_mat)
+            newton = _NewtonSystem(plan, W, a_op.lin)
         except (ValueError, np.linalg.LinAlgError):
             reason = ExitReason.FACTORIZATION
             break
 
-        def kkt_solve(rx, ry, rz):
-            # [0 E^T A^T; E 0 0; A 0 -W^2] with iterative refinement
-            dx = np.zeros(n); dy = np.zeros(meq); dz = np.zeros(cones.m)
-            q1, q2, q3 = rx, ry, rz
-            scale = 1.0 + np.linalg.norm(np.concatenate([rx, ry, rz]))
+        def kkt_solve(rx, rz):
+            # [0 A^T; A -W^2] with iterative refinement
+            dx = np.zeros(n); dz = np.zeros(cones.m)
+            qx, qz = rx, rz
+            scale = 1.0 + np.linalg.norm(np.concatenate([rx, rz]))
             for _ in range(3):
-                if np.linalg.norm(np.concatenate([q1, q2, q3])) <= 1e-14 * scale:
+                if np.linalg.norm(np.concatenate([qx, qz])) <= 1e-14 * scale:
                     break
-                ex, ey = newton.solve(q1 + a_op.rmatvec(W.apply_sq(q3, inv=True)), q2)
-                ez = W.apply_sq(a_op @ ex - q3, inv=True)
-                dx = dx + ex; dy = dy + ey; dz = dz + ez
-                q1 = rx - e_mat.T @ dy - a_op.rmatvec(dz)
-                q2 = ry - e_mat @ dx
-                q3 = rz - (a_op @ dx) + W.apply_sq(dz)
-            return dx, dy, dz
+                ex = newton.solve(qx + a_op.rmatvec(W.apply_sq(qz, inv=True)))
+                ez = W.apply_sq(a_op @ ex - qz, inv=True)
+                dx = dx + ex; dz = dz + ez
+                qx = rx - a_op.rmatvec(dz)
+                qz = rz - (a_op @ dx) + W.apply_sq(dz)
+            return dx, dz
 
         def direction(eta_r, vc, dtk_rhs, tau_dir):
             wvc = W.apply(vc)
-            dx0, dy0, dz0 = kkt_solve(-eta_r * r1, eta_r * r2, eta_r * r3 - wvc)
-            dx1, dy1, dz1 = tau_dir
-            num = -eta_r * r4 + c @ dx0 + f_vec @ dy0 + b_vec @ dz0 + dtk_rhs / tau
-            den = kappa / tau - (c @ dx1 + f_vec @ dy1 + b_vec @ dz1)
+            dx0, dz0 = kkt_solve(-eta_r * r_x, eta_r * r_z - wvc)
+            dx1, dz1 = tau_dir
+            num = -eta_r * r_tau + c @ dx0 + b_vec @ dz0 + dtk_rhs / tau
+            den = kappa / tau - (c @ dx1 + b_vec @ dz1)
             if den == 0.0 or not np.isfinite(den):
                 raise FloatingPointError("singular tau step")
             dtau = num / den
-            dx = dx0 + dtau * dx1; dy = dy0 + dtau * dy1; dz = dz0 + dtau * dz1
+            dx = dx0 + dtau * dx1; dz = dz0 + dtau * dz1
             ds = wvc - W.apply_sq(dz)
             dkappa = (dtk_rhs - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkappa
+            return dx, dz, ds, dtau, dkappa
 
         def boundary_step(ds, dz, dtau, dkappa):
             a = min(cones.max_step(s, ds), cones.max_step(z, dz))
@@ -856,10 +799,9 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
 
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                tau_dir = kkt_solve(-c, f_vec, b_vec)  # shared by both directions
+                tau_dir = kkt_solve(-c, b_vec)  # shared by both directions
                 vc_aff = cones.solve_prod(lam, -cones.prod(lam, lam))
-                aff = direction(1.0, vc_aff, -tau * kappa, tau_dir)
-                dsa, dza, dta, dka = aff[3], aff[2], aff[4], aff[5]
+                _, dza, dsa, dta, dka = direction(1.0, vc_aff, -tau * kappa, tau_dir)
                 astep = min(1.0, boundary_step(dsa, dza, dta, dka))
                 mu_aff = ((s + astep * dsa) @ (z + astep * dza)
                           + (tau + astep * dta) * (kappa + astep * dka)) / nu
@@ -867,7 +809,7 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
                 corr = cones.prod(W.apply(dsa, inv=True), W.apply(dza))
                 vc = cones.solve_prod(lam, sigma * mu * e - cones.prod(lam, lam) - corr)
                 corr_t = sigma * mu - tau * kappa - dta * dka
-                dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, vc, corr_t, tau_dir)
+                dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, vc, corr_t, tau_dir)
                 step = min(1.0, 0.99 * boundary_step(ds, dz, dtau, dkappa))
         except FloatingPointError:
             reason = ExitReason.FLOATING_POINT
@@ -875,7 +817,7 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
         if not np.isfinite(step) or step <= 1e-11:
             reason = ExitReason.SHORT_STEP
             break
-        x = x + step * dx; y = y + step * dy
+        x = x + step * dx
         z = z + step * dz; s = s + step * ds
         tau += step * dtau; kappa += step * dkappa
         it += 1
@@ -884,22 +826,16 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout, e_mat, f_ve
     return (xh, pobj, gap, kkt_res, merit), reason, it
 
 
-def solve(prog: ConeProgram, settings: SolverSettings | None = None,
-          tol: float | None = None, max_iter: int = 200) -> ConeSolution:
-    """Solve a structured cone program to the configured KKT tolerance.
+def solve(prog: ConeProgram, tol: float = 1e-9, max_iter: int = 200) -> ConeSolution:
+    """Solve a structured cone program to the KKT tolerance ``tol``.
 
     An ``OPTIMAL`` status certifies primal and dual residuals and the duality
     gap at or below the tolerance; ``INFEASIBLE`` carries a separating
     certificate found by the homogeneous embedding. ``exit_reason`` says why
     the iteration stopped.
     """
-    if settings is not None and tol is None:
-        tol = settings.cone_solver_kkt_tol
-    if tol is None:
-        tol = 1e-9
-    c, a_op, b_vec, cones, e_mat, f_vec, n0 = _lower(prog)
-    result, reason, iters = _solve_standard(c, a_op, b_vec, cones, e_mat,
-                                            f_vec, tol, max_iter)
+    c, a_op, b_vec, cones, n0 = _lower(prog)
+    result, reason, iters = _solve_standard(c, a_op, b_vec, cones, tol, max_iter)
     if reason is ExitReason.INFEASIBLE:
         return ConeSolution(x=np.full(prog.n_vars, np.nan), objective=np.nan,
                             kkt_residual=np.inf, duality_gap=np.inf,

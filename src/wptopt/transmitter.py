@@ -70,47 +70,33 @@ class DmaState:
     ``q`` equals ``lorentzian_weight(phi)`` when built from phases; states
     produced by the relaxed beam-focusing stage may lie strictly inside the
     Lorentzian disk, in which case ``phi`` stores the angular position of the
-    weight relative to the disk center.
+    weight relative to the disk center. Every microstrip shares one feed-line
+    response, so each row of ``h`` is the same.
     """
 
     phi: np.ndarray = field(repr=False)  # [n_v, n_h]
     q: np.ndarray = field(repr=False)    # [n_v, n_h] complex
     h: np.ndarray = field(repr=False)    # [n_v, n_h] complex
-    alpha: float | np.ndarray = 0.0      # per-strip when built from overrides
-    beta: float | np.ndarray = 0.0
-    element_spacing: float = 0.0
 
     @classmethod
     def from_phases(cls, phi: np.ndarray, spacing: float,
-                    strip: "MicrostripParams | list[MicrostripParams]") -> "DmaState":
-        """Build a circle-exact state from tuning phases.
-
-        ``strip`` is one parameter set shared by every feed line, or a
-        sequence with one entry per microstrip.
-        """
+                    strip: MicrostripParams) -> "DmaState":
+        """Build a circle-exact state from tuning phases; ``strip`` is the
+        parameter set of every feed line."""
         phi = np.mod(np.asarray(phi, dtype=float), 2.0 * np.pi)
         n_v, n_h = phi.shape
-        q = lorentzian_weight(phi)
-        strips = [strip] * n_v if isinstance(strip, MicrostripParams) else list(strip)
-        if len(strips) != n_v:
-            raise ValueError("need one microstrip parameter set per feed line")
-        l_idx = np.arange(1, n_h + 1)
-        h = np.stack([microstrip_response(l_idx, spacing, s.attenuation, s.propagation)
-                      for s in strips])
-        alpha = np.array([s.attenuation for s in strips])
-        beta = np.array([s.propagation for s in strips])
-        if np.ptp(alpha) == 0.0 and np.ptp(beta) == 0.0:
-            alpha, beta = float(alpha[0]), float(beta[0])
-        return cls._frozen(phi, q, h, alpha, beta, spacing)
+        h_row = microstrip_response(np.arange(1, n_h + 1), spacing,
+                                    strip.attenuation, strip.propagation)
+        return cls._frozen(phi, lorentzian_weight(phi), np.broadcast_to(h_row, (n_v, n_h)))
 
     @classmethod
-    def _frozen(cls, phi, q, h, alpha, beta, spacing):
+    def _frozen(cls, phi, q, h):
         arrs = []
         for a in (phi, np.asarray(q, dtype=complex), np.asarray(h, dtype=complex)):
             a = np.ascontiguousarray(a)
             a.flags.writeable = False
             arrs.append(a)
-        return cls(arrs[0], arrs[1], arrs[2], alpha, beta, float(spacing))
+        return cls(*arrs)
 
     def with_weights(self, q_new: np.ndarray, tol: float = 1e-7) -> "DmaState":
         """Replace the element weights, e.g. with a beam-focusing stage result.
@@ -126,14 +112,10 @@ class DmaState:
         scale = np.minimum(1.0, LORENTZIAN_RADIUS / np.maximum(r, 1e-300))
         q_proj = LORENTZIAN_CENTER + offset * np.where(r > LORENTZIAN_RADIUS, scale, 1.0)
         phi = np.mod(np.angle(q_proj - LORENTZIAN_CENTER), 2.0 * np.pi)
-        return self._frozen(phi, q_proj, self.h, self.alpha, self.beta,
-                            self.element_spacing)
+        return self._frozen(phi, q_proj, self.h)
 
     def q_flat(self) -> np.ndarray:
         return self.q.reshape(-1)
-
-    def h_flat(self) -> np.ndarray:
-        return self.h.reshape(-1)
 
     def circle_distance(self) -> np.ndarray:
         """|q - j/2| - 1/2 per element; zero on the Lorentzian circle."""

@@ -174,7 +174,7 @@ def test_criterion_4_solver_correctness():
         a_hat = (rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))) * 0.05
         q0 = np.array([complex(lorentzian_weight(rng.uniform(0, 2 * np.pi)))])
         lin = linearize_vo_in_q(a_hat, q0, dev.k2, dev.k4, dev.hpa_gain)
-        prog = assemble_q_subproblem(cfg, Waveform(np.ones((1, 1))), [lin], q0)
+        prog = assemble_q_subproblem([lin], q0)
         sol = solve(prog, tol=1e-10)
         assert sol.status is SolveStatus.OPTIMAL
         q_sol = unstack_complex(sol.x[:2])[0]

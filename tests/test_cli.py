@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from wptopt import cli as cli_module
 from wptopt.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                         RunArtifact, main, run_optimization)
 from wptopt.optimize import OuterRecord
@@ -256,6 +257,25 @@ def test_sweep_records_per_point_failures(scenario_file, tmp_path):
     lines = (tmp_path / "sweep_M.csv").read_text().splitlines()
     assert len(lines) == 3
     assert "error" in lines[2]
+
+
+def test_sweep_table_keeps_a_comma_in_the_status(scenario_file, tmp_path, monkeypatch):
+    """A failed point's status is the exception text; a comma in that text
+    stays inside the status field when the table is read back as CSV."""
+    message = "shapes (2,) and (3,) not aligned, retry"
+
+    def failing(scenario, paper_sampling=False):
+        raise ValueError(message)
+
+    monkeypatch.setattr(cli_module, "run_optimization", failing)
+    code = main(["sweep", str(scenario_file), "--axis", "L",
+                 "--values", "0.10", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    with open(tmp_path / "sweep_L.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{"value": "0.1", "p_c_bound": "nan", "p_c_sampled": "nan",
+                     "outer_iters": "0", "feasible": "False",
+                     "status": f"error: {message}"}]
 
 
 def test_artifact_round_trip(artifact_dir):

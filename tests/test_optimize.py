@@ -8,8 +8,8 @@ import pytest
 
 from wptopt import optimize as optimize_module
 from wptopt.channel import ChannelTensor, build_channel
-from wptopt.cli import write_trace_csv
-from wptopt.optimize import (UnmeetableRequirementError, _ramp,
+from wptopt.cli import write_csv
+from wptopt.optimize import (OuterRecord, UnmeetableRequirementError, _ramp,
                              allocate_chains, init_digital_weights,
                              init_q_phases, phase_search, run_asca_dma,
                              run_sca_fd, run_sca_q, run_sca_w)
@@ -436,7 +436,7 @@ def test_trace_serialization(tmp_path, tiny_dma):
     cfg = tiny_dma.with_solver(max_sca_iters=6, max_outer_iters=2)
     _, _, trace = run_asca_dma(cfg)
     rows = [dataclasses.asdict(r) for r in trace.records]
-    write_trace_csv(tmp_path / "trace.csv", rows)
+    write_csv(tmp_path / "trace.csv", [f.name for f in dataclasses.fields(OuterRecord)], rows)
     with open(tmp_path / "trace.csv", newline="") as fh:
         lines = list(csv.reader(fh))
     assert "p_c_bound" in lines[0]

@@ -198,11 +198,3 @@ def test_plane_spec_validation():
         PlaneSpec(-1.0, 1.0, -0.5, 2.0, 0.1).grid()     # behind the array
     with pytest.raises(ValueError):
         PlaneSpec(1.0, -1.0, 0.5, 2.0, 0.1).grid()      # empty extent
-
-
-def test_channel_tensor_csv_dump(tmp_path, tiny_fd):
-    from wptopt.channel import build_channel
-    ch = build_channel(tiny_fd.array, tiny_fd.receivers, tiny_fd.frequency, 0.0)
-    ch.to_csv(tmp_path / "channel.csv")
-    lines = (tmp_path / "channel.csv").read_text().splitlines()
-    assert len(lines) == tiny_fd.array.n_elements * tiny_fd.frequency.n_f + 1

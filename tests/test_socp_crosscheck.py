@@ -33,8 +33,6 @@ def _cvxpy_solve(prog: ConeProgram):
     for d in prog.disks:
         cons.append(cp.norm2(cp.hstack([x[d.ix_re] - d.center.real,
                                         x[d.ix_im] - d.center.imag])) <= d.radius)
-    if len(prog.eq_rhs):
-        cons.append(prog.eq_lhs @ x == prog.eq_rhs)
     problem = cp.Problem(cp.Minimize(obj), cons)
     for solver in ("CLARABEL", "ECOS", "SCS"):
         if solver in cp.installed_solvers():
@@ -123,7 +121,7 @@ def test_focusing_restrictions_match_external_solver(rng):
         eff = effective_rows(channel, cfg.array, dma, wf)
         q0 = dma.q_flat()
         lins = [linearize_vo_in_q(eff.a_hat[0], q0, dev.k2, dev.k4, dev.hpa_gain)]
-        prog = assemble_q_subproblem(cfg, wf, lins, q0)
+        prog = assemble_q_subproblem(lins, q0)
         mine = solve(prog, tol=1e-9)
         status, value = _cvxpy_solve(prog)
         assert mine.status is SolveStatus.OPTIMAL

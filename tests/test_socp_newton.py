@@ -30,7 +30,7 @@ SAMPLE = Path(__file__).resolve().parents[1] / "sample_scenario.cfg"
 # program shapes
 # ---------------------------------------------------------------------------
 
-def focusing_program(rng, n_el, m_rows, n_eq=0):
+def focusing_program(rng, n_el, m_rows):
     """Disks on every element pair, a free epigraph variable R, M rows."""
     n = 2 * n_el + 1
     rows = rng.normal(size=(m_rows, n))
@@ -40,11 +40,10 @@ def focusing_program(rng, n_el, m_rows, n_eq=0):
     return ConeProgram(n_vars=n, linear_cost=cost, ineq_lhs=rows,
                        ineq_rhs=rng.uniform(0.5, 2.0, m_rows),
                        disks=[Disk(2 * k, 2 * k + 1, LORENTZIAN_CENTER, LORENTZIAN_RADIUS)
-                              for k in range(n_el)],
-                       eq_lhs=rng.normal(size=(n_eq, n)), eq_rhs=rng.normal(size=n_eq))
+                              for k in range(n_el)])
 
 
-def waveform_program(rng, n_rf, n_f, m_rows, n_eq=0, scales=None):
+def waveform_program(rng, n_rf, n_f, m_rows, scales=None):
     """Per-chain norm groups, one squared norm over every chain, M rows."""
     nw = 2 * n_rf * n_f
     if scales is None:
@@ -54,8 +53,7 @@ def waveform_program(rng, n_rf, n_f, m_rows, n_eq=0, scales=None):
     return ConeProgram(n_vars=nw, norm_groups=groups,
                        quad_groups=[QuadGroup(np.arange(nw), np.zeros(nw))],
                        ineq_lhs=-rng.normal(size=(m_rows, nw)),
-                       ineq_rhs=-rng.uniform(0.5, 2.0, m_rows),
-                       eq_lhs=rng.normal(size=(n_eq, nw)), eq_rhs=rng.normal(size=n_eq))
+                       ineq_rhs=-rng.uniform(0.5, 2.0, m_rows))
 
 
 def overlapping_program(rng, n, n_groups, m_rows):
@@ -73,12 +71,11 @@ def overlapping_program(rng, n, n_groups, m_rows):
 def programs(draw):
     shape = draw(st.sampled_from(["focusing", "waveform", "overlap"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n_eq = draw(st.integers(0, 2))
     if shape == "focusing":
-        prog = focusing_program(rng, draw(st.integers(1, 12)), draw(st.integers(1, 3)), n_eq)
+        prog = focusing_program(rng, draw(st.integers(1, 12)), draw(st.integers(1, 3)))
     elif shape == "waveform":
         prog = waveform_program(rng, draw(st.integers(1, 5)), draw(st.integers(1, 4)),
-                                draw(st.integers(0, 3)), n_eq)
+                                draw(st.integers(0, 3)))
     else:
         prog = overlapping_program(rng, draw(st.integers(1, 6)), draw(st.integers(1, 3)),
                                    draw(st.integers(0, 2)))
@@ -96,9 +93,9 @@ def interior_point(cones, rng):
     return u
 
 
-def dense_newton_matrix(a_op, e_mat, W, reg):
-    """Test-only reference: ``[[A^T W^-2 A + reg I, E^T], [E, -1e-13 I]]``
-    from the dense ``A`` and ``W^-2`` applied column by column."""
+def dense_newton_matrix(a_op, W, reg):
+    """Test-only reference: ``A^T W^-2 A + reg I`` from the dense ``A`` and
+    ``W^-2`` applied column by column."""
     p = len(a_op.lin)
     a_mat = np.zeros((p + len(a_op.col), a_op.n))
     a_mat[:p] = a_op.lin
@@ -106,21 +103,15 @@ def dense_newton_matrix(a_op, e_mat, W, reg):
     w_inv2 = np.column_stack([W.apply(W.apply(col, inv=True), inv=True)
                               for col in np.eye(a_mat.shape[0])])
     h_mat = a_mat.T @ w_inv2 @ a_mat
-    n, meq = a_op.n, e_mat.shape[0]
-    kkt = np.zeros((n + meq, n + meq))
-    kkt[:n, :n] = h_mat + reg * np.eye(n)
-    kkt[:n, n:] = e_mat.T
-    kkt[n:, :n] = e_mat
-    kkt[n:, n:] = -1e-13 * np.eye(meq)
-    return kkt, np.trace(h_mat)
+    return h_mat + reg * np.eye(a_op.n), np.trace(h_mat)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(programs())
 def test_structured_newton_solve_matches_dense(case):
     shape, prog, rng = case
-    _, a_op, _, cones, e_mat, _, _ = _lower(prog)
-    plan = _BlockPlan(cones, a_op.n, a_op.col, a_op.coef, e_mat.shape[0])
+    _, a_op, _, cones, _ = _lower(prog)
+    plan = _BlockPlan(cones, a_op.n, a_op.col, a_op.coef)
     if shape == "focusing":
         assert [size for size, _, _ in plan.slabs] == [2] and len(plan.free) == 1
     if shape == "waveform" and len(prog.norm_groups) >= 2:
@@ -132,12 +123,11 @@ def test_structured_newton_solve_matches_dense(case):
     for inv in (False, True):
         twice = W.apply(W.apply(v, inv=inv), inv=inv)
         assert np.linalg.norm(W.apply_sq(v, inv=inv) - twice) <= 1e-12 * np.linalg.norm(twice)
-    newton = _NewtonSystem(plan, W, a_op.lin, e_mat)
-    kkt, trace = dense_newton_matrix(a_op, e_mat, W, newton.reg)
+    newton = _NewtonSystem(plan, W, a_op.lin)
+    kkt, trace = dense_newton_matrix(a_op, W, newton.reg)
     assert newton.reg == pytest.approx(1e-13 * (1.0 + trace / a_op.n), rel=1e-9)
-    rhs = rng.normal(size=len(kkt))
-    dx, dy = newton.solve(rhs[:a_op.n], rhs[a_op.n:])
-    res = kkt @ np.concatenate([dx, dy]) - rhs
+    rhs = rng.normal(size=a_op.n)
+    res = kkt @ newton.solve(rhs) - rhs
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
 
@@ -243,8 +233,8 @@ def test_closed_form_step_matches_quadratic_roots(case):
 # ---------------------------------------------------------------------------
 
 def plan_of(prog):
-    _, a_op, _, cones, e_mat, _, _ = _lower(prog)
-    return _block_plan(cones, a_op, e_mat.shape[0])
+    _, a_op, _, cones, _ = _lower(prog)
+    return _block_plan(cones, a_op)
 
 
 def test_block_plan_is_shared_by_one_structure():
@@ -252,7 +242,6 @@ def test_block_plan_is_shared_by_one_structure():
     plan = plan_of(focusing_program(rng, 5, 2))
     assert plan_of(focusing_program(rng, 5, 2)) is plan   # other rows and rhs
     for other in (focusing_program(rng, 5, 3),            # another M
-                  focusing_program(rng, 5, 2, n_eq=1),    # an equality row
                   focusing_program(rng, 6, 2)):           # another disk count
         assert plan_of(other) is not plan
     prog = focusing_program(rng, 7, 2)
@@ -271,7 +260,7 @@ def test_block_plan_is_shared_by_one_structure():
 def ipm_focusing(lin, q0):
     """The focusing restriction solved by the interior-point method: the
     optimal weights and the maximum linearized voltage."""
-    sol = solve(assemble_q_subproblem(None, None, [lin], q0), tol=1e-9)
+    sol = solve(assemble_q_subproblem([lin], q0), tol=1e-9)
     assert sol.status is SolveStatus.OPTIMAL
     return unstack_complex(sol.x[:2 * len(q0)]), -sol.objective
 

@@ -50,17 +50,6 @@ def test_dma_state_from_phases_properties():
     assert np.all(np.diff(mags, axis=1) <= 1e-15)
 
 
-def test_dma_per_strip_overrides():
-    lossless = MicrostripParams(attenuation=0.0, propagation=200.0)
-    lossy = MicrostripParams(attenuation=5.0, propagation=200.0)
-    dma = DmaState.from_phases(np.zeros((2, 4)), 0.01, [lossless, lossy])
-    assert np.allclose(np.abs(dma.h[0]), 1.0)
-    assert np.all(np.diff(np.abs(dma.h[1])) < 0.0)
-    assert np.allclose(dma.alpha, [0.0, 5.0])
-    with pytest.raises(ValueError):
-        DmaState.from_phases(np.zeros((2, 4)), 0.01, [lossless])
-
-
 def test_dma_with_weights_disk_check():
     strip = MicrostripParams()
     dma = DmaState.from_phases(np.zeros((1, 2)), 0.01, strip)
