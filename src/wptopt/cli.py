@@ -236,9 +236,7 @@ def _sweep_point(payload):
                 "p_c_bound": artifact.trace_rows[-1]["p_c_bound"],
                 "p_c_sampled": artifact.power_report.p_c_sampled,
                 "outer_iters": len(artifact.trace_rows),
-                "feasible": bool(np.all(
-                    artifact.p_dc >= 0.999 * np.array(
-                        [r["eh_requirement"] for r in scenario.to_dict()["receivers"]])))}
+                "feasible": bool(np.all(artifact.p_dc >= 0.999 * scenario.eh_targets))}
     except Exception as exc:  # per-point failures recorded, sweep continues
         return {"value": value, "status": f"error: {exc}", "p_c_bound": math.nan,
                 "p_c_sampled": math.nan, "outer_iters": 0, "feasible": False}
@@ -392,15 +390,12 @@ def main(argv=None) -> int:
     except optimize.UnmeetableRequirementError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except optimize.TargetMissedError as exc:
-        print(f"optimization failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except optimize.InfeasibleRestrictionError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except optimize.OptimizationError as exc:
+    except optimize.OptimizationError as exc:  # a missed target or a broken invariant
         print(f"optimization failed: {exc}", file=sys.stderr)
-        return EXIT_ITER_LIMIT
+        return EXIT_ERROR
     except FloatingPointError as exc:  # unbounded cone program
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -41,7 +41,8 @@ class OptimizationError(RuntimeError):
 
 
 class UnmeetableRequirementError(OptimizationError):
-    """EH targets unreachable within the amplitude cap."""
+    """EH targets unreachable: every receiver sees a zero channel, or the
+    amplitude ramp cannot meet them within its cap."""
 
 
 class TargetMissedError(OptimizationError):
@@ -96,7 +97,7 @@ def allocate_chains(channel: ChannelTensor, m_count: int, n_rf: int) -> InitPlan
     best = norms[np.arange(m_count), n_star]
     total = float(np.sum(best))
     if total <= 0.0:
-        raise OptimizationError("all receivers see a zero channel")
+        raise UnmeetableRequirementError("all receivers see a zero channel")
     z = 1.0 - best / total
     sets = [[m] for m in range(m_count)]
     surplus = n_rf - m_count

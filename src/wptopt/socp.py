@@ -17,16 +17,16 @@ contractual tolerances is preferred over an external dependency.
 Each Newton step solves ``A^T W^-2 A dx = r`` through its structure
 (Vandenberghe, "The CVXOPT linear and quadratic cone program solvers", 2010):
 a cone's NT term is a diagonal plus a low-rank term on the variables its rows
-read. Cones with disjoint supports give small dense blocks, factored in one
-batched call per block size (2x2 per Lorentzian disk, one block per chain's
-norm group with its epigraph variable). The orthant rows, the rank-2 term
-of a cone that spans several blocks (the squared norm) and the variables no
-cone reads form one bordered Schur system of about M + 3 unknowns, factored
-by LU. Iterative refinement against the exact KKT operator checks the
-accuracy of every solve. That block plan depends only on the program's
-structure (cone dimensions, the cone rows' columns and coefficients, the
-orthant row count), so it is built once per structure and reused by every SCA
-step that solves the same shape.
+read. Every cone the optimizer poses reads one block's variables, so the
+blocks are small and dense, factored in one batched call per block size (2x2
+per Lorentzian disk, one block per chain's norm and squared norm with their
+epigraph variables). The orthant rows (one per receiver) and the variables
+no cone reads form one bordered Schur system, factored by LU. Iterative
+refinement against the exact KKT operator checks the accuracy of every solve.
+That block plan depends only on the program's structure (cone dimensions,
+the cone rows' columns and coefficients, the orthant row count), so it is
+built once per structure and reused by every SCA step that solves the same
+shape.
 
 Cones of one dimension sit back to back, so each run of them is read and
 written as one ``[n_blocks, dim]`` view of the stacked vector. The step to
@@ -201,21 +201,21 @@ def assemble_w_subproblem(scenario: ScenarioConfig, dma: DmaState | None,
 
     Variables are the stacked real/imaginary parts of the per-chain tone
     weights (DMA replication is eliminated by working in the reduced chain
-    variables). The objective is the per-chain sum of norms plus the squared
-    norm (input power); each receiver contributes one affine row: the
+    variables). The objective is the per-chain sum of norms plus, per chain,
+    the squared norm, whose sum is the input power; so every cone reads one
+    chain's variables. Each receiver contributes one affine row: the
     linearized output voltage must reach ``sqrt(R_L * Pbar_m)``. Targets carry
     a 1e-7 relative margin so solver-tolerance slack can never leave the
     exact non-linear constraint violated.
     """
     dev = scenario.device
     n_rf, n_f = w0.omega.shape
-    nw = 2 * n_rf * n_f
-    n_vars = nw
+    n_vars = 2 * n_rf * n_f
     scales = chain_norm_scales(dma, n_rf, dev.hpa_gain,
                                dev.hpa_saturation_power, dev.hpa_max_efficiency)
     groups = [NormGroup(np.arange(2 * i * n_f, 2 * (i + 1) * n_f), float(scales[i]))
               for i in range(n_rf)]
-    quad = [QuadGroup(np.arange(nw), np.zeros(nw))]
+    quad = [QuadGroup(g.indices, np.zeros(len(g.indices))) for g in groups]
     targets = scenario.voltage_targets() * (1.0 + 1e-7)
     w0_flat = stack_complex(w0.omega)
     rows = np.zeros((len(linearizations), n_vars))
@@ -502,14 +502,11 @@ class _BlockPlan:
     """Static block structure of ``H = A^T W^{-2} A`` for one program structure.
 
     Each cone k adds ``A_k^T W_k^{-2} A_k`` on its support, the variables its
-    rows read. Cones that share variables are merged into one dense block,
-    except a cone that meets two cones sharing no variable with each other:
-    it would join otherwise separate blocks (the quad cone spans every
-    chain's norm group), so it goes to the border. Its term
-    ``eta^-2 A_k^T (I + 2 u u^T - 2 e0 e0^T) A_k`` splits into a diagonal,
-    kept in the blocks, and the rank-one terms along ``A_k^T u`` and
-    ``A_k^T e0``. The border also holds the orthant rows and the variables no
-    cone reads (``free``).
+    rows read. Cones that share a variable form one dense block: one 2x2
+    block per Lorentzian disk, and one block per chain holding its norm
+    group, its squared norm and their two epigraph variables. A cone that
+    spans several supports merges them into one block. The orthant rows and
+    the variables no cone reads (``free``) form the border.
 
     The plan depends only on the cone layout, the cone rows' columns ``col``
     and coefficients ``coef`` and the variable count, so :func:`_block_plan`
@@ -519,33 +516,21 @@ class _BlockPlan:
     def __init__(self, cones: _ConeLayout, n: int, col: np.ndarray, coef: np.ndarray):
         p = cones.p
         self.n = n
-        spans = {(i, j): slice(a - p + j * d, a - p + (j + 1) * d)
-                 for i, (a, b, d) in enumerate(cones.runs) for j in range((b - a) // d)}
-        supports = {key: set(col[r][coef[r] != 0].tolist()) for key, r in spans.items()}
-        readers: dict[int, list] = {}
-        for key, sup in supports.items():
-            for v in sup:
-                readers.setdefault(v, []).append(key)
-
-        def bridges(key):
-            near = sorted({k for v in supports[key] for k in readers[v]} - {key})
-            return any(not supports[a] & supports[b]
-                       for i, a in enumerate(near) for b in near[i + 1:])
-
-        on_border = {key: bridges(key) for key in spans}
-        parent = list(range(n))   # union-find over the variables of block cones
+        spans = [slice(a - p + j * d, a - p + (j + 1) * d)
+                 for a, b, d in cones.runs for j in range((b - a) // d)]
+        supports = [set(col[r][coef[r] != 0].tolist()) for r in spans]
+        parent = list(range(n))   # union-find over the variables cones read
 
         def root(v):
             while parent[v] != v:
                 v = parent[v]
             return v
 
-        for key, sup in supports.items():
-            if not on_border[key]:
-                r = root(min(sup))
-                for v in sup:
-                    parent[root(v)] = r
-        touched = sorted(set().union(*supports.values()))
+        for sup in supports:
+            r = root(min(sup))
+            for v in sup:
+                parent[root(v)] = r
+        touched = sorted(set().union(*supports))
         members: dict[int, list[int]] = {}
         for v in touched:
             members.setdefault(root(v), []).append(v)
@@ -576,22 +561,16 @@ class _BlockPlan:
             return base[i] + loc[i] * width[i] + loc[j]
 
         self.diag_pos = flat(self.perm, self.perm)
-        self.terms = []    # block cones: (run, block positions, targets, c c^T, c c^T J)
+        self.terms = []    # per cone run: (run, block targets, c c^T, c c^T J)
         for i, (a, b, d) in enumerate(cones.runs):
-            ks = np.array([j for j in range((b - a) // d) if not on_border[i, j]], dtype=int)
-            if len(ks):
-                rows = (a - p) + d * ks[:, None] + np.arange(d)
-                cb, cf = col[rows], coef[rows]
-                live = (cf != 0)[:, :, None] & (cf != 0)[:, None, :]
-                tgt = np.where(live, flat(cb[:, :, None], cb[:, None, :]), self.store_size)
-                cc = cf[:, :, None] * cf[:, None, :]
-                self.terms.append((i, ks, tgt.ravel(), cc,
-                                   cc * np.diag(np.r_[1.0, -np.ones(d - 1)])))
-        # border cones: (run, block position, cols, coefs, diagonal targets)
-        self.border = [(i, j, col[r], coef[r], flat(col[r], col[r]))
-                       for (i, j), r in spans.items() if on_border[i, j]]
-        # border columns: the orthant rows, then one or two per border cone
-        self.n_border = p + sum(1 + (cf[0] != 0) for _, _, _, cf, _ in self.border)
+            rows = (a - p) + np.arange(b - a).reshape(-1, d)
+            cb, cf = col[rows], coef[rows]
+            live = (cf != 0)[:, :, None] & (cf != 0)[:, None, :]
+            tgt = np.where(live, flat(cb[:, :, None], cb[:, None, :]), self.store_size)
+            cc = cf[:, :, None] * cf[:, None, :]
+            self.terms.append((i, tgt.ravel(), cc,
+                               cc * np.diag(np.r_[1.0, -np.ones(d - 1)])))
+        self.n_border = p   # the orthant rows
         self.schur_size = len(self.free) + self.n_border
 
 
@@ -613,39 +592,27 @@ class _NewtonSystem:
     """Factored reduced Newton system ``H + reg I``.
 
     ``H = B + V G V^T``: ``B`` block-diagonal after the permutation of
-    :class:`_BlockPlan`, ``V`` the border columns with diagonal weights
-    ``G``. With ``xi = G V^T dx`` the system is solved through the blocks
-    and one small Schur complement in ``(dx_free, xi)`` whose diagonal on
-    ``xi`` is ``-G^-1``.
+    :class:`_BlockPlan`, ``V = C^T`` the orthant rows' columns with
+    ``G^-1 = W^2`` on those rows. With ``xi = G V^T dx`` the system is solved
+    through the blocks and one small Schur complement in ``(dx_free, xi)``
+    whose diagonal on ``xi`` is ``-G^-1``.
     """
 
     def __init__(self, plan: _BlockPlan, W: _NTScaling, lin: np.ndarray):
         self.plan = plan
         n = plan.n
         tgts, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for i, ks, tgt, cc, ccj in plan.terms:
-            u = W.u[i][ks]
+        for i, tgt, cc, ccj in plan.terms:
+            u = W.u[i]
             blk = 2.0 * cc * u[:, :, None] * u[:, None, :] - ccj
             tgts.append(tgt)
-            vals.append((blk / W.eta[i][ks, None, None] ** 2).ravel())
-        cols, ginv = [lin.T], [W.diag2]
-        for i, j, col, cf, pos in plan.border:
-            eta2 = W.eta[i][j] ** 2
-            tgts.append(pos)
-            vals.append(cf * cf / eta2)
-            cols.append(np.bincount(col, cf * W.u[i][j], minlength=n)[:, None])
-            ginv.append([0.5 * eta2])
-            if cf[0] != 0:
-                head = np.zeros((n, 1))
-                head[col[0]] = cf[0]
-                cols.append(head)
-                ginv.append([-0.5 * eta2])
+            vals.append((blk / W.eta[i][:, None, None] ** 2).ravel())
         store = np.bincount(np.concatenate(tgts), np.concatenate(vals),  # int if empty
                             minlength=plan.store_size + 1)[:plan.store_size].astype(float)
         if not np.isfinite(store).all():
             raise np.linalg.LinAlgError("non-finite Newton block")
-        v_mat = np.hstack(cols)
-        ginv = np.concatenate(ginv)
+        v_mat = lin.T
+        ginv = W.diag2
         trace = store[plan.diag_pos].sum() + (v_mat * v_mat).sum(axis=0) @ (1.0 / ginv)
         self.reg = 1e-13 * (1.0 + trace / n)
         store[plan.diag_pos] += self.reg

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from wptopt import cli as cli_module
-from wptopt.cli import (EXIT_ERROR, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
-                        RunArtifact, main, run_optimization)
+from wptopt.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
+                        EXIT_VALIDATION, RunArtifact, main, run_optimization)
 from wptopt.optimize import OuterRecord
 from wptopt.socp import ConeSolution, ExitReason, SolveStatus
 
@@ -164,6 +164,40 @@ def test_simulate_resamples_paper_artifact_on_its_grid(scenario_file, tmp_path,
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(data))
     assert RunArtifact.load(legacy).paper_sampling is False
+
+
+ZERO_CHANNEL = """
+[array]
+architecture = fd
+length = 0.06
+
+[frequency]
+f1 = 5.18e9
+bandwidth = 10e6
+n_tones = 2
+
+[device]
+boresight_gain = 4000
+
+[receiver.1]
+x = 1.5
+y = 0.0
+z = 1.0
+p_target = 20e-6
+"""
+
+
+def test_zero_channel_exit_code(tmp_path, capsys):
+    """A receiver 56 degrees off boresight of a cos^4000 pattern sees a
+    channel that underflows to zero: the scenario is valid, but no weight
+    meets its target, so the run exits 4 (unmeetable), not 5 (iteration
+    limit)."""
+    path = tmp_path / "zero_channel.cfg"
+    path.write_text(ZERO_CHANNEL)
+    code = main(["optimize", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INFEASIBLE
+    assert err.splitlines() == ["infeasible: all receivers see a zero channel"]
 
 
 def test_unbounded_cone_program_exit_code(scenario_file, tmp_path, monkeypatch,

@@ -1,8 +1,9 @@
 """The structured Newton solve of the interior-point method, checked against
 a dense reference, its step length checked against the roots of the cone's
-quadratic, its block plan's reuse, and the solver checked against the M = 1
-closed forms of both restrictions: the production focusing step and a test
-oracle of the waveform step."""
+quadratic, its block plan's reuse and its blocks on the production
+restrictions, and the solver checked against the M = 1 closed forms of both
+restrictions: the production focusing step and a test oracle of the waveform
+step."""
 
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_scenario
 from wptopt.channel import build_channel
-from wptopt.linearize import linearize_vo_in_q
+from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
 from wptopt.optimize import (allocate_chains, focusing_step_single,
                              init_digital_weights, init_q_phases)
 from wptopt.rectenna import harvested_voltage
@@ -20,7 +22,8 @@ from wptopt.scenario import DeviceParams, load_scenario
 from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
                          _block_plan, _BlockPlan, _ConeLayout, _lower,
                          _NewtonSystem, _NTScaling, _plan_for,
-                         assemble_q_subproblem, solve, unstack_complex)
+                         assemble_q_subproblem, assemble_w_subproblem, solve,
+                         unstack_complex)
 from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS, effective_rows
 
 SAMPLE = Path(__file__).resolve().parents[1] / "sample_scenario.cfg"
@@ -44,14 +47,14 @@ def focusing_program(rng, n_el, m_rows):
 
 
 def waveform_program(rng, n_rf, n_f, m_rows, scales=None):
-    """Per-chain norm groups, one squared norm over every chain, M rows."""
+    """Per-chain norm groups and per-chain squared norms, M rows."""
     nw = 2 * n_rf * n_f
     if scales is None:
         scales = rng.uniform(0.0, 2.0, n_rf)
     groups = [NormGroup(np.arange(2 * i * n_f, 2 * (i + 1) * n_f), float(scales[i]))
               for i in range(n_rf)]
     return ConeProgram(n_vars=nw, norm_groups=groups,
-                       quad_groups=[QuadGroup(np.arange(nw), np.zeros(nw))],
+                       quad_groups=[QuadGroup(g.indices, np.zeros(2 * n_f)) for g in groups],
                        ineq_lhs=-rng.normal(size=(m_rows, nw)),
                        ineq_rhs=-rng.uniform(0.5, 2.0, m_rows))
 
@@ -112,12 +115,17 @@ def test_structured_newton_solve_matches_dense(case):
     shape, prog, rng = case
     _, a_op, _, cones, _ = _lower(prog)
     plan = _BlockPlan(cones, a_op.n, a_op.col, a_op.coef)
+    m_rows = len(prog.ineq_rhs)
     if shape == "focusing":
         assert [size for size, _, _ in plan.slabs] == [2] and len(plan.free) == 1
-    if shape == "waveform" and len(prog.norm_groups) >= 2:
-        assert len(plan.border) == 1  # the squared norm spans every chain
-    if shape == "overlap":
-        assert not plan.border and len(plan.slabs) == 1
+    if shape == "waveform":   # one block per chain: its norm, squared norm, epigraphs
+        size = len(prog.norm_groups[0].indices) + 2
+        assert [(sz, nb) for sz, nb, _ in plan.slabs] == [(size, len(prog.norm_groups))]
+        assert len(plan.free) == 0 and plan.schur_size == m_rows
+    if shape == "overlap":    # the spanning squared norm merges everything
+        size = prog.n_vars + len(prog.norm_groups) + 1
+        assert [(sz, nb) for sz, nb, _ in plan.slabs] == [(size, 1)]
+        assert plan.schur_size == m_rows
     W = _NTScaling(cones, interior_point(cones, rng), interior_point(cones, rng))
     v = rng.normal(size=cones.m)
     for inv in (False, True):
@@ -251,6 +259,48 @@ def test_block_plan_is_shared_by_one_structure():
     reused = solve(prog)
     assert _plan_for.cache_info().hits == 1
     assert fresh.x.tobytes() == reused.x.tobytes()
+
+
+TWO_RECEIVERS = ((0.0, 0.0, 1.5), (0.2, 0.1, 1.8))
+
+
+def production_programs(arch):
+    """The waveform and focusing restrictions that a two-receiver design
+    poses at its initialization."""
+    cfg = make_scenario(arch, receivers=TWO_RECEIVERS)
+    dev = cfg.device
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, dev.boresight_gain)
+    plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
+    dma = init_q_phases(channel, plan, cfg) if arch == "dma" else None
+    w = init_digital_weights(cfg, channel, plan, dma)
+    eff = effective_rows(channel, cfg.array, dma, w)
+    w_lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+              for m in range(cfg.n_receivers)]
+    w_prog = assemble_w_subproblem(cfg, dma, w_lins, w)
+    if dma is None:
+        return w_prog, None
+    q0 = dma.q_flat()
+    q_lins = [linearize_vo_in_q(eff.a_hat[m], q0, dev.k2, dev.k4, dev.hpa_gain)
+              for m in range(cfg.n_receivers)]
+    return w_prog, assemble_q_subproblem(q_lins, q0)
+
+
+def test_production_restrictions_have_one_block_per_cone_support():
+    """Every cone the optimizer poses reads one block: the waveform
+    restriction factors one block per chain, and its Schur system holds only
+    the M receiver rows; the focusing restriction factors one 2x2 block per
+    disk, bordered by the M rows and its free epigraph variable."""
+    w_prog, _ = production_programs("fd")
+    n_rf = len(w_prog.norm_groups)
+    n_f = len(w_prog.norm_groups[0].indices) // 2
+    assert n_rf >= 2 and len(w_prog.ineq_rhs) == 2
+    plan = plan_of(w_prog)
+    assert [(size, nb) for size, nb, _ in plan.slabs] == [(2 * n_f + 2, n_rf)]
+    assert len(plan.free) == 0 and plan.schur_size == 2
+    _, q_prog = production_programs("dma")
+    plan = plan_of(q_prog)
+    assert [(size, nb) for size, nb, _ in plan.slabs] == [(2, len(q_prog.disks))]
+    assert len(plan.free) == 1 and plan.schur_size == 3
 
 
 # ---------------------------------------------------------------------------
