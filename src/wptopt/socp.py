@@ -21,8 +21,10 @@ read. Every cone the optimizer poses reads one block's variables, so the
 blocks are small and dense, factored in one batched call per block size (2x2
 per Lorentzian disk, one block per chain's norm and squared norm with their
 epigraph variables). The orthant rows (one per receiver) and the variables
-no cone reads form one bordered Schur system, factored by LU. Iterative
-refinement against the exact KKT operator checks the accuracy of every solve.
+no cone reads form one bordered Schur system, LU-solved by
+``numpy.linalg.solve`` (an exactly zero pivot stops with ``FACTORIZATION``).
+Iterative refinement against the exact KKT operator checks the accuracy of
+every solve.
 That block plan depends only on the program's structure (cone dimensions,
 the cone rows' columns and coefficients, the orthant row count), so it is
 built once per structure and reused by every SCA step that solves the same
@@ -42,7 +44,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .linearize import LinearizedVoltage
 from .power import chain_norm_scales
@@ -595,7 +596,8 @@ class _NewtonSystem:
     :class:`_BlockPlan`, ``V = C^T`` the orthant rows' columns with
     ``G^-1 = W^2`` on those rows. With ``xi = G V^T dx`` the system is solved
     through the blocks and one small Schur complement in ``(dx_free, xi)``
-    whose diagonal on ``xi`` is ``-G^-1``.
+    whose diagonal on ``xi`` is ``-G^-1``, LU-solved per right-hand side by
+    ``numpy.linalg.solve`` (``LinAlgError`` on an exactly zero pivot).
     """
 
     def __init__(self, plan: _BlockPlan, W: _NTScaling, lin: np.ndarray):
@@ -628,13 +630,9 @@ class _NewtonSystem:
         schur[:nf, nf:] = f_mat
         schur[nf:, :nf] = f_mat.T
         schur[nf:, nf:] = -(self.k_mat.T @ self.p_mat) - np.diag(ginv)
-        self.lu = None
-        if len(schur):
-            if not np.isfinite(schur).all():
-                raise ValueError("non-finite Schur complement")
-            self.lu, self.piv, info = dgetrf(schur)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular Schur complement")
+        if not np.isfinite(schur).all():
+            raise ValueError("non-finite Schur complement")
+        self.schur = schur
 
     def _block_solve(self, v: np.ndarray) -> np.ndarray:
         """``B^{-1} v`` for ``v`` in block order (a vector or columns)."""
@@ -654,11 +652,9 @@ class _NewtonSystem:
         t = self._block_solve(rx[plan.perm])
         rhs = np.concatenate([rx[plan.free], np.zeros(plan.n_border)])
         rhs[nf:] -= self.k_mat.T @ t
-        sol = rhs
-        if self.lu is not None:
-            if not np.isfinite(rhs).all():
-                raise FloatingPointError("non-finite Schur right-hand side")
-            sol, _ = dgetrs(self.lu, self.piv, rhs)
+        if not np.isfinite(rhs).all():
+            raise FloatingPointError("non-finite Schur right-hand side")
+        sol = np.linalg.solve(self.schur, rhs)
         dx = np.empty(plan.n)
         dx[plan.perm] = t - self.p_mat @ sol[nf:]
         dx[plan.free] = sol[:nf]
@@ -780,6 +776,9 @@ def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout,
                 step = min(1.0, 0.99 * boundary_step(ds, dz, dtau, dkappa))
         except FloatingPointError:
             reason = ExitReason.FLOATING_POINT
+            break
+        except np.linalg.LinAlgError:  # an exactly zero Schur pivot
+            reason = ExitReason.FACTORIZATION
             break
         if not np.isfinite(step) or step <= 1e-11:
             reason = ExitReason.SHORT_STEP

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,19 @@ def artifact_dir(tmp_path_factory, scenario_file):
     assert code == EXIT_OK
     sub = next(out.iterdir())
     return sub
+
+
+def test_cli_import_loads_no_scipy():
+    """A cold ``import wptopt.cli`` imports no scipy module: scipy's LAPACK
+    wrappers alone cost about half of every command's start-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, wptopt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_optimize_writes_artifact_and_trace(artifact_dir):

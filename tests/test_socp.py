@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wptopt import socp
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
 from wptopt.rectenna import harvested_voltage
@@ -84,6 +85,36 @@ def test_exit_reasons():
     sol = solve(empty, tol=1e-9)
     assert sol.exit_reason is ExitReason.INFEASIBLE
     assert sol.status is SolveStatus.INFEASIBLE
+
+
+def test_singular_schur_system_stops_with_factorization(monkeypatch):
+    """An exactly zero Schur pivot ends the iteration with FACTORIZATION and
+    the best iterate so far: the one an iteration cap one step later returns."""
+    g = np.array([1.0, -2.0, 0.5])
+    prog = ConeProgram(n_vars=3, norm_groups=[NormGroup(np.arange(3), 1.0)],
+                       quad_groups=[QuadGroup(np.arange(3), np.zeros(3))],
+                       ineq_lhs=-g[None, :], ineq_rhs=np.array([-1.0]))
+    k = 3
+    built = []
+    init = socp._NewtonSystem.__init__
+
+    def singular_at_k(self, *args):
+        init(self, *args)
+        built.append(self)
+        if len(built) == k + 1:
+            self.schur = np.zeros_like(self.schur)
+
+    monkeypatch.setattr(socp._NewtonSystem, "__init__", singular_at_k)
+    sol = solve(prog, tol=1e-9)
+    monkeypatch.undo()
+    assert len(built) == k + 1
+    assert sol.exit_reason is ExitReason.FACTORIZATION
+    assert sol.status is SolveStatus.ITER_LIMIT and sol.iterations == k
+    assert ExitReason.FACTORIZATION.value in sol.violation_report
+    capped = solve(prog, tol=1e-9, max_iter=k + 1)
+    assert capped.exit_reason is ExitReason.ITER_CAP
+    assert np.array_equal(sol.x, capped.x)
+    assert sol.objective == capped.objective and sol.kkt_residual == capped.kkt_residual
 
 
 def test_zero_gradient_row_infeasibility():
