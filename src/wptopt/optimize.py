@@ -9,11 +9,13 @@ configured relative tolerance. Because every linearization is a global
 underestimator of the true output voltage, each accepted waveform iterate
 satisfies the exact non-linear harvesting constraints.
 
-With one receiver the focusing restriction maximizes a linear function over
-a product of disks, so :func:`focusing_step_single` solves it in closed form
-(Boyd & Vandenberghe, *Convex Optimization*, ch. 5); with two or more
-receivers, and in the waveform stage, each restriction is a cone program
-solved by the interior-point method of :mod:`wptopt.socp`.
+Every waveform restriction is solved through its M-dimensional dual by
+:func:`waveform_step.dual_step`, which certifies its point with a
+primal-dual gap. With one receiver the focusing restriction maximizes a
+linear function over a product of disks, so :func:`focusing_step_single`
+solves it in closed form (Boyd & Vandenberghe, *Convex Optimization*,
+ch. 5); only the focusing restriction of two or more receivers is a cone
+program, solved by the interior-point method of :mod:`wptopt.socp`.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .channel import ChannelTensor, build_channel
 from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
 from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
-from .socp import (ExitReason, SolveStatus, assemble_q_subproblem,
-                   assemble_w_subproblem, solve, unstack_complex)
+from .socp import SolveStatus, assemble_q_subproblem, solve, unstack_complex
 from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
                           EffectiveChannel, Waveform, effective_rows)
+from .waveform_step import ExitReason, dual_step, waveform_restriction
 
 _AMP_CAP = 1e6
 
@@ -295,23 +297,23 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
         lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4,
                                   dev.hpa_gain)
                 for m in range(scenario.n_receivers)]
-        prog = assemble_w_subproblem(scenario, dma, lins, w)
-        sol = solve(prog, settings.cone_solver_kkt_tol)
-        trace.exit_reasons.append(sol.exit_reason)
-        if sol.status is SolveStatus.INFEASIBLE:
+        restriction = waveform_restriction(scenario, dma, lins, w)
+        step = dual_step(restriction)
+        trace.exit_reasons.append(step.exit_reason)
+        if step.exit_reason is ExitReason.INFEASIBLE:
             if not trace.objectives:
                 raise InfeasibleRestrictionError(
                     "waveform restriction reported infeasible")
             break  # keep the last feasible iterate
-        if sol.status is SolveStatus.ITER_LIMIT and prog.max_violation(sol.x) > 1e-7:
+        if (step.exit_reason is not ExitReason.TOLERANCE
+                and restriction.max_violation(step.x) > 1e-7):
             break
-        n_rf, n_f = w.omega.shape
-        w = Waveform(unstack_complex(sol.x[:2 * n_rf * n_f]).reshape(n_rf, n_f))
-        upsilon = sol.objective
+        w = Waveform(step.omega)
+        upsilon = step.primal
         trace.objectives.append(upsilon)
-        trace.solver_iterations.append(sol.iterations)
-        trace.kkt_residuals.append(sol.kkt_residual)
-        trace.duality_gaps.append(sol.duality_gap)
+        trace.solver_iterations.append(step.iterations)
+        trace.kkt_residuals.append(step.kkt_residual)
+        trace.duality_gaps.append(step.gap)
         if _relative_move(upsilon, upsilon_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break

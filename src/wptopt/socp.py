@@ -1,12 +1,14 @@
 """Second-order-cone subproblems and the embedded primal-dual solver.
 
-The convex restrictions solved repeatedly by the outer algorithm (every
-waveform restriction, and the focusing restriction when two or more receivers
-share it) are expressed over stacked real variables in a structured
-:class:`ConeProgram` (linear cost, sum-of-norm groups, squared-norm
-epigraphs, affine rows, disk constraints). With one receiver the focusing
-restriction has a closed form, ``optimize.focusing_step_single``;
-:func:`assemble_q_subproblem` then serves the tests as its reference.
+The optimizer solves one restriction here: the focusing restriction when two
+or more receivers share it, expressed over stacked real variables in a
+structured :class:`ConeProgram` (linear cost, sum-of-norm groups,
+squared-norm epigraphs, affine rows, disk constraints). The other
+restrictions have their own steps, and their cone programs serve the tests
+as references: with one receiver the focusing restriction has a closed
+form, ``optimize.focusing_step_single`` (:func:`assemble_q_subproblem`), and
+every waveform restriction is solved through its dual by
+``waveform_step.dual_step`` (:func:`assemble_w_subproblem`).
 :func:`solve` lowers the structure to a standard conic form
 ``min c^T x  s.t.  A x + s = b,  s in K`` and runs a homogeneous self-dual
 Mehrotra predictor-corrector with Nesterov-Todd scaling.
@@ -46,28 +48,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linearize import LinearizedVoltage
-from .power import chain_norm_scales
 from .scenario import ScenarioConfig
 from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
                           Waveform)
+from .waveform_step import ExitReason, WaveformRestriction, waveform_restriction
 
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     ITER_LIMIT = "iter_limit"
-
-
-class ExitReason(enum.Enum):
-    """Why the interior-point iteration stopped."""
-
-    TOLERANCE = "tolerance met"
-    INFEASIBLE = "infeasibility certificate"
-    LOST_INTERIOR = "iterate left the cone interior"
-    FACTORIZATION = "Newton block or Schur factorization failed"
-    FLOATING_POINT = "floating-point error in the search direction"
-    SHORT_STEP = "step length <= 1e-11"
-    ITER_CAP = "iteration cap"
 
 
 @dataclass(frozen=True)
@@ -195,42 +185,25 @@ def _gradient_row(coeffs: np.ndarray, n_vars: int) -> np.ndarray:
     return row
 
 
+def waveform_cone_program(res: WaveformRestriction) -> ConeProgram:
+    """A waveform restriction as a cone program: per chain its norm and its
+    squared norm (so every cone reads one chain's variables), one inequality
+    row per receiver. It is the interior-point reference of
+    :func:`waveform_step.dual_step`."""
+    m_count, n_rf, width = res.rows.shape
+    groups = [NormGroup(np.arange(i * width, (i + 1) * width), float(res.scales[i]))
+              for i in range(n_rf)]
+    quad = [QuadGroup(g.indices, np.zeros(width)) for g in groups]
+    return ConeProgram(n_vars=n_rf * width, norm_groups=groups, quad_groups=quad,
+                       ineq_lhs=-res.rows.reshape(m_count, -1), ineq_rhs=-res.rhs)
+
+
 def assemble_w_subproblem(scenario: ScenarioConfig, dma: DmaState | None,
                           linearizations: list[LinearizedVoltage],
                           w0: Waveform) -> ConeProgram:
-    """Minimum-consumption restriction at the expansion point ``w0``.
-
-    Variables are the stacked real/imaginary parts of the per-chain tone
-    weights (DMA replication is eliminated by working in the reduced chain
-    variables). The objective is the per-chain sum of norms plus, per chain,
-    the squared norm, whose sum is the input power; so every cone reads one
-    chain's variables. Each receiver contributes one affine row: the
-    linearized output voltage must reach ``sqrt(R_L * Pbar_m)``. Targets carry
-    a 1e-7 relative margin so solver-tolerance slack can never leave the
-    exact non-linear constraint violated.
-    """
-    dev = scenario.device
-    n_rf, n_f = w0.omega.shape
-    n_vars = 2 * n_rf * n_f
-    scales = chain_norm_scales(dma, n_rf, dev.hpa_gain,
-                               dev.hpa_saturation_power, dev.hpa_max_efficiency)
-    groups = [NormGroup(np.arange(2 * i * n_f, 2 * (i + 1) * n_f), float(scales[i]))
-              for i in range(n_rf)]
-    quad = [QuadGroup(g.indices, np.zeros(len(g.indices))) for g in groups]
-    targets = scenario.voltage_targets() * (1.0 + 1e-7)
-    w0_flat = stack_complex(w0.omega)
-    rows = np.zeros((len(linearizations), n_vars))
-    rhs = np.zeros(len(linearizations))
-    for m, lin in enumerate(linearizations):
-        if lin.coeffs.size != n_rf * n_f:
-            raise ValueError("linearization size does not match the waveform")
-        c_mat = np.asarray(lin.coeffs).reshape(n_f, n_rf).T  # chain-major layout
-        grow = _gradient_row(c_mat, n_vars)
-        # target <= base + grad.(w - w0)   ->   -grad.w <= base - grad.w0 - target
-        rows[m] = -grow
-        rhs[m] = lin.base_value - grow @ w0_flat - targets[m]
-    return ConeProgram(n_vars=n_vars, norm_groups=groups, quad_groups=quad,
-                       ineq_lhs=rows, ineq_rhs=rhs)
+    """The waveform restriction at ``w0`` (posed by
+    :func:`waveform_step.waveform_restriction`) as a cone program."""
+    return waveform_cone_program(waveform_restriction(scenario, dma, linearizations, w0))
 
 
 def assemble_q_subproblem(linearizations: list[LinearizedVoltage],

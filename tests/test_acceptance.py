@@ -22,8 +22,8 @@ from wptopt.rectenna import (harvested_voltage, moment2_from_spectrum,
                              moment4_from_spectrum, tone_amplitudes)
 from wptopt.scenario import (Architecture, ArraySpec, FrequencyPlan,
                              ReceiverSpec)
-from wptopt.socp import (SolveStatus, assemble_w_subproblem, solve,
-                         stack_complex)
+from wptopt.socp import SolveStatus, solve
+from wptopt.waveform_step import ExitReason, dual_step, waveform_restriction
 from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 lorentzian_weight)
 from wptopt.oracle import check_gradient_q, check_gradient_w
@@ -208,7 +208,8 @@ def test_criterion_4_solver_correctness():
     worst_gap = max(worst_gap, max(g / (1 + abs(o)) for g, o in
                                    zip(q_trace.duality_gaps, q_trace.objectives)))
 
-    # (b) waveform restriction on 1-D instances vs analytic optimum
+    # (b) waveform restriction on 1-D instances vs analytic optimum, solved
+    # by the production step through its dual
     one_d_err = 0.0
     fd_cfg = single_element_fd()
     ch1 = build_channel(fd_cfg.array, fd_cfg.receivers, fd_cfg.frequency, 0.0)
@@ -217,23 +218,20 @@ def test_criterion_4_solver_correctness():
         w0 = Waveform(np.array([[rng.normal() + 1j * rng.normal()]]))
         lin = linearize_vo_in_w(eff1.chain[0], w0.omega.T, fd_cfg.device.k2,
                                 fd_cfg.device.k4, fd_cfg.device.hpa_gain)
-        prog = assemble_w_subproblem(fd_cfg, None, [lin], w0)
-        # push past the requested accuracy; accept a stalled best iterate as
-        # long as it certifies well below the 1e-8 target
-        sol = solve(prog, tol=1e-10)
-        if sol.status is not SolveStatus.OPTIMAL and sol.kkt_residual > 3e-9:
+        res = waveform_restriction(fd_cfg, None, [lin], w0)
+        step = dual_step(res)
+        if step.exit_reason is not ExitReason.TOLERANCE:
             one_d_err = math.inf
             continue
-        row, r = -prog.ineq_lhs[0], -prog.ineq_rhs[0]
+        row, r = res.rows[0].reshape(-1), res.rhs[0]
         if r <= 0:
             expected = 0.0
         else:
             wstar = r * row / (row @ row)
-            expected = (prog.norm_groups[0].scale * np.linalg.norm(wstar)
-                        + wstar @ wstar)
-        one_d_err = max(one_d_err, abs(sol.objective - expected)
+            expected = res.scales[0] * np.linalg.norm(wstar) + wstar @ wstar
+        one_d_err = max(one_d_err, abs(step.primal - expected)
                         / max(1.0, abs(expected)))
-        worst_gap = max(worst_gap, sol.duality_gap / (1 + abs(sol.objective)))
+        worst_gap = max(worst_gap, step.gap / (1 + abs(step.primal)))
     ok = (ang_err <= 2e-4 and one_d_err <= 1e-8 and worst_gap <= 1e-7
           and stage_rel <= 1e-4)
     _report(4, ok, f"restriction phase err {ang_err:.1e} rad (grid 1e-4), 1-D "

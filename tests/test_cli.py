@@ -14,6 +14,7 @@ from wptopt.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunArtifact, main, run_optimization)
 from wptopt.optimize import OuterRecord
 from wptopt.socp import ConeSolution, ExitReason, SolveStatus
+from wptopt.waveform_step import waveform_restriction
 
 SCENARIO = """
 [array]
@@ -217,13 +218,14 @@ def test_zero_channel_exit_code(tmp_path, capsys):
     assert err.splitlines() == ["infeasible: all receivers see a zero channel"]
 
 
-def test_unbounded_cone_program_exit_code(scenario_file, tmp_path, monkeypatch,
+def test_unbounded_cone_program_exit_code(two_receiver_file, tmp_path, monkeypatch,
                                           capsys):
+    """Two receivers, because only their focusing stage solves a cone program."""
     def unbounded(*args, **kwargs):
         raise FloatingPointError("cone program is unbounded below")
 
     monkeypatch.setattr("wptopt.optimize.solve", unbounded)
-    code = main(["optimize", str(scenario_file), "--out", str(tmp_path)])
+    code = main(["optimize", str(two_receiver_file), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.splitlines() == ["numerical failure: cone program is unbounded below"]
@@ -248,13 +250,21 @@ def test_infeasible_focusing_restriction_exit_code(two_receiver_file, tmp_path,
     assert err.splitlines() == ["numerical failure: focusing restriction reported infeasible"]
 
 
+def _unreachable_rows(*args):
+    """The production restriction with every row zeroed: no weight moves a
+    linearized voltage, so no point meets a positive right-hand side."""
+    res = waveform_restriction(*args)
+    return dataclasses.replace(res, rows=np.zeros_like(res.rows))
+
+
 @pytest.mark.parametrize("arch", [[], ["--arch", "fd"]], ids=["dma", "fd"])
 def test_infeasible_waveform_restriction_exit_code(scenario_file, tmp_path,
                                                    monkeypatch, capsys, arch):
     """A waveform restriction still infeasible at its first step (for DMA,
     after the repair ramp) is a numerical failure: scaling the waveform up
-    meets every linearized row."""
-    monkeypatch.setattr("wptopt.optimize.solve", _infeasible)
+    meets every linearized row. Zeroed rows make the dual step find a real
+    certificate."""
+    monkeypatch.setattr("wptopt.optimize.waveform_restriction", _unreachable_rows)
     code = main(["optimize", str(scenario_file), "--out", str(tmp_path)] + arch)
     err = capsys.readouterr().err
     assert code == EXIT_ERROR

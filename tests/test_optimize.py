@@ -284,15 +284,18 @@ def _initial_state(cfg):
 
 
 def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
-    """Each stage records the exit reason of every cone solve it makes, also
-    of its second solve here, which the stage discards. The focusing stage
-    runs on two receivers, where it solves cone programs."""
+    """Each stage records the exit reason of every restriction step it makes,
+    also of its second step here, which the stage discards. The focusing
+    stage runs on two receivers, where it solves cone programs; the waveform
+    stage steps through the dual."""
     cfg = tiny_dma.with_solver(max_sca_iters=6)
     channel, dma0, w0 = _initial_state(cfg)
     cfg2 = make_scenario("dma", length=0.10, n_f=2,
                          receivers=TWO_RECEIVERS).with_solver(max_sca_iters=6)
     channel2, dma2, w2 = _initial_state(cfg2)
     real_solve = optimize_module.solve
+    real_step = optimize_module.dual_step
+    real_restriction = optimize_module.waveform_restriction
     reasons = []
 
     def solve_spoiling_second(spoiled):
@@ -304,6 +307,11 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
             return sol
         return wrapped
 
+    def recorded_step(restriction):
+        step = real_step(restriction)
+        reasons.append(step.exit_reason)
+        return step
+
     # focusing: a stalled solve whose point leaves the disks is discarded
     monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(
         lambda sol: dataclasses.replace(sol, x=np.full_like(sol.x, 1e3),
@@ -314,18 +322,23 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
     assert len(reasons) == 2 and q_trace.iterations == 1
     assert reasons == [ExitReason.TOLERANCE, ExitReason.ITER_CAP]
 
-    # waveform: an infeasible report after the first step ends the stage
+    # waveform: a certificate of infeasibility after the first step ends the
+    # stage; zeroed rows make the second restriction infeasible
     reasons.clear()
-    monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(
-        lambda sol: dataclasses.replace(sol, status=SolveStatus.INFEASIBLE,
-                                        exit_reason=ExitReason.INFEASIBLE)))
+    def unreachable_after_first(*args):
+        res = real_restriction(*args)
+        return dataclasses.replace(res, rows=np.zeros_like(res.rows)) if reasons else res
+
+    monkeypatch.setattr(optimize_module, "dual_step", recorded_step)
+    monkeypatch.setattr(optimize_module, "waveform_restriction", unreachable_after_first)
     _, w_trace = run_sca_w(cfg, channel, dma0, w0)
     assert w_trace.exit_reasons == reasons
     assert reasons == [ExitReason.TOLERANCE, ExitReason.INFEASIBLE]
     assert w_trace.iterations == 1
 
-    # unmodified solves
+    # unmodified steps
     monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(lambda sol: sol))
+    monkeypatch.setattr(optimize_module, "waveform_restriction", real_restriction)
     for run_stage, stage_args in ((run_sca_q, (cfg2, channel2, w2, dma2)),
                                   (run_sca_w, (cfg, channel, dma0, w0))):
         reasons.clear()
@@ -406,6 +419,22 @@ def test_two_receiver_run_is_bitwise_deterministic():
     assert np.array_equal(dma1.q, dma2.q)
     assert [r.p_c_bound for r in tr1.records] == [r.p_c_bound for r in tr2.records]
     assert [r.q_sca_iters for r in tr1.records] == [r.q_sca_iters for r in tr2.records]
+
+
+def test_three_receiver_fd_run_is_bitwise_deterministic():
+    """The same check on a design whose every step is the dual waveform step
+    with three rows."""
+    cfg = make_scenario("fd", length=0.10, n_f=2,
+                        receivers=TWO_RECEIVERS + ((0.0, -0.2, 2.0),)) \
+        .with_solver(max_sca_iters=30)
+    w1, tr1 = run_sca_fd(cfg)
+    w2, tr2 = run_sca_fd(cfg)
+    assert tr1.records[0].w_sca_iters >= 2
+    assert w1.omega.tobytes() == w2.omega.tobytes()
+    assert tr1.final_p_dc.tobytes() == tr2.final_p_dc.tobytes()
+    fields = ("p_c_bound", "w_sca_iters", "eh_residual", "solver_rel_gap")
+    assert [[getattr(r, f) for f in fields] for r in tr1.records] == \
+        [[getattr(r, f) for f in fields] for r in tr2.records]
 
 
 def test_dma_vs_fd_matched_aperture_reported():
