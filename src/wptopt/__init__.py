@@ -16,6 +16,7 @@ from .power import PowerReport, hpa_bound_objective, input_power, \
 from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
 from .waveform_step import (ExitReason, WaveformRestriction, WaveformStep,
                             dual_step, waveform_restriction)
+from .focusing_step import FocusingStep
 from .socp import (ConeProgram, ConeSolution, SolveStatus,
                    assemble_q_subproblem, assemble_w_subproblem, solve)
 from .optimize import (InfeasibleRestrictionError, InitPlan, OptimizationError,

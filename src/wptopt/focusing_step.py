@@ -1,0 +1,386 @@
+"""The focusing restriction and its solution through the dual on the simplex.
+
+Each focusing step maximizes the minimum linearized output voltage
+``v_m(q) = v_m(q0) + 2 Re{c_m^H (q - q0)}`` over the Lorentzian disks
+``|q_k - j/2| <= 1/2``. With ``q = j/2 + u`` and receiver prices ``lam`` on
+the simplex, the largest value of ``2 Re{d_k^* u_k}`` over a disk is
+``|d_k|`` (its support function), so the dual (Boyd & Vandenberghe, *Convex
+Optimization*, section 5.6) is
+
+    f(lam) = lam . beta + sum_k |d_k|,   d = sum_m lam_m c_m,
+    beta_m = v_m(q0) + 2 Re{c_m^H (j/2 - q0)},
+
+minimized over the simplex. Its primal point is the rim point
+``q_k = j/2 + exp(j arg d_k)/2``, and the gradient of ``f`` is the vector of
+linearized voltages there. ``f`` is positively homogeneous, so
+``f(lam) = lam . grad f(lam)``: the gap ``f(lam) - min_m v_m(q)`` is the
+``lam``-weighted spread of the voltages above their minimum, and it vanishes
+where every priced receiver sees one voltage.
+
+With one receiver the simplex is the point ``lam = [1]`` and the step is
+closed form. Otherwise :func:`focusing_step` minimizes ``f`` by projected
+Newton on the simplex. The Hessian is ``sum_k a_k a_k^T / |d_k|``, where
+``a_k`` is the derivative of ``d_k`` across its own direction; it is
+singular along ``lam`` itself, so the step is taken in the simplex's tangent
+space, and a search on the monotone slope ends it. Where that step fails to
+descend, the step goes toward the vertex of the lowest voltage, whose slope
+is minus the gap.
+
+``f`` is not differentiable where some ``d_k = 0`` (a kink), and a minimizer
+can sit on one; for three receivers that is an isolated point of the
+simplex, which Newton only creeps towards. Once an element's ``d_k`` has
+nearly cancelled, its kink is solved directly: ``d_k(lam) = 0`` and
+``sum lam = 1``, with ``u_k`` inside its disk from the equalization
+``v_m = t`` over the receivers with ``lam_m > 0``. The same certificate
+judges every candidate, so a wrong guess costs only its own evaluation.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .linearize import LinearizedVoltage
+from .transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS
+from .waveform_step import GAP_TOL, ExitReason
+
+_GAP_STOP = 1e-14   # the Newton loop stops once the gap is this small
+_FLAT = 1e-12       # Hessian eigenvalues below this fraction of the largest are flat
+_KINK = 1e-2        # |d_k| / sum_m lam_m |c_mk| below which the kink at d_k = 0 is tried
+_MAX_NEWTON = 50
+_MAX_SEARCH = 60
+_MAX_KINK = 20
+
+
+@dataclass(frozen=True)
+class FocusingStep:
+    """A solved focusing restriction.
+
+    ``q`` holds the element weights (flat), ``multipliers`` the receiver
+    prices ``lam`` on the simplex, ``primal`` the minimum linearized voltage
+    at ``q`` and ``dual`` the dual function at ``lam``, an upper bound on
+    it. ``kkt_residual`` is the largest voltage above the minimum among the
+    priced receivers, relative to ``1 + |primal|``."""
+
+    q: np.ndarray
+    multipliers: np.ndarray
+    primal: float
+    dual: float
+    kkt_residual: float
+    iterations: int
+    exit_reason: ExitReason
+
+    @property
+    def gap(self) -> float:
+        return self.dual - self.primal
+
+
+def _certified(primal: float, dual: float) -> bool:
+    return dual - primal <= GAP_TOL * (1.0 + abs(primal))
+
+
+def _single(lin: LinearizedVoltage) -> FocusingStep:
+    """One receiver: maximize ``v0 + 2*Re{c^H (q - q0)}`` over the disks.
+    Each term is largest on its disk's rim in the direction of its
+    coefficient, ``q_k = j/2 + c_k/(2|c_k|)``; an element with ``c_k = 0``
+    keeps its expansion weight."""
+    c, q0 = lin.coeffs, lin.expansion_point
+    live = c != 0
+    q = q0.copy()
+    # exp(j*arg c) is a unit phasor also where c/|c| would round off it
+    q[live] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.angle(c[live]))
+    bound = float(lin.base_value + 2.0 * (np.real(np.vdot(c, LORENTZIAN_CENTER - q0))
+                                          + LORENTZIAN_RADIUS * float(np.sum(np.abs(c)))))
+    primal = lin.predict(q)
+    reason = ExitReason.TOLERANCE if _certified(primal, bound) else ExitReason.SHORT_STEP
+    return FocusingStep(q, np.ones(1), primal, bound, 0.0, 0, reason)
+
+
+@dataclass(frozen=True)
+class _Point:
+    """``f`` and its gradient at one price vector."""
+
+    lam: np.ndarray
+    dr: np.ndarray       # Re d, over the live elements
+    di: np.ndarray       # Im d
+    mag: np.ndarray      # |d|
+    value: float
+    grad: np.ndarray     # the voltages at the rim point
+
+
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis [n, n - rank] of ``{x : rows @ x = 0}``."""
+    _, sv, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(sv > _FLAT * sv[0])):].T
+
+
+@dataclass(frozen=True)
+class _Face:
+    """``f`` on the manifold of one kink, ``d_k = 0`` (or on the whole
+    simplex, ``k = None``): the gradient of its smooth part, the rows of the
+    equalities that hold there, and the voltages ``v`` of its primal point
+    with their common level ``t`` and the kink element's ``u_k``."""
+
+    k: int | None
+    grad: np.ndarray
+    rows: np.ndarray
+    v: np.ndarray
+    t: float
+    u: complex = 0j
+
+    def settled(self, pt: _Point) -> bool:
+        """``f - min_m v_m`` below ``_GAP_STOP``: the gap of the face's
+        primal point, up to rounding."""
+        return pt.value - float(self.v.min()) <= _GAP_STOP * (1.0 + abs(pt.value))
+
+
+class _Dual:
+    """The dual of one restriction. Elements whose coefficient is zero for
+    every receiver do not enter it and keep their expansion weight."""
+
+    def __init__(self, lins: list[LinearizedVoltage]):
+        self.lins = lins
+        self.q0 = np.asarray(lins[0].expansion_point)
+        coeffs = np.array([np.asarray(lin.coeffs).reshape(-1) for lin in lins])
+        self.live = np.any(coeffs != 0, axis=0)
+        coeffs = coeffs[:, self.live]
+        self.cr, self.ci = coeffs.real.copy(), coeffs.imag.copy()
+        self.size = np.abs(coeffs)
+        self.beta = np.array([
+            lin.base_value + 2.0 * np.real(np.vdot(lin.coeffs,
+                                                   LORENTZIAN_CENTER - lin.expansion_point))
+            for lin in lins])
+
+    def at(self, lam: np.ndarray) -> _Point:
+        dr, di = lam @ self.cr, lam @ self.ci
+        mag = np.hypot(dr, di)
+        inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0)
+        grad = self.beta + self.cr @ (dr * inv) + self.ci @ (di * inv)
+        return _Point(lam, dr, di, mag, float(lam @ self.beta + mag.sum()), grad)
+
+    def rounding(self, pt: _Point) -> float:
+        """A bound on the rounding error of ``f(lam)``."""
+        return 4.0 * np.finfo(float).eps * (float(np.abs(pt.lam) @ np.abs(self.beta))
+                                            + float(pt.mag.sum()))
+
+    def across(self, pt: _Point, k: int | None = None) -> np.ndarray:
+        """Columns ``a_k / sqrt|d_k|`` [M, K], so that the Hessian of ``f``
+        is ``across @ across.T``; zero where ``d_k = 0`` and, if given, for
+        the kink element ``k``."""
+        inv = np.divide(1.0, pt.mag, out=np.zeros_like(pt.mag), where=pt.mag > 0)
+        if k is not None:
+            inv[k] = 0.0
+        return (self.ci * pt.dr - self.cr * pt.di) * inv ** 1.5
+
+    def grad(self, pt: _Point, k: int | None = None) -> np.ndarray:
+        """The gradient of ``f``, or of its smooth part without element ``k``."""
+        if k is None or pt.mag[k] == 0:
+            return pt.grad
+        return pt.grad - (self.cr[:, k] * pt.dr[k] + self.ci[:, k] * pt.di[k]) / pt.mag[k]
+
+    def face(self, pt: _Point, k: int | None = None) -> _Face:
+        """Without a kink, the rim point's voltages ``grad`` at the level
+        ``f = lam . grad``. At the kink of ``k``, ``u_k`` and ``t`` solve
+        the equalization ``v_m = t`` over the priced receivers (least
+        squares), and ``u_k`` is then projected onto its disk."""
+        ones = np.ones((1, len(pt.lam)))
+        if k is None:
+            return _Face(None, pt.grad, ones, pt.grad, pt.value)
+        ck = np.stack([self.cr[:, k], self.ci[:, k]])
+        rest = self.grad(pt, k)
+        priced = pt.lam > 0
+        eq = np.column_stack([2.0 * ck.T, -np.ones(len(pt.lam))])[priced]
+        ur, ui, t = np.linalg.lstsq(eq, -rest[priced], rcond=None)[0]
+        u = complex(ur, ui)
+        if abs(u) > LORENTZIAN_RADIUS:
+            u *= LORENTZIAN_RADIUS / abs(u)
+        v = rest + 2.0 * (ck.T @ np.array([u.real, u.imag]))
+        return _Face(k, rest, np.vstack([ones, ck]), v, float(t), u)
+
+    def kink_candidate(self, pt: _Point) -> int | None:
+        """The element whose ``d_k`` has cancelled most, if below ``_KINK``."""
+        scale = pt.lam @ self.size
+        ratio = np.divide(pt.mag, scale, out=np.full_like(scale, np.inf), where=scale > 0)
+        k = int(np.argmin(ratio))
+        return k if ratio[k] < _KINK else None
+
+    def primal_point(self, pt: _Point, face: _Face | None = None) -> np.ndarray:
+        """The rim point of ``pt``; at a kink its element sits at
+        ``j/2 + u_k``, and an element with ``d_k = 0`` otherwise keeps its
+        expansion weight."""
+        q_live = self.q0[self.live].copy()
+        on = pt.mag > 0
+        # exp(j*arg d) is a unit phasor also where d/|d| would round off it
+        q_live[on] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(
+            1j * np.arctan2(pt.di[on], pt.dr[on]))
+        if face is not None and face.k is not None:
+            q_live[face.k] = LORENTZIAN_CENTER + face.u
+        q = self.q0.copy()
+        q[self.live] = q_live
+        return q
+
+    def voltages(self, q: np.ndarray) -> np.ndarray:
+        return np.array([lin.predict(q) for lin in self.lins])
+
+
+def _direction(dual: _Dual, pt: _Point, face: _Face) -> np.ndarray | None:
+    """Newton direction on the face's manifold over the free prices; a zero
+    price is freed while its voltage is below the level ``t``. Where the
+    Hessian is flat the step descends the gradient instead. If that fails to
+    descend, the direction points to the vertex of the lowest voltage, or,
+    on a kink's manifold, there is none."""
+    lam, grad = pt.lam, face.grad
+    across = dual.across(pt, face.k)
+    hess = across @ across.T
+    free = (lam > 0) | (face.v < face.t)
+    for _ in range(len(lam)):
+        idx = np.flatnonzero(free)
+        p = np.zeros_like(lam)
+        basis = _null_space(face.rows[:, idx])
+        if basis.shape[1]:
+            vals, vecs = np.linalg.eigh(basis.T @ hess[np.ix_(idx, idx)] @ basis)
+            comp = vecs.T @ (basis.T @ grad[idx])
+            curved = vals > _FLAT * max(vals[-1], 0.0)
+            step = -vecs[:, curved] @ (comp[curved] / vals[curved])
+            flat = -vecs[:, ~curved] @ comp[~curved]
+            size = np.linalg.norm(flat)
+            if size > 0:
+                flat *= max(np.linalg.norm(lam[idx]), np.linalg.norm(step), size) / size
+            p[idx] = basis @ (step + flat)
+        blocked = (lam == 0) & (p < 0)
+        if not blocked.any():
+            break
+        free &= ~blocked
+    if grad @ p < 0 and np.all(p[lam == 0] >= 0):
+        return p
+    if face.k is not None:
+        return None
+    p = -lam
+    p[int(np.argmin(grad))] += 1.0
+    return p
+
+
+def _search(dual: _Dual, pt: _Point, p: np.ndarray, k: int | None) -> _Point:
+    """Along ``lam + s p`` up to the simplex's boundary. The slope of ``f``
+    (of its smooth part on a kink's manifold) is nondecreasing in ``s``, so
+    while it is still negative the step lowers ``f`` whatever the rounding
+    of its value. Stop where the slope is at most a tenth of its start in
+    size (past the minimizer only if ``f`` did not rise beyond its
+    rounding), or at the boundary while still negative. Trial steps are
+    Newton steps on the slope, bisection when those leave the bracket."""
+    neg = p < 0
+    ratios = np.full_like(p, np.inf)
+    ratios[neg] = -pt.lam[neg] / p[neg]
+    bound = float(np.min(ratios, initial=np.inf))
+    slope0 = float(dual.grad(pt, k) @ p)
+    lo, hi = 0.0, np.inf
+    s = min(1.0, bound)
+    best = pt
+    for _ in range(_MAX_SEARCH):
+        lam = np.maximum(pt.lam + s * p, 0.0)
+        if s == bound:
+            lam[ratios == bound] = 0.0
+        trial = dual.at(lam / lam.sum())
+        slope = float(dual.grad(trial, k) @ p)
+        if slope <= 0.0:
+            if slope >= 0.1 * slope0 or s == bound:
+                return trial
+            lo, best = s, trial
+        elif slope <= -0.1 * slope0 and trial.value <= pt.value + dual.rounding(pt):
+            return trial
+        else:
+            hi = s
+        curv = float(np.sum((dual.across(trial, k).T @ p) ** 2))
+        nxt = s - slope / curv if curv > 0 else np.inf
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * s
+        nxt = min(nxt, bound)
+        if nxt == s:
+            break
+        s = nxt
+    return best
+
+
+def _kink(dual: _Dual, pt: _Point, k: int) -> tuple[_Point, _Face, int] | None:
+    """Minimize ``f`` on the manifold ``d_k = 0`` of the simplex, where it
+    is smooth (Overton, *Math. Program.* 27, 1983, for sums of norms): the
+    prices are first moved onto it by the least change, then Newton steps
+    follow it. For three priced receivers the manifold is one point.
+    Returns the point, its face and the iterations taken, or ``None`` when
+    the priced receivers cannot cancel ``d_k``."""
+    idx = np.flatnonzero(pt.lam > 0)
+    rows = np.stack([np.ones(len(idx)), dual.cr[idx, k], dual.ci[idx, k]])
+    target = np.array([1.0, 0.0, 0.0])
+    lam = pt.lam.copy()
+    lam[idx] += np.linalg.lstsq(rows, target - rows @ lam[idx], rcond=None)[0]
+    if lam.min() < 0.0:
+        return None
+    cur = dual.at(lam / lam.sum())
+    if cur.mag[k] > 1e-12 * float(cur.lam @ dual.size[:, k]):
+        return None
+    iterations = 0
+    face = dual.face(cur, k)
+    while iterations < _MAX_KINK and not face.settled(cur):
+        p = _direction(dual, cur, face)
+        if p is None:
+            break
+        nxt = _search(dual, cur, p, k)
+        iterations += 1
+        moved = np.max(np.abs(nxt.lam - cur.lam))
+        cur, face = nxt, dual.face(nxt, k)
+        if moved <= 4.0 * np.finfo(float).eps:
+            break
+    return cur, face, iterations
+
+
+def focusing_step(lins: list[LinearizedVoltage],
+                  start: np.ndarray | None = None) -> FocusingStep:
+    """Solve a focusing restriction through its dual (module docstring).
+
+    ``lins`` are the receivers' linearizations at one expansion point;
+    ``start`` optionally warm-starts the prices (the previous step's)."""
+    if len(lins) == 1:
+        return _single(lins[0])
+    dual = _Dual(lins)
+    m_count = len(lins)
+    lam = np.full(m_count, 1.0 / m_count) if start is None else np.asarray(start, float)
+    pt = dual.at(lam / lam.sum())
+    face = dual.face(pt)
+    tried = set()
+    iterations = 0
+    reason = ExitReason.ITER_CAP
+    while True:
+        if face.settled(pt):
+            reason = ExitReason.TOLERANCE
+            break
+        k = dual.kink_candidate(pt)
+        priced = tuple(pt.lam > 0)
+        if k is not None and (k, priced) not in tried:
+            tried.add((k, priced))   # the manifold's minimizer does not depend on the start
+            at_kink = _kink(dual, pt, k)
+            if at_kink is not None:
+                iterations += at_kink[2]
+                v = dual.voltages(dual.primal_point(at_kink[0], at_kink[1]))
+                if _certified(float(v.min()), at_kink[0].value):
+                    pt, face = at_kink[:2]
+                    reason = ExitReason.TOLERANCE
+                    break
+        if iterations >= _MAX_NEWTON:
+            break
+        nxt = _search(dual, pt, _direction(dual, pt, face), None)
+        iterations += 1
+        moved = np.max(np.abs(nxt.lam - pt.lam))
+        pt, face = nxt, dual.face(nxt)
+        if moved <= 4.0 * np.finfo(float).eps:
+            reason = ExitReason.SHORT_STEP   # the prices are as good as they get
+            break
+    q = dual.primal_point(pt, face)
+    v = dual.voltages(q)
+    primal = float(v.min())
+    if _certified(primal, pt.value):
+        reason = ExitReason.TOLERANCE
+    elif reason is ExitReason.TOLERANCE:
+        reason = ExitReason.SHORT_STEP
+    kkt = float(np.max(v[pt.lam > 0]) - primal) / (1.0 + abs(primal))
+    return FocusingStep(q, pt.lam, primal, pt.value, kkt, iterations, reason)

@@ -9,13 +9,14 @@ configured relative tolerance. Because every linearization is a global
 underestimator of the true output voltage, each accepted waveform iterate
 satisfies the exact non-linear harvesting constraints.
 
-Every waveform restriction is solved through its M-dimensional dual by
-:func:`waveform_step.dual_step`, which certifies its point with a
-primal-dual gap. With one receiver the focusing restriction maximizes a
-linear function over a product of disks, so :func:`focusing_step_single`
-solves it in closed form (Boyd & Vandenberghe, *Convex Optimization*,
-ch. 5); only the focusing restriction of two or more receivers is a cone
-program, solved by the interior-point method of :mod:`wptopt.socp`.
+Both restrictions are solved through their small duals, and each step
+certifies its point with a primal-dual gap (Boyd & Vandenberghe, *Convex
+Optimization*, ch. 5): every waveform restriction through its
+M-dimensional dual by :func:`waveform_step.dual_step`, and every focusing
+restriction through its dual on the simplex of receiver prices by
+:func:`focusing_step.focusing_step`, which is closed form for one receiver.
+No design calls the interior-point method of :mod:`wptopt.socp`; it remains
+the reference the tests check both steps against.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelTensor, build_channel
-from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
+from .focusing_step import focusing_step
+from .linearize import linearize_vo_in_q, linearize_vo_in_w
 from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
-from .socp import SolveStatus, assemble_q_subproblem, solve, unstack_complex
-from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
-                          EffectiveChannel, Waveform, effective_rows)
+from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
 from .waveform_step import ExitReason, dual_step, waveform_restriction
 
 _AMP_CAP = 1e6
@@ -52,9 +52,10 @@ class TargetMissedError(OptimizationError):
 
 
 class InfeasibleRestrictionError(OptimizationError):
-    """A convex restriction was reported infeasible although it holds a point:
-    the focusing restriction contains its expansion point, and scaling the
-    waveform up meets every linearized harvesting row. A numerical failure."""
+    """The waveform restriction was reported infeasible at the first step of
+    its stage although scaling the waveform up meets every linearized
+    harvesting row. A numerical failure. (The focusing restriction cannot
+    raise it: its disks always hold the expansion point.)"""
 
 
 # ---------------------------------------------------------------------------
@@ -321,72 +322,36 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
     return w, trace
 
 
-@dataclass(frozen=True)
-class FocusingStep:
-    """Solution of the one-receiver focusing restriction."""
-
-    q: np.ndarray        # element weights, flat
-    objective: float     # linearized voltage at ``q``: the restriction's maximum
-    dual_bound: float    # support function of the disks: an upper bound on it
-
-
-def focusing_step_single(lin: LinearizedVoltage) -> FocusingStep:
-    """Maximize ``v0 + 2*Re{c^H (q - q0)}`` over the Lorentzian disks.
-
-    The objective separates over elements, and each term is largest on the
-    disk's rim in the direction of its coefficient:
-    ``q_k = j/2 + c_k/(2|c_k|)``. The restriction does not depend on an
-    element with ``c_k = 0``, which keeps its expansion weight.
-    """
-    c, q0 = lin.coeffs, lin.expansion_point
-    live = c != 0
-    q = q0.copy()
-    # exp(j*arg c) is a unit phasor also where c/|c| would round off it
-    q[live] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.angle(c[live]))
-    bound = lin.base_value + 2.0 * (np.real(np.vdot(c, LORENTZIAN_CENTER - q0))
-                                    + LORENTZIAN_RADIUS * float(np.sum(np.abs(c))))
-    return FocusingStep(q=q, objective=lin.predict(q), dual_bound=float(bound))
-
-
 def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
               waveform: Waveform, q_init: DmaState) -> tuple[DmaState, StageTrace]:
     """Iterate the beam-focusing restriction; the minimum exact output voltage
-    over receivers never decreases across iterations. One receiver takes the
-    closed-form step; two or more solve the max-min cone program."""
+    over receivers never decreases across iterations. Each step solves the
+    max-min restriction through its dual, warm-started from the previous
+    step's receiver prices. The disks hold the expansion point, so a step
+    whose minimum linearized voltage falls below the expansion point's is
+    rejected and ends the stage."""
     dev = scenario.device
     settings = scenario.solver
     eff = effective_rows(channel, scenario.array, q_init, waveform)
     trace = StageTrace()
     dma = q_init
     xi_prev = math.inf
-    n_el = scenario.array.n_elements
+    prices = None
     for _ in range(settings.max_sca_iters):
         q0 = dma.q_flat()
         lins = [linearize_vo_in_q(eff.a_hat[m], q0, dev.k2, dev.k4, dev.hpa_gain)
                 for m in range(scenario.n_receivers)]
-        if len(lins) == 1:
-            step = focusing_step_single(lins[0])
-            trace.exit_reasons.append(ExitReason.TOLERANCE)
-            q, xi = step.q, step.objective
-            iterations, kkt, gap = 0, 0.0, abs(step.dual_bound - step.objective)
-        else:
-            prog = assemble_q_subproblem(lins, q0)
-            sol = solve(prog, settings.cone_solver_kkt_tol)
-            trace.exit_reasons.append(sol.exit_reason)
-            if sol.status is SolveStatus.INFEASIBLE:
-                # the restriction always contains its expansion point q0
-                raise InfeasibleRestrictionError(
-                    "focusing restriction reported infeasible")
-            if sol.status is SolveStatus.ITER_LIMIT and prog.max_violation(sol.x) > 1e-7:
-                break
-            q = unstack_complex(sol.x[:2 * n_el])
-            xi = -sol.objective  # program minimizes -R
-            iterations, kkt, gap = sol.iterations, sol.kkt_residual, sol.duality_gap
-        dma = dma.with_weights(q)
+        step = focusing_step(lins, prices)
+        trace.exit_reasons.append(step.exit_reason)
+        if step.primal < min(lin.base_value for lin in lins):
+            break
+        dma = dma.with_weights(step.q)
+        prices = step.multipliers
+        xi = step.primal
         trace.objectives.append(xi)
-        trace.solver_iterations.append(iterations)
-        trace.kkt_residuals.append(kkt)
-        trace.duality_gaps.append(gap)
+        trace.solver_iterations.append(step.iterations)
+        trace.kkt_residuals.append(step.kkt_residual)
+        trace.duality_gaps.append(step.gap)
         if _relative_move(xi, xi_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break

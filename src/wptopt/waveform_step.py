@@ -56,7 +56,8 @@ _MAX_SEARCH = 60
 
 class ExitReason(enum.Enum):
     """Why a restriction solve stopped. The dual waveform step exits on
-    ``TOLERANCE``, ``INFEASIBLE``, ``SHORT_STEP`` or ``ITER_CAP``; the
+    ``TOLERANCE``, ``INFEASIBLE``, ``SHORT_STEP`` or ``ITER_CAP``, the
+    focusing step on ``TOLERANCE``, ``SHORT_STEP`` or ``ITER_CAP``; the
     interior-point method of :mod:`wptopt.socp` uses every member."""
 
     TOLERANCE = "tolerance met"

@@ -12,8 +12,8 @@ import pytest
 from wptopt import cli as cli_module
 from wptopt.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunArtifact, main, run_optimization)
+from wptopt import optimize as optimize_module
 from wptopt.optimize import OuterRecord
-from wptopt.socp import ConeSolution, ExitReason, SolveStatus
 from wptopt.waveform_step import waveform_restriction
 
 SCENARIO = """
@@ -47,7 +47,7 @@ def scenario_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def two_receiver_file(tmp_path_factory):
-    """Two receivers: the focusing stage solves its cone program by the IPM."""
+    """Two receivers: the focusing stage searches the simplex of their prices."""
     path = tmp_path_factory.mktemp("cli") / "two_receivers.cfg"
     path.write_text(SCENARIO.replace("[solver]", """[receiver.2]
 x = 0.2
@@ -220,34 +220,38 @@ def test_zero_channel_exit_code(tmp_path, capsys):
 
 def test_unbounded_cone_program_exit_code(two_receiver_file, tmp_path, monkeypatch,
                                           capsys):
-    """Two receivers, because only their focusing stage solves a cone program."""
-    def unbounded(*args, **kwargs):
-        raise FloatingPointError("cone program is unbounded below")
+    """A floating-point failure inside a focusing step exits 1 with one
+    line. Every focusing step runs through its dual, so the failure is
+    raised there; the cone program no longer runs in a design."""
+    def diverged(*args, **kwargs):
+        raise FloatingPointError("focusing step diverged")
 
-    monkeypatch.setattr("wptopt.optimize.solve", unbounded)
+    monkeypatch.setattr("wptopt.optimize.focusing_step", diverged)
     code = main(["optimize", str(two_receiver_file), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
-    assert err.splitlines() == ["numerical failure: cone program is unbounded below"]
-
-
-def _infeasible(prog, *args, **kwargs):
-    return ConeSolution(x=np.full(prog.n_vars, np.nan), objective=np.nan,
-                        kkt_residual=np.inf, duality_gap=np.inf,
-                        status=SolveStatus.INFEASIBLE, iterations=3,
-                        exit_reason=ExitReason.INFEASIBLE)
+    assert err.splitlines() == ["numerical failure: focusing step diverged"]
 
 
 def test_infeasible_focusing_restriction_exit_code(two_receiver_file, tmp_path,
                                                    monkeypatch, capsys):
-    """The focusing restriction contains its own expansion point, so an
-    infeasible report there is a numerical failure, not an iteration limit.
-    Two receivers, because one receiver takes the closed-form step."""
-    monkeypatch.setattr("wptopt.optimize.solve", _infeasible)
+    """The focusing restriction contains its own expansion point, so it is
+    never infeasible and the stage has no such failure to report. A step
+    whose value falls below the expansion point's is rejected instead: here
+    every step is, with its weights far outside the disks, and the run
+    finishes on the initial element weights with exit 0."""
+    real_step = optimize_module.focusing_step
+
+    def below_expansion_point(lins, start=None):
+        step = real_step(lins, start)
+        return dataclasses.replace(step, q=np.full_like(step.q, 1e3), primal=-np.inf)
+
+    monkeypatch.setattr("wptopt.optimize.focusing_step", below_expansion_point)
     code = main(["optimize", str(two_receiver_file), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == EXIT_ERROR
-    assert err.splitlines() == ["numerical failure: focusing restriction reported infeasible"]
+    assert code == EXIT_OK, capsys.readouterr().err
+    art = RunArtifact.load(next(tmp_path.glob("*/artifact.json")))
+    assert np.all(np.abs(art.dma_q - 0.5j) <= 0.5)
+    assert all(row["q_sca_iters"] == 0 for row in art.trace_rows)
 
 
 def _unreachable_rows(*args):

@@ -1,0 +1,161 @@
+"""The focusing step against the interior-point reference, the old M = 1
+closed form and its own certificate, on random restrictions of two to four
+receivers and on a family whose minimizer sits at a kink of the dual."""
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from wptopt.focusing_step import GAP_TOL, ExitReason, focusing_step
+from wptopt.linearize import LinearizedVoltage, linearize_vo_in_q
+from wptopt.scenario import DeviceParams
+from wptopt.socp import SolveStatus, assemble_q_subproblem, solve
+from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS
+
+# The interior-point method stops at a KKT merit of 1e-9; its objective then
+# lies within 1e-8 (1 + |v|) of the optimum on these programs.
+IPM_OBJECTIVE_TOL = 1e-8
+
+
+def disk_points(rng, n):
+    radius = LORENTZIAN_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, n))
+    return LORENTZIAN_CENTER + radius * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+
+
+def receiver_linearizations(rng, m_count, n_el, n_f, q0):
+    """Each receiver's tangent model at ``q0`` from random effective rows,
+    scaled so that its voltage there lies in 1 mV - 1 V; the same whole
+    columns are zero for every receiver, so those elements are dead."""
+    dev = DeviceParams()
+    dead = rng.random(n_el) < 0.2
+    lins = []
+    for _ in range(m_count):
+        spread = 10.0 ** rng.uniform(-2.0, 0.0, (n_f, n_el))
+        a_hat = spread * (rng.normal(size=(n_f, n_el)) + 1j * rng.normal(size=(n_f, n_el)))
+        a_hat[:, dead] = 0.0
+        lin = linearize_vo_in_q(a_hat, q0, dev.k2, dev.k4, dev.hpa_gain)
+        if lin.base_value > 0.0:
+            scale = 10.0 ** rng.uniform(-3.0, 0.0) / lin.base_value
+            lin = LinearizedVoltage(lin.base_value * scale, lin.coeffs * scale, q0)
+        lins.append(lin)
+    return lins
+
+
+def kink_linearizations(rng, m_count, n_el):
+    """Linearizations whose dual minimizer is a chosen ``lam`` inside the
+    simplex with ``d_k(lam) = 0`` for one element: its coefficient for the
+    last receiver cancels the others there. The voltages are then set so
+    that a chosen ``u_k`` strictly inside the disk equalizes every receiver,
+    so ``lam`` with that point meets the optimality conditions."""
+    coeffs = 10.0 ** rng.uniform(-2.0, 0.0, (m_count, n_el)) \
+        * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (m_count, n_el)))
+    lam = rng.uniform(0.2, 1.0, m_count)
+    lam /= lam.sum()
+    k = int(rng.integers(n_el))
+    coeffs[-1, k] = -(lam[:-1] @ coeffs[:-1, k]) / lam[-1]
+    d = lam @ coeffs
+    u = 0.8 * LORENTZIAN_RADIUS * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    rim = np.where(np.arange(n_el) == k, 0.0, LORENTZIAN_RADIUS * d / np.where(d == 0, 1.0, np.abs(d)))
+    rim[k] = u
+    rest = 2.0 * np.real(np.conj(coeffs) @ rim)
+    level = 10.0 ** rng.uniform(-2.0, 0.0)
+    q0 = disk_points(rng, n_el)
+    # beta_m = level - rest_m, and beta_m = v_m(q0) + 2 Re{c_m^H (j/2 - q0)}
+    bases = level - rest - 2.0 * np.real(np.conj(coeffs) @ (LORENTZIAN_CENTER - q0))
+    return [LinearizedVoltage(float(b), c, q0) for b, c in zip(bases, coeffs)], level
+
+
+@st.composite
+def restrictions(draw):
+    """Two to four receivers. Half the draws come from random effective rows
+    (1-60 elements, 1-4 tones), half from the kink family."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m_count = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        n_el = draw(st.integers(2, 40))
+        lins, level = kink_linearizations(rng, m_count, n_el)
+        return lins, level
+    n_el = draw(st.integers(1, 60))
+    q0 = disk_points(rng, n_el)
+    return receiver_linearizations(rng, m_count, n_el, draw(st.integers(1, 4)), q0), None
+
+
+def ipm_focusing(lins):
+    """The restriction solved by the interior-point method: its status and
+    the maximum of the minimum linearized voltage."""
+    sol = solve(assemble_q_subproblem(lins, lins[0].expansion_point), tol=1e-9)
+    return sol.status, -sol.objective
+
+
+def assert_in_disks(q):
+    assert np.all(np.abs(q - LORENTZIAN_CENTER) <= LORENTZIAN_RADIUS * (1.0 + 1e-15))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(restrictions())
+def test_focusing_step_matches_ipm(case):
+    lins, kink_level = case
+    step = focusing_step(lins)
+    event(f"M = {len(lins)}, {'kink' if kink_level is not None else 'rows'}, "
+          f"{step.exit_reason.name}")
+    assert step.exit_reason is ExitReason.TOLERANCE
+    assert step.gap <= GAP_TOL * (1.0 + abs(step.primal))
+    assert step.multipliers.min() >= 0.0 and step.multipliers.sum() == pytest.approx(1.0)
+    assert_in_disks(step.q)
+    voltages = [lin.predict(step.q) for lin in lins]
+    assert step.primal == min(voltages)
+    q0 = lins[0].expansion_point
+    dead = np.all([np.asarray(lin.coeffs) == 0 for lin in lins], axis=0)
+    assert np.array_equal(step.q[dead], q0[dead])
+    # Where the minimizer sits at a kink the interior-point method often
+    # loses the interior short of its tolerance (up to 2e-7 below the
+    # optimum on such draws); it then only bounds the step's value below.
+    status, v_ipm = ipm_focusing(lins)
+    assert step.primal >= v_ipm - IPM_OBJECTIVE_TOL * (1.0 + abs(v_ipm))
+    if status is SolveStatus.OPTIMAL:
+        assert step.primal == pytest.approx(v_ipm, rel=IPM_OBJECTIVE_TOL,
+                                            abs=IPM_OBJECTIVE_TOL)
+    if kink_level is not None:
+        assert step.primal == pytest.approx(kink_level, rel=1e-12)
+
+
+def old_closed_form(lin):
+    """The one-receiver focusing step as it was solved before the dual step:
+    weights, linearized voltage there and the support-function bound."""
+    c, q0 = lin.coeffs, lin.expansion_point
+    live = c != 0
+    q = q0.copy()
+    q[live] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.angle(c[live]))
+    bound = lin.base_value + 2.0 * (np.real(np.vdot(c, LORENTZIAN_CENTER - q0))
+                                    + LORENTZIAN_RADIUS * float(np.sum(np.abs(c))))
+    return q, lin.predict(q), float(bound)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 731), st.integers(1, 4))
+def test_single_receiver_is_the_old_closed_form(seed, n_el, n_f):
+    rng = np.random.default_rng(seed)
+    q0 = disk_points(rng, n_el)
+    lin, = receiver_linearizations(rng, 1, n_el, n_f, q0)
+    q, objective, bound = old_closed_form(lin)
+    step = focusing_step([lin], start=np.array([0.3]))
+    assert step.q.tobytes() == q.tobytes()
+    assert (step.primal, step.dual) == (objective, bound)
+    assert step.multipliers.tolist() == [1.0] and step.iterations == 0
+    assert step.exit_reason is ExitReason.TOLERANCE and step.kkt_residual == 0.0
+
+
+def test_warm_start_reaches_the_same_optimum():
+    """Started from the optimal prices, the step takes no Newton step; from
+    a vertex it reaches the same certified value."""
+    rng = np.random.default_rng(14)
+    q0 = disk_points(rng, 24)
+    lins = receiver_linearizations(rng, 3, 24, 8, q0)
+    cold = focusing_step(lins)
+    warm = focusing_step(lins, start=cold.multipliers)
+    vertex = focusing_step(lins, start=np.array([0.0, 0.0, 1.0]))
+    assert warm.iterations == 0
+    for step in (warm, vertex):
+        assert step.exit_reason is ExitReason.TOLERANCE
+        assert step.primal == pytest.approx(cold.primal, rel=1e-12)

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wptopt import optimize as optimize_module
+from wptopt import socp
 from wptopt.channel import ChannelTensor, build_channel
 from wptopt.cli import write_csv
 from wptopt.optimize import (OuterRecord, UnmeetableRequirementError, _ramp,
@@ -17,9 +19,9 @@ from wptopt.oracle import closed_form_single
 from wptopt.power import sampled_consumption
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import Architecture, load_scenario
-from wptopt.socp import ExitReason, SolveStatus
 from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 lorentzian_weight)
+from wptopt.waveform_step import ExitReason
 
 from conftest import make_scenario, single_element_fd
 
@@ -274,6 +276,12 @@ def test_run_sca_q_improves_min_voltage(tiny_dma, rng):
 
 
 TWO_RECEIVERS = ((0.2, 0.0, 1.4), (-0.3, 0.1, 1.8))
+# The benchmark's multiuser geometry: three receivers drawn from generator
+# seed 2. With 8 tones at L = 0.1 m, one focusing restriction of its DMA
+# design has its minimizer at a kink of the dual.
+_draw = np.random.default_rng(2)
+THREE_RECEIVERS = tuple(map(tuple, np.column_stack([
+    _draw.uniform(-0.8, 0.8, 3), _draw.uniform(-0.8, 0.8, 3), _draw.uniform(1.5, 3.0, 3)])))
 
 
 def _initial_state(cfg):
@@ -286,25 +294,25 @@ def _initial_state(cfg):
 def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
     """Each stage records the exit reason of every restriction step it makes,
     also of its second step here, which the stage discards. The focusing
-    stage runs on two receivers, where it solves cone programs; the waveform
-    stage steps through the dual."""
+    stage runs on two receivers, where its step searches the simplex of
+    their prices; the waveform stage steps through the dual."""
     cfg = tiny_dma.with_solver(max_sca_iters=6)
     channel, dma0, w0 = _initial_state(cfg)
     cfg2 = make_scenario("dma", length=0.10, n_f=2,
                          receivers=TWO_RECEIVERS).with_solver(max_sca_iters=6)
     channel2, dma2, w2 = _initial_state(cfg2)
-    real_solve = optimize_module.solve
+    real_focusing = optimize_module.focusing_step
     real_step = optimize_module.dual_step
     real_restriction = optimize_module.waveform_restriction
     reasons = []
 
-    def solve_spoiling_second(spoiled):
-        def wrapped(prog, settings):
-            sol = real_solve(prog, settings)
+    def focusing_spoiling_second(spoiled):
+        def wrapped(lins, start=None):
+            step = real_focusing(lins, start)
             if len(reasons) == 1:
-                sol = spoiled(sol)
-            reasons.append(sol.exit_reason)
-            return sol
+                step = spoiled(step)
+            reasons.append(step.exit_reason)
+            return step
         return wrapped
 
     def recorded_step(restriction):
@@ -312,15 +320,17 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
         reasons.append(step.exit_reason)
         return step
 
-    # focusing: a stalled solve whose point leaves the disks is discarded
-    monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(
-        lambda sol: dataclasses.replace(sol, x=np.full_like(sol.x, 1e3),
-                                        status=SolveStatus.ITER_LIMIT,
-                                        exit_reason=ExitReason.ITER_CAP)))
-    _, q_trace = run_sca_q(cfg2, channel2, w2, dma2)
+    # focusing: a capped step whose value falls below the expansion point's
+    # (its point far outside the disks) is discarded
+    monkeypatch.setattr(optimize_module, "focusing_step", focusing_spoiling_second(
+        lambda step: dataclasses.replace(step, q=np.full_like(step.q, 1e3),
+                                         primal=-np.inf,
+                                         exit_reason=ExitReason.ITER_CAP)))
+    dma_q, q_trace = run_sca_q(cfg2, channel2, w2, dma2)
     assert q_trace.exit_reasons == reasons
     assert len(reasons) == 2 and q_trace.iterations == 1
     assert reasons == [ExitReason.TOLERANCE, ExitReason.ITER_CAP]
+    assert np.all(np.abs(dma_q.q - 0.5j) <= 0.5 + 1e-9)
 
     # waveform: a certificate of infeasibility after the first step ends the
     # stage; zeroed rows make the second restriction infeasible
@@ -337,7 +347,8 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
     assert w_trace.iterations == 1
 
     # unmodified steps
-    monkeypatch.setattr(optimize_module, "solve", solve_spoiling_second(lambda sol: sol))
+    monkeypatch.setattr(optimize_module, "focusing_step",
+                        focusing_spoiling_second(lambda step: step))
     monkeypatch.setattr(optimize_module, "waveform_restriction", real_restriction)
     for run_stage, stage_args in ((run_sca_q, (cfg2, channel2, w2, dma2)),
                                   (run_sca_w, (cfg, channel, dma0, w0))):
@@ -348,22 +359,46 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
 
 
 def test_single_receiver_focusing_takes_closed_form_steps(tiny_dma, monkeypatch):
-    """One receiver: every focusing step is the closed form, which calls no
-    cone solver and exits on TOLERANCE with 0 iterations and KKT residual 0."""
+    """One receiver: every focusing step is the closed form on the one-point
+    simplex, which exits on TOLERANCE with 0 iterations and KKT residual 0."""
     cfg = tiny_dma.with_solver(max_sca_iters=6)
     channel, dma0, w0 = _initial_state(cfg)
+    real_focusing = optimize_module.focusing_step
+    steps = []
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the one-receiver focusing stage called the cone solver")
+    def recorded(lins, start=None):
+        steps.append(real_focusing(lins, start))
+        return steps[-1]
 
-    monkeypatch.setattr(optimize_module, "solve", no_solve)
+    monkeypatch.setattr(optimize_module, "focusing_step", recorded)
     _, trace = run_sca_q(cfg, channel, w0, dma0)
-    assert trace.iterations >= 2
+    assert trace.iterations >= 2 and len(steps) == trace.iterations
+    assert all(step.multipliers.tolist() == [1.0] for step in steps)
     assert trace.exit_reasons == [ExitReason.TOLERANCE] * trace.iterations
     assert trace.solver_iterations == [0] * trace.iterations
     assert trace.kkt_residuals == [0.0] * trace.iterations
     assert all(gap <= 1e-12 * (1.0 + abs(obj))
                for gap, obj in zip(trace.duality_gaps, trace.objectives))
+
+
+def test_no_design_reaches_the_interior_point_method(monkeypatch):
+    """Every restriction a design poses is solved through its dual: with
+    every reference to the cone solver replaced by one that fails, a
+    two-receiver and a three-receiver DMA design and an FD design still run,
+    and ``optimize`` imports nothing from ``socp``."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a design called the interior-point method")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wptopt") and getattr(module, "solve", None) is socp.solve:
+            monkeypatch.setattr(module, "solve", no_solve)
+    assert not [name for name, value in vars(optimize_module).items()
+                if getattr(value, "__module__", None) == "wptopt.socp"]
+    run_asca_dma(make_scenario("dma", length=0.10, n_f=2, receivers=TWO_RECEIVERS)
+                 .with_solver(max_sca_iters=10, max_outer_iters=3))
+    run_asca_dma(make_scenario("dma", length=0.10, n_f=8, receivers=THREE_RECEIVERS))
+    run_sca_fd(make_scenario("fd", length=0.10, n_f=2, receivers=TWO_RECEIVERS)
+               .with_solver(max_sca_iters=30))
 
 
 def test_run_asca_dma_end_to_end(tiny_dma):
@@ -410,7 +445,8 @@ def test_run_is_bitwise_deterministic(tiny_dma):
 
 
 def test_two_receiver_run_is_bitwise_deterministic():
-    """The same check where the focusing stage runs the interior-point method."""
+    """The same check where the focusing stage searches the simplex of two
+    receiver prices by Newton steps."""
     cfg = make_scenario("dma", length=0.10, n_f=2, receivers=TWO_RECEIVERS) \
         .with_solver(max_sca_iters=10, max_outer_iters=3)
     w1, dma1, tr1 = run_asca_dma(cfg)
@@ -419,6 +455,30 @@ def test_two_receiver_run_is_bitwise_deterministic():
     assert np.array_equal(dma1.q, dma2.q)
     assert [r.p_c_bound for r in tr1.records] == [r.p_c_bound for r in tr2.records]
     assert [r.q_sca_iters for r in tr1.records] == [r.q_sca_iters for r in tr2.records]
+
+
+def test_three_receiver_dma_run_is_bitwise_deterministic(monkeypatch):
+    """The same check on a three-receiver design whose focusing steps
+    include one solved at a kink of the dual (an element strictly inside
+    its disk)."""
+    cfg = make_scenario("dma", length=0.10, n_f=8, receivers=THREE_RECEIVERS)
+    real_focusing = optimize_module.focusing_step
+    inside = []
+
+    def recorded(lins, start=None):
+        step = real_focusing(lins, start)
+        inside.append(bool(np.any(np.abs(step.q - 0.5j) < 0.5 * (1.0 - 1e-9))))
+        return step
+
+    monkeypatch.setattr(optimize_module, "focusing_step", recorded)
+    w1, dma1, tr1 = run_asca_dma(cfg)
+    assert any(inside)
+    w2, dma2, tr2 = run_asca_dma(cfg)
+    assert w1.omega.tobytes() == w2.omega.tobytes()
+    assert dma1.q.tobytes() == dma2.q.tobytes()
+    fields = ("p_c_bound", "min_voltage", "q_sca_iters", "w_sca_iters", "solver_rel_gap")
+    assert [[getattr(r, f) for f in fields] for r in tr1.records] == \
+        [[getattr(r, f) for f in fields] for r in tr2.records]
 
 
 def test_three_receiver_fd_run_is_bitwise_deterministic():

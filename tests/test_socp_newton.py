@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from conftest import make_scenario
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
-from wptopt.optimize import (allocate_chains, focusing_step_single,
-                             init_digital_weights, init_q_phases)
+from wptopt.focusing_step import focusing_step
+from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import DeviceParams, load_scenario
 from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
@@ -329,13 +329,13 @@ def test_focusing_matches_closed_form_on_sample_scenario():
     q0 = dma.q_flat()
     lin = linearize_vo_in_q(eff.a_hat[0], q0, dev.k2, dev.k4, dev.hpa_gain)
     q_ipm, r_ipm = ipm_focusing(lin, q0)
-    step = focusing_step_single(lin)
+    step = focusing_step([lin])
     coeffs = np.asarray(lin.coeffs).reshape(-1)
     assert len(coeffs) == 102
     live = np.abs(coeffs) > 1e-9 * np.max(np.abs(coeffs))
     assert np.max(np.abs(q_ipm - step.q)[live]) <= 1e-8
-    assert step.objective == pytest.approx(r_ipm, rel=1e-9)
-    assert abs(step.dual_bound - step.objective) <= 1e-12 * step.objective
+    assert step.primal == pytest.approx(r_ipm, rel=1e-9)
+    assert abs(step.dual - step.primal) <= 1e-12 * step.primal
 
 
 @st.composite
@@ -372,11 +372,11 @@ def test_focusing_step_matches_ipm_on_random_restrictions(case):
     a_hat, q0 = case
     dev = DeviceParams()
     lin = linearize_vo_in_q(a_hat, q0, dev.k2, dev.k4, dev.hpa_gain)
-    step = focusing_step_single(lin)
+    step = focusing_step([lin])
     _, r_ipm = ipm_focusing(lin, q0)
     # the interior-point method stops at a duality gap of 1e-9 (1 + |R|)
-    assert step.objective == pytest.approx(r_ipm, rel=1e-9, abs=1e-9)
-    assert abs(step.dual_bound - step.objective) <= 1e-12 * (1.0 + step.objective)
+    assert step.primal == pytest.approx(r_ipm, rel=1e-9, abs=1e-9)
+    assert abs(step.dual - step.primal) <= 1e-12 * (1.0 + step.primal)
     assert np.all(np.abs(step.q - LORENTZIAN_CENTER) <= LORENTZIAN_RADIUS * (1.0 + 1e-15))
     dead = np.asarray(lin.coeffs) == 0
     assert np.array_equal(step.q[dead], q0[dead])

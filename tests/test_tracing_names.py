@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wptopt.cli
-from wptopt import optimize, socp
+from wptopt import focusing_step, optimize
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,10 +38,13 @@ def test_traced_names_resolve_to_callables(tracing):
 
 def test_traced_fd_design_counts_waveform_solves(tracing, tiny_fd):
     """The waveform stage steps through its dual, with no cone solve."""
+    unwrapped = optimize.run_sca_w
     tracer = tracing.Tracer()
     tracer.operation(0, lambda: optimize.run_sca_fd(tiny_fd))
     metrics = tracing.layer_metrics(tracer.spans, 1)
     assert metrics["socp.solve.w.calls"] == 0
     assert metrics["optimize.sca_steps_w"] >= 1
     assert metrics["optimize.run_sca_fd.calls"] == 1
-    assert optimize.solve is socp.solve   # uninstalled after the operation
+    # uninstalled after the operation; the focusing step is not a layer
+    assert optimize.run_sca_w is unwrapped
+    assert optimize.focusing_step is focusing_step.focusing_step
