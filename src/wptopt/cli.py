@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import optimize, oracle, power, rectenna
+from . import blas, optimize, oracle, power, rectenna
 from .channel import build_channel
 from .scenario import (Architecture, ScenarioConfig, ScenarioError,
                        ScenarioParseError, ScenarioValidationError,
@@ -380,7 +380,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with blas.single_thread():
+            return args.func(args)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wptopt import blas
 from wptopt import cli as cli_module
 from wptopt.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunArtifact, main, run_optimization)
@@ -139,6 +140,44 @@ def test_simulate_passes_on_fresh_artifact(artifact_dir, capsys):
     assert code == EXIT_OK
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
+
+
+def test_commands_run_on_one_blas_thread(artifact_dir, monkeypatch):
+    """A command runs with OpenBLAS on one thread, so no worker busy-waits
+    between its small products; the count is restored when it returns, also
+    after a failing command."""
+    control = blas._thread_control()
+    if control is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set")
+    get, set_ = control
+    original = get()
+    seen = []
+    simulate = cli_module.cmd_simulate
+
+    def recording(args):
+        seen.append(get())
+        return simulate(args)
+
+    monkeypatch.setattr(cli_module, "cmd_simulate", recording)
+    set_(2)
+    try:
+        assert main(["simulate", str(artifact_dir / "artifact.json")]) == EXIT_OK
+        assert seen == [1]
+        assert get() == 2
+        assert main(["simulate", str(artifact_dir / "missing.json")]) == EXIT_PARSE
+        assert seen == [1, 1]
+        assert get() == 2
+    finally:
+        set_(original)
+
+
+def test_single_blas_thread_without_openblas(monkeypatch):
+    """Where numpy ships no OpenBLAS, the block runs unchanged."""
+    monkeypatch.setattr(blas, "_thread_control", lambda: None)
+    ran = []
+    with blas.single_thread():
+        ran.append(True)
+    assert ran == [True]
 
 
 def test_simulate_detects_tampering(artifact_dir, tmp_path, capsys):
