@@ -156,6 +156,9 @@ class FrequencyPlan:
             raise ScenarioValidationError("tone count must be >= 1")
         if self.delta_f <= 0:
             raise ScenarioValidationError("tones must be strictly increasing (delta_f > 0)")
+        # simulate's oracle samples the received signal on this grid, and
+        # paper-rate sampling folds its window onto the same period.
+        self.quadrature_grid(degree=4)
 
     # -- periodic time base ------------------------------------------------
     def cycle_ratio(self) -> Fraction:
@@ -199,6 +202,16 @@ class FrequencyPlan:
         if k > 50_000_000:
             raise ScenarioValidationError("sampling grid too large")
         return k, 1.0 / rate
+
+    def nyquist_period(self) -> int:
+        """Samples in one fundamental period of ``nyquist_times``.
+
+        With ``f1/delta_f = p/q``, tone n advances ``(p + (n-1)*q)/K`` cycles
+        per sample at the rate ``2*f_max``, where ``K = 2*(p + (n_f-1)*q)``,
+        so the sampled sequence repeats exactly every ``K`` samples.
+        """
+        frac = self.cycle_ratio()
+        return 2 * (frac.numerator + (self.n_f - 1) * frac.denominator)
 
     def nyquist_times(self, duration: float) -> np.ndarray:
         """Samples at exactly twice the highest tone over ``duration``."""

@@ -113,6 +113,24 @@ def test_invalid_scenario_exit_code(tmp_path):
     assert main(["optimize", str(bad)]) == EXIT_VALIDATION
 
 
+def test_aperiodic_plan_rejected_before_design(tmp_path, monkeypatch, capsys):
+    """f1/delta_f needs a denominator near 10^4 here, so the period's sampling
+    grid is too large for simulate's oracle; the scenario exits 3 at load."""
+    bad = tmp_path / "aperiodic.cfg"
+    bad.write_text(SCENARIO.replace("f1 = 5.18e9", "f1 = 5.1834567891e9")
+                   .replace("n_tones = 2", "n_tones = 8"))
+
+    def no_design(scenario):
+        raise AssertionError("a design ran on an invalid scenario")
+
+    monkeypatch.setattr(optimize_module, "run_asca_dma", no_design)
+    out = tmp_path / "runs"
+    assert main(["optimize", str(bad), "--paper-sampling", "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert "periodic sampling grid too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["optimize", str(tmp_path / "nope.cfg")]) == EXIT_PARSE
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptopt import power
 from wptopt.power import (chain_norm_scales, hpa_bound_objective, input_power,
                           sampled_consumption, sampled_output_means)
-from wptopt.scenario import MicrostripParams
+from wptopt.scenario import FrequencyPlan, MicrostripParams
 from wptopt.transmitter import DmaState, Waveform
 
 from conftest import make_scenario, synthetic_plan
@@ -201,3 +203,85 @@ def test_chunk_kernel_matches_per_sample_loop(arch, paper, rng, monkeypatch):
         if not paper:
             assert np.allclose(sampled_output_means(wf, dma, plan, g),
                                ref.mean(axis=0), rtol=1e-10, atol=0.0)
+
+
+def _random_state(arch, n_f, rng):
+    array = make_scenario(arch, n_f=n_f).array
+    dma = random_dma_state(rng, array.n_v, array.n_h) if arch == "dma" else None
+    n_rf = array.rf_chain_count
+    wf = Waveform(rng.normal(size=(n_rf, n_f)) + 1j * rng.normal(size=(n_rf, n_f)))
+    return array, dma, wf
+
+
+def _paper_reference(wf, dma, plan, g, p_max, eta):
+    """Per-sample amplifier consumption over the whole 1 ms window, and the
+    Jensen bound built from that window's own mean output power."""
+    amps = power._chain_element_amplitudes(wf, dma, g)
+    ref = reference_output_power(amps, plan, plan.nyquist_times(1e-3))
+    scale = math.sqrt(p_max) / eta
+    return (scale * np.sum(np.sqrt(ref)) / len(ref),
+            scale * np.sum(np.sqrt(ref.mean(axis=0))))
+
+
+@pytest.mark.parametrize("chunk", [20, 1 << 16])
+@pytest.mark.parametrize("p, delta_f, window_periods", [
+    (22, 1e6, 8286 / 58),    # f1/delta_f = 22/7: 142 periods of 58 samples + 50
+    (3001, 1e3, 859 / 6016),  # f1/delta_f = 3001/7: a 7 ms period, longer than 1 ms
+], ids=["laps", "partial"])
+@pytest.mark.parametrize("arch", ["fd", "dma"])
+def test_paper_window_folds_onto_one_period(arch, p, delta_f, window_periods, chunk,
+                                            rng, monkeypatch):
+    """A window that ends inside a period, or is shorter than one, folds to
+    the per-sample sum over every sample of the window."""
+    plan = FrequencyPlan(p / 7 * delta_f, 2, delta_f)
+    count, _ = plan.nyquist_grid(1e-3)
+    assert count / plan.nyquist_period() == pytest.approx(window_periods)
+    monkeypatch.setattr(power, "_CHUNK", chunk)
+    array, dma, wf = _random_state(arch, 2, rng)
+    rep = sampled_consumption(wf, dma, array, plan, 1.3, 2.0, 0.7,
+                              paper_sampling=True)
+    expected, _ = _paper_reference(wf, dma, plan, 1.3, 2.0, 0.7)
+    assert rep.p_hpa_sampled == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("arch", ["fd", "dma"])
+def test_default_grid_sum_is_unfolded(arch, rng, monkeypatch):
+    """The default grid is one whole period, so its value is, bitwise, the
+    plain sum of sqrt(P_out) over the chunk kernel's samples."""
+    monkeypatch.setattr(power, "_CHUNK", 7)
+    plan = synthetic_plan(3, ratio=6)
+    array, dma, wf = _random_state(arch, 3, rng)
+    count, step = plan.quadrature_grid(degree=2)
+    amps = power._chain_element_amplitudes(wf, dma, 1.1)
+    total = np.zeros(amps.shape[0])
+    for p_out in power._output_power_chunks(amps, plan.tones, count, step):
+        total += np.sum(np.sqrt(p_out), axis=1)
+    expected = float(np.sqrt(2.0) / 0.7 * np.sum(total) / count)
+    rep = sampled_consumption(wf, dma, array, plan, 1.1, 2.0, 0.7)
+    assert rep.p_hpa_sampled == expected
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(q=st.integers(1, 7), cycles=st.integers(1, 8), n_f=st.integers(1, 4),
+       arch=st.sampled_from(["fd", "dma"]), seed=st.integers(0, 2**32 - 1))
+def test_consumption_properties(q, cycles, n_f, arch, seed):
+    """Over small rational f1/delta_f = p/q (p = cycles*q + 1, so p/q > 1 in
+    lowest terms), tone counts, architectures and weights:
+
+    - on the default grid, the Jensen bound ``p_hpa_sampled <= p_hpa_bound``;
+    - on the paper grid, the folded value equals the per-sample loop, and
+      Jensen holds against the window's own mean output power. The paper
+      rate aliases the top tone's second harmonic onto DC, so the window's
+      mean power, and with it the sampled value, can exceed ``p_hpa_bound``.
+    """
+    rng = np.random.default_rng(seed)
+    plan = FrequencyPlan((cycles * q + 1) / q * 1e6, n_f, 1e6)
+    array, dma, wf = _random_state(arch, n_f, rng)
+    g, p_max, eta = float(rng.uniform(0.5, 1.5)), 2.0, 0.7
+    rep = sampled_consumption(wf, dma, array, plan, g, p_max, eta)
+    assert rep.p_hpa_sampled <= rep.p_hpa_bound * (1 + 1e-12)
+    paper = sampled_consumption(wf, dma, array, plan, g, p_max, eta,
+                                paper_sampling=True)
+    expected, window_bound = _paper_reference(wf, dma, plan, g, p_max, eta)
+    assert paper.p_hpa_sampled == pytest.approx(expected, rel=1e-10)
+    assert paper.p_hpa_sampled <= window_bound * (1 + 1e-12)
