@@ -14,8 +14,9 @@ from .rectenna import (dc_power, harvested_voltage, moment2, moment4,
 from .power import PowerReport, hpa_bound_objective, input_power, \
     sampled_consumption
 from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
-from .waveform_step import (ExitReason, WaveformRestriction, WaveformStep,
-                            dual_step, waveform_restriction)
+from .dual_newton import ExitReason
+from .waveform_step import (WaveformRestriction, WaveformStep, dual_step,
+                            waveform_restriction)
 from .focusing_step import FocusingStep
 from .socp import (ConeProgram, ConeSolution, SolveStatus,
                    assemble_q_subproblem, assemble_w_subproblem, solve)

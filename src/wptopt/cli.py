@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -190,7 +191,10 @@ def cmd_optimize(args) -> int:
     print(f"p_c_sampled: {artifact.power_report.p_c_sampled:.6e} W")
     print(f"p_dc: {' '.join(f'{p:.3e}' for p in artifact.p_dc)} W")
     if not artifact.converged:
-        print("warning: outer loop hit the iteration cap", file=sys.stderr)
+        loop, cap = (("outer loop", "max_outer_iters")
+                     if scenario.array.architecture is Architecture.DMA
+                     else ("waveform stage", "max_sca_iters"))
+        print(f"warning: {loop} hit the iteration cap {cap}", file=sys.stderr)
         return EXIT_ITER_LIMIT
     return EXIT_OK
 
@@ -290,14 +294,16 @@ def cmd_simulate(args) -> int:
     feas = bool(np.all(p_dc_re >= 0.999 * scenario.eh_targets))
     checks.append(("eh-targets-met", feas,
                    f"min margin {np.min(p_dc_re / scenario.eh_targets):.4f}"))
-    report = power.sampled_consumption(waveform, dma, scenario.array,
-                                       scenario.frequency, dev.hpa_gain,
-                                       dev.hpa_saturation_power,
-                                       dev.hpa_max_efficiency,
-                                       paper_sampling=artifact.paper_sampling)
-    jensen = report.p_hpa_sampled <= report.p_hpa_bound + 1e-9 * max(1.0, report.p_hpa_bound)
+    consumption = functools.partial(
+        power.sampled_consumption, waveform, dma, scenario.array, scenario.frequency,
+        dev.hpa_gain, dev.hpa_saturation_power, dev.hpa_max_efficiency)
+    report = consumption(paper_sampling=artifact.paper_sampling)
+    # Jensen's bound holds on the default grid only: at the paper rate
+    # 2*f_max the top tone's second harmonic aliases onto DC.
+    default = consumption(paper_sampling=False) if artifact.paper_sampling else report
+    jensen = default.p_hpa_sampled <= default.p_hpa_bound + 1e-9 * max(1.0, default.p_hpa_bound)
     checks.append(("amplifier-bound-holds", jensen,
-                   f"sampled {report.p_hpa_sampled:.6e} <= bound {report.p_hpa_bound:.6e}"))
+                   f"sampled {default.p_hpa_sampled:.6e} <= bound {default.p_hpa_bound:.6e}"))
     pc_rel = abs(report.p_c_sampled - artifact.power_report.p_c_sampled) \
         / max(artifact.power_report.p_c_sampled, 1e-300)
     checks.append(("p-c-matches-artifact", pc_rel <= 1e-6, f"rel err {pc_rel:.2e}"))

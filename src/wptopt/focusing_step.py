@@ -18,13 +18,13 @@ linearized voltages there. ``f`` is positively homogeneous, so
 where every priced receiver sees one voltage.
 
 With one receiver the simplex is the point ``lam = [1]`` and the step is
-closed form. Otherwise :func:`focusing_step` minimizes ``f`` by projected
-Newton on the simplex. The Hessian is ``sum_k a_k a_k^T / |d_k|``, where
-``a_k`` is the derivative of ``d_k`` across its own direction; it is
-singular along ``lam`` itself, so the step is taken in the simplex's tangent
-space, and a search on the monotone slope ends it. Where that step fails to
-descend, the step goes toward the vertex of the lowest voltage, whose slope
-is minus the gap.
+closed form. Otherwise :func:`focusing_step` minimizes ``f`` by the
+projected Newton of :mod:`wptopt.dual_newton` on the simplex. The Hessian
+is ``sum_k a_k a_k^T / |d_k|``, where ``a_k`` is the derivative of ``d_k``
+across its own direction; it is singular along ``lam`` itself, so the step
+is taken in the simplex's tangent space (the null space of the row
+``sum lam = 1``). Where that step fails to descend, the step goes toward
+the vertex of the lowest voltage, whose slope is minus the gap.
 
 ``f`` is not differentiable where some ``d_k = 0`` (a kink), and a minimizer
 can sit on one; for three receivers that is an isolated point of the
@@ -41,15 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual_newton
+from .dual_newton import GAP_STOP, GAP_TOL, MAX_NEWTON, ExitReason
 from .linearize import LinearizedVoltage
 from .transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS
-from .waveform_step import GAP_TOL, ExitReason
 
-_GAP_STOP = 1e-14   # the Newton loop stops once the gap is this small
-_FLAT = 1e-12       # Hessian eigenvalues below this fraction of the largest are flat
 _KINK = 1e-2        # |d_k| / sum_m lam_m |c_mk| below which the kink at d_k = 0 is tried
-_MAX_NEWTON = 50
-_MAX_SEARCH = 60
 _MAX_KINK = 20
 
 
@@ -109,12 +106,6 @@ class _Point:
     grad: np.ndarray     # the voltages at the rim point
 
 
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis [n, n - rank] of ``{x : rows @ x = 0}``."""
-    _, sv, vt = np.linalg.svd(rows)
-    return vt[int(np.sum(sv > _FLAT * sv[0])):].T
-
-
 @dataclass(frozen=True)
 class _Face:
     """``f`` on the manifold of one kink, ``d_k = 0`` (or on the whole
@@ -130,9 +121,9 @@ class _Face:
     u: complex = 0j
 
     def settled(self, pt: _Point) -> bool:
-        """``f - min_m v_m`` below ``_GAP_STOP``: the gap of the face's
+        """``f - min_m v_m`` below ``GAP_STOP``: the gap of the face's
         primal point, up to rounding."""
-        return pt.value - float(self.v.min()) <= _GAP_STOP * (1.0 + abs(pt.value))
+        return pt.value - float(self.v.min()) <= GAP_STOP * (1.0 + abs(pt.value))
 
 
 class _Dual:
@@ -225,81 +216,27 @@ class _Dual:
 
 
 def _direction(dual: _Dual, pt: _Point, face: _Face) -> np.ndarray | None:
-    """Newton direction on the face's manifold over the free prices; a zero
-    price is freed while its voltage is below the level ``t``. Where the
-    Hessian is flat the step descends the gradient instead. If that fails to
+    """Projected Newton direction on the face's manifold; a zero price is
+    freed while its voltage is below the level ``t``. If that fails to
     descend, the direction points to the vertex of the lowest voltage, or,
     on a kink's manifold, there is none."""
-    lam, grad = pt.lam, face.grad
     across = dual.across(pt, face.k)
-    hess = across @ across.T
-    free = (lam > 0) | (face.v < face.t)
-    for _ in range(len(lam)):
-        idx = np.flatnonzero(free)
-        p = np.zeros_like(lam)
-        basis = _null_space(face.rows[:, idx])
-        if basis.shape[1]:
-            vals, vecs = np.linalg.eigh(basis.T @ hess[np.ix_(idx, idx)] @ basis)
-            comp = vecs.T @ (basis.T @ grad[idx])
-            curved = vals > _FLAT * max(vals[-1], 0.0)
-            step = -vecs[:, curved] @ (comp[curved] / vals[curved])
-            flat = -vecs[:, ~curved] @ comp[~curved]
-            size = np.linalg.norm(flat)
-            if size > 0:
-                flat *= max(np.linalg.norm(lam[idx]), np.linalg.norm(step), size) / size
-            p[idx] = basis @ (step + flat)
-        blocked = (lam == 0) & (p < 0)
-        if not blocked.any():
-            break
-        free &= ~blocked
-    if grad @ p < 0 and np.all(p[lam == 0] >= 0):
+    p = dual_newton.direction(pt.lam, face.grad, across @ across.T,
+                              (pt.lam > 0) | (face.v < face.t), face.rows)
+    if p is not None or face.k is not None:
         return p
-    if face.k is not None:
-        return None
-    p = -lam
-    p[int(np.argmin(grad))] += 1.0
+    p = -pt.lam
+    p[int(np.argmin(face.grad))] += 1.0
     return p
 
 
 def _search(dual: _Dual, pt: _Point, p: np.ndarray, k: int | None) -> _Point:
-    """Along ``lam + s p`` up to the simplex's boundary. The slope of ``f``
-    (of its smooth part on a kink's manifold) is nondecreasing in ``s``, so
-    while it is still negative the step lowers ``f`` whatever the rounding
-    of its value. Stop where the slope is at most a tenth of its start in
-    size (past the minimizer only if ``f`` did not rise beyond its
-    rounding), or at the boundary while still negative. Trial steps are
-    Newton steps on the slope, bisection when those leave the bracket."""
-    neg = p < 0
-    ratios = np.full_like(p, np.inf)
-    ratios[neg] = -pt.lam[neg] / p[neg]
-    bound = float(np.min(ratios, initial=np.inf))
-    slope0 = float(dual.grad(pt, k) @ p)
-    lo, hi = 0.0, np.inf
-    s = min(1.0, bound)
-    best = pt
-    for _ in range(_MAX_SEARCH):
-        lam = np.maximum(pt.lam + s * p, 0.0)
-        if s == bound:
-            lam[ratios == bound] = 0.0
-        trial = dual.at(lam / lam.sum())
-        slope = float(dual.grad(trial, k) @ p)
-        if slope <= 0.0:
-            if slope >= 0.1 * slope0 or s == bound:
-                return trial
-            lo, best = s, trial
-        elif slope <= -0.1 * slope0 and trial.value <= pt.value + dual.rounding(pt):
-            return trial
-        else:
-            hi = s
-        curv = float(np.sum((dual.across(trial, k).T @ p) ** 2))
-        nxt = s - slope / curv if curv > 0 else np.inf
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * s
-        nxt = min(nxt, bound)
-        if nxt == s:
-            break
-        s = nxt
-    return best
+    """The search of :mod:`wptopt.dual_newton` on the simplex, for ``f`` or,
+    on a kink's manifold, its smooth part; ``f`` may rise past the
+    minimizer by its rounding."""
+    return dual_newton.search(
+        pt, p, lambda lam: dual.at(lam / lam.sum()), lambda pt: dual.grad(pt, k),
+        lambda pt, p: float(np.sum((dual.across(pt, k).T @ p) ** 2)), dual.rounding)
 
 
 def _kink(dual: _Dual, pt: _Point, k: int) -> tuple[_Point, _Face, int] | None:
@@ -366,7 +303,7 @@ def focusing_step(lins: list[LinearizedVoltage],
                     pt, face = at_kink[:2]
                     reason = ExitReason.TOLERANCE
                     break
-        if iterations >= _MAX_NEWTON:
+        if iterations >= MAX_NEWTON:
             break
         nxt = _search(dual, pt, _direction(dual, pt, face), None)
         iterations += 1

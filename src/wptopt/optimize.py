@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelTensor, build_channel
+from .dual_newton import ExitReason
 from .focusing_step import focusing_step
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
 from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
 from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
-from .waveform_step import ExitReason, dual_step, waveform_restriction
+from .waveform_step import dual_step, waveform_restriction
 
 _AMP_CAP = 1e6
 

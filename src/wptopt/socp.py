@@ -47,11 +47,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dual_newton import ExitReason
 from .linearize import LinearizedVoltage
 from .scenario import ScenarioConfig
 from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
                           Waveform)
-from .waveform_step import ExitReason, WaveformRestriction, waveform_restriction
+from .waveform_step import WaveformRestriction, waveform_restriction
 
 
 class SolveStatus(enum.Enum):

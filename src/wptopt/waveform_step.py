@@ -15,18 +15,17 @@ Optimization*, ch. 5). Its Hessian is built from the per-chain Gram matrices
 tiny whatever the array size. ``||G_i||`` is taken from ``G`` itself, not
 from ``lam^T K_i lam``, which loses its accuracy when rows cancel.
 
-:func:`dual_step` maximizes ``d`` over ``lam >= 0`` by projected Newton
-(Bertsekas, *Nonlinear Programming*): a Newton step on the multipliers off
-their bound, and a search on the monotone slope along it. The Hessian is
-singular where no chain is live, where a chain turns on or off, and when the
-live chains span fewer directions than there are free rows; in those flat
-directions the step descends the gradient instead, and the search runs to
-the minimizer or the bound. The start is the exact minimizer of ``-d`` along
-a ray, found by sorting the chains' breakpoints; with one receiver that ray
-is the whole problem, so the start is the answer. The returned point is
-scaled up to meet every row (``max_m r_m / (g_m . w)`` when that exceeds 1),
-so it is feasible, and ``primal - dual`` certifies how far it is from the
-optimum.
+:func:`dual_step` maximizes ``d`` over ``lam >= 0`` by the projected Newton
+of :mod:`wptopt.dual_newton`, with no equality rows. The Hessian is singular
+where no chain is live, where a chain turns on or off, and when the live
+chains span fewer directions than there are free rows; the kernel then
+descends the gradient in those flat directions. Where its direction fails
+to descend, the step takes the projected gradient. The start is the exact
+minimizer of ``-d`` along a ray, found by sorting the chains' breakpoints;
+with one receiver that ray is the whole problem, so the start is the
+answer. The returned point is scaled up to meet every row
+(``max_m r_m / (g_m . w)`` when that exceeds 1), so it is feasible, and
+``primal - dual`` certifies how far it is from the optimum.
 
 The restriction is infeasible exactly when some ``lam >= 0`` has
 ``sum_m lam_m g_m = 0`` and ``lam . r > 0``; such a ``lam`` lies in the null
@@ -36,37 +35,17 @@ null space within the orthant are enumerated directly.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual_newton
+from .dual_newton import FLAT, GAP_STOP, GAP_TOL, MAX_NEWTON, ExitReason
 from .linearize import LinearizedVoltage
 from .power import chain_norm_scales
 from .scenario import ScenarioConfig
 from .transmitter import DmaState, Waveform
-
-GAP_TOL = 1e-12     # certified (primal - dual) / (1 + primal) of a TOLERANCE exit
-_GAP_STOP = 1e-14   # the Newton loop stops once the certified gap is this small
-_FLAT = 1e-12       # Hessian eigenvalues below this fraction of the largest are flat
-_MAX_NEWTON = 50
-_MAX_SEARCH = 60
-
-
-class ExitReason(enum.Enum):
-    """Why a restriction solve stopped. The dual waveform step exits on
-    ``TOLERANCE``, ``INFEASIBLE``, ``SHORT_STEP`` or ``ITER_CAP``, the
-    focusing step on ``TOLERANCE``, ``SHORT_STEP`` or ``ITER_CAP``; the
-    interior-point method of :mod:`wptopt.socp` uses every member."""
-
-    TOLERANCE = "tolerance met"
-    INFEASIBLE = "infeasibility certificate"
-    LOST_INTERIOR = "iterate left the cone interior"
-    FACTORIZATION = "Newton block or Schur factorization failed"
-    FLOATING_POINT = "floating-point error in the search direction"
-    SHORT_STEP = "step too short to make progress"
-    ITER_CAP = "iteration cap"
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +161,7 @@ class _Dual:
         self.r = restriction.rhs
         self.s = restriction.scales
         self.gram = np.einsum("mik,lik->iml", self.rows, self.rows)
+        self.no_rows = np.empty((0, len(self.r)))   # the orthant has no equality rows
 
     def at(self, lam: np.ndarray) -> _Point:
         combo = np.tensordot(lam, self.rows, axes=1)
@@ -199,6 +179,9 @@ class _Dual:
         rho, s, kl = pt.rho[live], self.s[live], pt.kl[live]
         return 0.5 * (np.einsum("i,iml->ml", 1.0 - s / rho, self.gram[live])
                       + np.einsum("i,im,il->ml", s / rho ** 3, kl, kl))
+
+    def curvature(self, pt: _Point, p: np.ndarray) -> float:
+        return float(p @ self.hessian(pt) @ p)
 
     def certified_gap(self, pt: _Point) -> float:
         """``(primal - dual) / (1 + primal)`` for ``w(lam)`` scaled up to meet
@@ -233,7 +216,7 @@ def _certificate(gram_total: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     total Gram matrix within the orthant: for a k-dimensional null space,
     each ray has k - 1 coordinates at zero."""
     vals, vecs = np.linalg.eigh(gram_total)
-    null = vecs[:, vals <= _FLAT * max(vals[-1], 0.0)]
+    null = vecs[:, vals <= FLAT * max(vals[-1], 0.0)]
     k = null.shape[1]
     if k == 0:
         return None
@@ -248,74 +231,6 @@ def _certificate(gram_total: np.ndarray, r: np.ndarray) -> np.ndarray | None:
                     and cand @ r > 1e-12 * size * float(np.max(np.abs(r)))):
                 return np.maximum(cand, 0.0) / size
     return None
-
-
-def _direction(dual: _Dual, pt: _Point) -> np.ndarray:
-    """Projected Newton direction on the rows off their bound; where the
-    Hessian is flat, steepest descent scaled to the multipliers."""
-    lam, grad = pt.lam, pt.grad
-    hess = dual.hessian(pt)
-    free = ~((lam == 0) & (grad >= 0))
-    for _ in range(len(lam)):
-        p = np.zeros_like(lam)
-        if free.any():
-            vals, vecs = np.linalg.eigh(hess[np.ix_(free, free)])
-            comp = vecs.T @ grad[free]
-            curved = vals > _FLAT * max(vals[-1], 0.0)
-            step = -vecs[:, curved] @ (comp[curved] / vals[curved])
-            flat = -vecs[:, ~curved] @ comp[~curved]
-            size = np.linalg.norm(flat)
-            if size > 0:
-                flat *= max(np.linalg.norm(lam[free]), np.linalg.norm(step), size) / size
-            p[free] = step + flat
-        blocked = (lam == 0) & (p < 0)
-        if not blocked.any():
-            break
-        free &= ~blocked
-    if not (grad @ p < 0 and np.all(p[lam == 0] >= 0)):
-        p = np.where((lam == 0) & (grad > 0), 0.0, -grad)   # projected gradient
-    return p
-
-
-def _search(dual: _Dual, pt: _Point, p: np.ndarray) -> _Point:
-    """Along ``lam + t p`` up to the bound. The slope ``grad . p`` of ``-d``
-    is nondecreasing in ``t``, so while it is still negative the step lowers
-    ``-d`` whatever the rounding of its value. Stop where the slope is at
-    most a tenth of its start in size (past the minimizer only if ``-d`` did
-    not rise), or at the bound while still negative.
-    Trial steps are Newton steps on the slope, bisection when those leave
-    the bracket."""
-    neg = p < 0
-    ratios = np.full_like(p, np.inf)
-    ratios[neg] = -pt.lam[neg] / p[neg]
-    bound = float(np.min(ratios))
-    slope0 = float(pt.grad @ p)
-    lo, hi = 0.0, np.inf
-    t = min(1.0, bound)
-    best = pt
-    for _ in range(_MAX_SEARCH):
-        lam = np.maximum(pt.lam + t * p, 0.0)
-        if t == bound:
-            lam[ratios == bound] = 0.0
-        trial = dual.at(lam)
-        slope = float(trial.grad @ p)
-        if slope <= 0.0:
-            if slope >= 0.1 * slope0 or t == bound:
-                return trial
-            lo, best = t, trial
-        elif slope <= -0.1 * slope0 and trial.value <= pt.value:
-            return trial
-        else:
-            hi = t
-        curv = float(p @ dual.hessian(trial) @ p)
-        nxt = t - slope / curv if curv > 0 else np.inf
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
-        nxt = min(nxt, bound)
-        if nxt == t:
-            break
-        t = nxt
-    return best
 
 
 def _feasible_point(restriction: WaveformRestriction, pt: _Point) -> tuple[np.ndarray, float]:
@@ -351,12 +266,18 @@ def dual_step(restriction: WaveformRestriction) -> WaveformStep:
     iterations = 0
     reason = ExitReason.ITER_CAP
     while True:
-        if dual.certified_gap(pt) <= _GAP_STOP:
+        if dual.certified_gap(pt) <= GAP_STOP:
             reason = ExitReason.TOLERANCE
             break
-        if iterations == _MAX_NEWTON:
+        if iterations == MAX_NEWTON:
             break
-        nxt = _search(dual, pt, _direction(dual, pt))
+        lam, grad = pt.lam, pt.grad
+        p = dual_newton.direction(lam, grad, dual.hessian(pt),
+                                  ~((lam == 0) & (grad >= 0)), dual.no_rows)
+        if p is None:
+            p = np.where((lam == 0) & (grad > 0), 0.0, -grad)   # projected gradient
+        nxt = dual_newton.search(pt, p, dual.at, lambda pt: pt.grad, dual.curvature,
+                                 lambda pt: 0.0)
         iterations += 1
         moved = np.max(np.abs(nxt.lam - pt.lam))
         pt = nxt

@@ -11,9 +11,11 @@ import pytest
 
 from wptopt import blas
 from wptopt import cli as cli_module
-from wptopt.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
-                        EXIT_VALIDATION, RunArtifact, main, run_optimization)
+from wptopt.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_ITER_LIMIT, EXIT_OK,
+                        EXIT_PARSE, EXIT_VALIDATION, RunArtifact, main,
+                        run_optimization)
 from wptopt import optimize as optimize_module
+from wptopt import power
 from wptopt.optimize import OuterRecord
 from wptopt.waveform_step import waveform_restriction
 
@@ -239,6 +241,67 @@ def test_simulate_resamples_paper_artifact_on_its_grid(scenario_file, tmp_path,
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(data))
     assert RunArtifact.load(legacy).paper_sampling is False
+
+
+
+ONE_TONE_FD = """
+[array]
+architecture = fd
+length = 0.03
+
+[frequency]
+f1 = 5.18e9
+bandwidth = 10e6
+n_tones = 1
+
+[receiver.1]
+x = 0.3
+y = 0.1
+z = 1.5
+p_target = 20e-6
+"""
+
+
+def test_simulate_checks_amplifier_bound_on_default_grid(tmp_path, monkeypatch, capsys):
+    """At the paper rate 2 f_max one tone's second harmonic aliases onto DC,
+    so a paper-sampled mean amplifier power can exceed the frequency-domain
+    bound (here by about 41 %). The bound is checked on the default grid and
+    P_c on the artifact's own; a default-grid artifact is sampled once."""
+    cfg = tmp_path / "one_tone.cfg"
+    cfg.write_text(ONE_TONE_FD)
+    calls = []
+    sample = power.sampled_consumption
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["paper_sampling"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(power, "sampled_consumption", counted)
+    for paper, sampled in ((["--paper-sampling"], [True, False]), ([], [False])):
+        out = tmp_path / f"runs{len(paper)}"
+        assert main(["optimize", str(cfg), *paper, "--out", str(out)]) == EXIT_OK
+        calls.clear()
+        capsys.readouterr()
+        code = main(["simulate", str(next(out.iterdir()) / "artifact.json")])
+        out_text = capsys.readouterr().out
+        assert code == EXIT_OK, out_text
+        assert "PASS amplifier-bound-holds" in out_text
+        assert "PASS p-c-matches-artifact" in out_text
+        assert calls == sampled
+
+
+@pytest.mark.parametrize("arch, cap, loop", [("dma", "max_outer_iters", "outer loop"),
+                                              ("fd", "max_sca_iters", "waveform stage")])
+def test_iteration_cap_warning_names_the_cap(scenario_file, tmp_path, capsys,
+                                             arch, cap, loop):
+    """Exit 5 names the cap that fired: the outer-pass cap for DMA, the
+    waveform stage's SCA step cap for FD."""
+    cfg = tmp_path / "capped.cfg"
+    text = scenario_file.read_text()
+    cfg.write_text(text[:text.index("[solver]")] + f"[solver]\n{cap} = 1\n")
+    code = main(["optimize", str(cfg), "--arch", arch, "--out", str(tmp_path / "runs")])
+    assert code == EXIT_ITER_LIMIT
+    assert f"warning: {loop} hit the iteration cap {cap}" in capsys.readouterr().err
 
 
 ZERO_CHANNEL = """

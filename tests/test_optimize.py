@@ -479,6 +479,9 @@ def test_three_receiver_dma_run_is_bitwise_deterministic(monkeypatch):
     fields = ("p_c_bound", "min_voltage", "q_sca_iters", "w_sca_iters", "solver_rel_gap")
     assert [[getattr(r, f) for f in fields] for r in tr1.records] == \
         [[getattr(r, f) for f in fields] for r in tr2.records]
+    # recorded values: a solver change that moves this design shows here
+    assert [(r.q_sca_iters, r.w_sca_iters) for r in tr1.records] == [(48, 10), (38, 4)]
+    assert tr1.records[-1].p_c_bound == pytest.approx(1.3065789925798068, rel=1e-12)
 
 
 def test_three_receiver_fd_run_is_bitwise_deterministic():
@@ -495,6 +498,9 @@ def test_three_receiver_fd_run_is_bitwise_deterministic():
     fields = ("p_c_bound", "w_sca_iters", "eh_residual", "solver_rel_gap")
     assert [[getattr(r, f) for f in fields] for r in tr1.records] == \
         [[getattr(r, f) for f in fields] for r in tr2.records]
+    # recorded values: a solver change that moves this design shows here
+    assert [(r.q_sca_iters, r.w_sca_iters) for r in tr1.records] == [(0, 7)]
+    assert tr1.records[-1].p_c_bound == pytest.approx(2.504824945380174, rel=1e-12)
 
 
 def test_dma_vs_fd_matched_aperture_reported():
