@@ -19,12 +19,19 @@ def radiation_profile(theta, boresight_gain: float = 0.0):
     """Element gain pattern ``G_t * cos(theta)**(G_t/2 - 1)`` on the front
     hemisphere, zero behind the array; ``G_t = 2*(b+1)``."""
     theta = np.asarray(theta, dtype=float)
-    gt = 2.0 * (boresight_gain + 1.0)
     front = (theta >= 0.0) & (theta <= np.pi / 2.0)
-    out = np.where(front, gt * np.cos(np.where(front, theta, 0.0)) ** (gt / 2.0 - 1.0), 0.0)
+    out = np.where(front, cosine_profile(np.cos(np.where(front, theta, 0.0)),
+                                         boresight_gain), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def cosine_profile(cos_theta, boresight_gain: float = 0.0):
+    """The front-hemisphere gain ``G_t * cos(theta)**(G_t/2 - 1)`` as a
+    function of ``cos(theta) >= 0``."""
+    gt = 2.0 * (boresight_gain + 1.0)
+    return gt * cos_theta ** (gt / 2.0 - 1.0)
 
 
 def channel_coefficient(element_pos, receiver_pos, wavelength: float,

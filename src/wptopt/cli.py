@@ -320,12 +320,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fieldmap(args) -> int:
-    artifact = RunArtifact.load(args.artifact)
-    scenario = scenario_from_dict(artifact.scenario)
-    waveform, dma = _rebuild_state(scenario, artifact)
     plane = oracle.PlaneSpec(x_min=args.xmin, x_max=args.xmax,
                              z_min=args.zmin, z_max=args.zmax,
                              resolution=args.res, y_offset=args.y)
+    try:
+        plane.validate()
+    except ValueError as exc:
+        print(f"invalid plane: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    artifact = RunArtifact.load(args.artifact)
+    scenario = scenario_from_dict(artifact.scenario)
+    waveform, dma = _rebuild_state(scenario, artifact)
     fmap = oracle.field_map(scenario, waveform, dma, plane)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -38,10 +38,7 @@ class ExitReason(enum.Enum):
 
 
 def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis [n, n - rank] of ``{x : rows @ x = 0}``; the
-    identity when there are no rows."""
-    if not len(rows):
-        return np.eye(rows.shape[1])
+    """Orthonormal basis [n, n - rank] of ``{x : rows @ x = 0}``."""
     _, sv, vt = np.linalg.svd(rows)
     return vt[int(np.sum(sv > FLAT * sv[0])):].T
 
@@ -58,17 +55,21 @@ def direction(lam: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     for _ in range(len(lam)):
         idx = np.flatnonzero(free)
         p = np.zeros_like(lam)
-        basis = _null_space(rows[:, idx])
-        if basis.shape[1]:
-            vals, vecs = np.linalg.eigh(basis.T @ hess[np.ix_(idx, idx)] @ basis)
-            comp = vecs.T @ (basis.T @ grad[idx])
+        # with no rows the free variables are their own basis
+        basis = _null_space(rows[:, idx]) if len(rows) else None
+        h_red, g_red = hess[np.ix_(idx, idx)], grad[idx]
+        if basis is not None:
+            h_red, g_red = basis.T @ h_red @ basis, basis.T @ g_red
+        if len(g_red):
+            vals, vecs = np.linalg.eigh(h_red)
+            comp = vecs.T @ g_red
             curved = vals > FLAT * max(vals[-1], 0.0)
             step = -vecs[:, curved] @ (comp[curved] / vals[curved])
             flat = -vecs[:, ~curved] @ comp[~curved]
             size = np.linalg.norm(flat)
             if size > 0:
                 flat *= max(np.linalg.norm(lam[idx]), np.linalg.norm(step), size) / size
-            p[idx] = basis @ (step + flat)
+            p[idx] = step + flat if basis is None else basis @ (step + flat)
         blocked = (lam == 0) & (p < 0)
         if not blocked.any():
             break

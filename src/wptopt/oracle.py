@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import build_channel
+from .channel import build_channel, cosine_profile
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
 from .power import chain_norm_scales
 from .rectenna import harvested_voltage, tone_amplitudes
-from .scenario import Architecture, ScenarioConfig
+from .scenario import SPEED_OF_LIGHT, Architecture, ScenarioConfig
 from .transmitter import DmaState, Waveform, effective_rows
 
 
@@ -250,6 +250,12 @@ def brute_force_small(scenario: ScenarioConfig, n_samples: int = 100_000,
 # spatial field maps
 # ---------------------------------------------------------------------------
 
+# Cell-element pairs per field-map chunk. The chunk's work arrays, about 100
+# bytes a pair, then fit a core's 2 MB L2 cache. On the 2 cm map of a 24-element
+# DMA, 2**13 and 2**14 took 0.03 s, 2**17 0.04 s and 2**11 0.05 s.
+MAP_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class PlaneSpec:
     """Vertical slice y = y_offset sampled on a regular x/z grid."""
@@ -262,6 +268,9 @@ class PlaneSpec:
     y_offset: float = 0.0
 
     def validate(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.z_min, self.z_max,
+                                       self.resolution, self.y_offset))):
+            raise ValueError("plane bounds, resolution and offset must be finite")
         if self.resolution <= 0:
             raise ValueError("plane resolution must be positive")
         if self.x_max < self.x_min or self.z_max < self.z_min:
@@ -289,7 +298,8 @@ class FieldMap:
 
     def to_csv(self, path) -> None:
         header = "x/z," + ",".join(f"{x:.6g}" for x in self.xs)
-        rows = [f"{z:.6g}," + ",".join(f"{v:.9e}" for v in row)
+        cell = "{:.9e}".format
+        rows = [f"{z:.6g}," + ",".join(map(cell, row.tolist()))
                 for z, row in zip(self.zs, self.values)]
         with open(path, "w") as fh:
             fh.write(header + "\n" + "\n".join(rows) + "\n")
@@ -306,19 +316,66 @@ def field_map(scenario: ScenarioConfig, waveform: Waveform,
     center-referenced divisor, the aperture average also cancels the
     first-order obliquity tilt, so a focused beam peaks at the focus rather
     than slightly beyond it.
+
+    No channel tensor is built. Element k's coefficient at tone n (counted
+    from 0) factors into ``g_k * lambda_n * e_k * r_k**n``, with
+    ``g_k = sqrt(F(theta_k)) / (4 pi d_k)``, the lowest tone's phasor
+    ``e_k = exp(-j 2 pi d_k / lambda1)`` and the tone step
+    ``r_k = exp(-j 2 pi delta_f d_k / c)``. So each cell and element costs two
+    complex exponentials (:func:`_phasors`), and each further tone one complex
+    multiply; the received tone is ``(g e r**n) @ (lambda_n x_n)``, with ``x``
+    the element drive: ``omega`` for the fully-digital array, and for the DMA
+    ``q h`` times the weight of the element's microstrip, the product that
+    ``effective_rows`` folds into its chain rows. The values agree with the
+    channel tensor's to about 1e-12 relative. Cells are taken in chunks of
+    about ``MAP_CHUNK`` cell-element pairs.
     """
-    dev = scenario.device
-    plan = scenario.frequency
+    dev, plan, arr = scenario.device, scenario.frequency, scenario.array
+    if (dma is None) != (arr.architecture is Architecture.FULLY_DIGITAL):
+        raise ValueError("a DMA state is required for, and only for, a DMA array")
     xs, zs = plane.grid()
-    n_el = scenario.array.n_elements
-    p_rf = np.empty((len(zs), len(xs)))
-    loss = np.empty((len(zs), len(xs)))
-    for k, z in enumerate(zs):  # one grid row at a time keeps the channel small
-        cells = np.column_stack([xs, np.full_like(xs, plane.y_offset), np.full_like(xs, z)])
-        channel = build_channel(scenario.array, cells, plan, dev.boresight_gain)
-        eff = effective_rows(channel, scenario.array, dma)
-        s = np.einsum("mnc,cn->mn", eff.chain, waveform.omega)
-        p_rf[k] = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
-        loss[k] = np.mean(channel.gain[:, :, :, 0].reshape(n_el, len(xs)) ** 2, axis=0)
+    drive = waveform.omega                            # [N, n_f], element order
+    if dma is not None:
+        drive = np.repeat(drive, arr.n_h, axis=0) * (dma.q * dma.h).reshape(-1, 1)
+    drive = np.ascontiguousarray((drive * plan.wavelengths).T)  # [n_f, N]
+    ex, ey, ez = arr.element_positions.reshape(-1, 3).T
+    cx = np.tile(xs, len(zs))[:, None]
+    cz = np.repeat(zs, len(xs))[:, None]
+    dy2 = (plane.y_offset - ey) ** 2
+    p_rf = np.zeros(len(cx))
+    loss = np.empty(len(cx))
+    size = max(1, MAP_CHUNK // len(ex))
+    for lo in range(0, len(cx), size):
+        part = slice(lo, lo + size)
+        dz = cz[part] - ez          # [cells, N]; > 0, every cell is in front
+        d = np.sqrt((cx[part] - ex) ** 2 + dy2 + dz ** 2)
+        g = np.sqrt(cosine_profile(dz / d, dev.boresight_gain)) / (4.0 * np.pi * d)
+        phasor = _phasors(g, d * (1.0 / plan.wavelengths[0]))
+        advance = _phasors(1.0, d * (plan.delta_f / SPEED_OF_LIGHT))
+        for n in range(plan.n_f):
+            if n:
+                phasor *= advance
+            s = phasor @ drive[n]
+            p_rf[part] += s.real ** 2 + s.imag ** 2
+        loss[part] = np.mean((g * plan.wavelengths[0]) ** 2, axis=1)
+    p_rf *= dev.hpa_gain ** 2 / 2.0
     values = np.where(loss > 0, p_rf / np.maximum(loss, 1e-300), 0.0)
-    return FieldMap(plane=plane, xs=xs, zs=zs, values=values)
+    return FieldMap(plane=plane, xs=xs, zs=zs, values=values.reshape(len(zs), len(xs)))
+
+
+def _phasors(amplitude, cycles: np.ndarray) -> np.ndarray:
+    """``amplitude * exp(-j 2 pi cycles)`` by the half-angle tangent.
+
+    With ``t = tan(pi r)`` of the remainder ``r`` of ``cycles`` after the
+    nearest whole number, the phasor is ``(1 - t**2 - 2j t) / (1 + t**2)``,
+    to within a few units of 1e-16 even where ``t`` is large. numpy's
+    float64 tangent is vectorized where its sine and cosine are not, so this
+    takes about a third of the time of ``np.exp`` of the imaginary argument.
+    """
+    t = np.tan(np.pi * (cycles - np.rint(cycles)))
+    t2 = t * t
+    scale = amplitude / (1.0 + t2)
+    out = np.empty(t.shape, dtype=complex)
+    np.multiply(1.0 - t2, scale, out=out.real)
+    np.multiply(-2.0 * t, scale, out=out.imag)
+    return out

@@ -420,6 +420,17 @@ def test_fieldmap_command(artifact_dir, tmp_path):
     assert "argmax" in meta
 
 
+@pytest.mark.parametrize("plane", [["--res", "0"], ["--res", "nan"], ["--zmin", "-1"],
+                                   ["--xmin", "1", "--xmax", "-1"]])
+def test_fieldmap_rejects_invalid_plane(artifact_dir, tmp_path, capsys, plane):
+    code = main(["fieldmap", str(artifact_dir / "artifact.json"), *plane,
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_VALIDATION
+    assert len(err) == 1 and err[0].startswith("invalid plane: ")
+    assert not (tmp_path / "fieldmap.csv").exists()
+
+
 def test_sweep_single_value_matches_optimize(scenario_file, tmp_path, capsys):
     code = main(["sweep", str(scenario_file), "--axis", "n_f",
                  "--values", "2", "--out", str(tmp_path)])

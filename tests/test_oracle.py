@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptopt.channel import build_channel
 from wptopt.oracle import (PlaneSpec, brute_force_small, closed_form_single,
@@ -8,7 +10,7 @@ from wptopt.optimize import run_sca_fd
 from wptopt.power import hpa_bound_objective
 from wptopt.rectenna import moment2, moment4, tone_amplitudes
 from wptopt.scenario import FrequencyPlan
-from wptopt.transmitter import Waveform, effective_rows
+from wptopt.transmitter import LORENTZIAN_CENTER, Waveform, effective_rows
 
 from conftest import make_scenario, single_element_fd
 
@@ -160,23 +162,29 @@ def test_field_map_values_nonnegative_and_shape(tiny_fd, rng):
     assert np.all(fmap.values >= 0.0)
 
 
+def _reference_map(cfg, wf, dma, fmap):
+    """The map over the channel tensor: one probe receiver per cell."""
+    arr, dev = cfg.array, cfg.device
+    cells = np.array([[x, fmap.plane.y_offset, z] for z in fmap.zs for x in fmap.xs])
+    ch = build_channel(arr, cells, cfg.frequency, dev.boresight_gain)
+    s = np.einsum("mnc,cn->mn", effective_rows(ch, arr, dma).chain, wf.omega)
+    p_rf = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
+    loss = np.mean(ch.gain[:, :, :, 0].reshape(arr.n_elements, len(cells)) ** 2, axis=0)
+    return (p_rf / loss).reshape(len(fmap.zs), len(fmap.xs))
+
+
 def test_field_map_rows_equal_whole_grid(tiny_dma, rng):
-    """The map evaluated one grid row at a time equals one evaluation over
-    every cell of the plane."""
+    """The map, evaluated in chunks of cells, equals one channel-tensor
+    evaluation over every cell of the plane."""
     from wptopt.transmitter import DmaState
-    arr, plan, dev = tiny_dma.array, tiny_dma.frequency, tiny_dma.device
+    arr, plan = tiny_dma.array, tiny_dma.frequency
     dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
                                arr.inter_element_dx, tiny_dma.microstrip)
     wf = Waveform(rng.normal(size=(arr.n_v, plan.n_f))
                   + 1j * rng.normal(size=(arr.n_v, plan.n_f)))
     plane = PlaneSpec(-0.6, 0.5, 0.3, 1.4, 0.1)
     fmap = field_map(tiny_dma, wf, dma, plane)
-    cells = np.array([[x, plane.y_offset, z] for z in fmap.zs for x in fmap.xs])
-    ch = build_channel(arr, cells, plan, dev.boresight_gain)
-    s = np.einsum("mnc,cn->mn", effective_rows(ch, arr, dma).chain, wf.omega)
-    p_rf = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
-    loss = np.mean(ch.gain[:, :, :, 0].reshape(arr.n_elements, len(cells)) ** 2, axis=0)
-    whole = (p_rf / loss).reshape(len(fmap.zs), len(fmap.xs))
+    whole = _reference_map(tiny_dma, wf, dma, fmap)
     assert fmap.values.shape == whole.shape == (12, 12)
     np.testing.assert_allclose(fmap.values, whole, rtol=1e-13, atol=0)
 
@@ -198,3 +206,83 @@ def test_plane_spec_validation():
         PlaneSpec(-1.0, 1.0, -0.5, 2.0, 0.1).grid()     # behind the array
     with pytest.raises(ValueError):
         PlaneSpec(1.0, -1.0, 0.5, 2.0, 0.1).grid()      # empty extent
+    for bad in (dict(resolution=np.nan), dict(x_max=np.inf), dict(z_min=np.nan),
+                dict(y_offset=-np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PlaneSpec(**{**dict(x_min=-1.0, x_max=1.0, z_min=0.5, z_max=2.0,
+                                resolution=0.1), **bad}).grid()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(arch=st.sampled_from(["dma", "fd"]), length=st.sampled_from([0.1, 0.2]),
+       n_f=st.sampled_from([1, 2, 3, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
+       y_offset=st.floats(-0.4, 0.4), cells_per_chunk=st.sampled_from([5, 7, 25, None]),
+       boresight_gain=st.sampled_from([0.0, 1.5]))
+def test_field_map_matches_channel_tensor(arch, length, n_f, seed, y_offset,
+                                          cells_per_chunk, boresight_gain):
+    """The tone recurrence agrees with the channel tensor cell by cell. The
+    plane's 156 cells leave a partial last chunk at every chunk size drawn
+    (``None``: the default, one chunk)."""
+    from unittest import mock
+
+    from wptopt import oracle
+    from wptopt.transmitter import DmaState
+    rng = np.random.default_rng(seed)
+    cfg = make_scenario(arch, length=length, n_f=n_f, boresight_gain=boresight_gain)
+    arr = cfg.array
+    wf = Waveform(rng.normal(size=(arr.rf_chain_count, n_f))
+                  + 1j * rng.normal(size=(arr.rf_chain_count, n_f)))
+    dma = None
+    if arch == "dma":
+        dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
+                                   arr.inter_element_dx, cfg.microstrip)
+        dma = dma.with_weights(LORENTZIAN_CENTER + rng.uniform(0, 0.5, dma.q.shape)
+                               * (dma.q - LORENTZIAN_CENTER))
+    plane = PlaneSpec(-0.9, 0.8, 0.3, 2.1, 0.15, y_offset=y_offset)
+    budget = oracle.MAP_CHUNK if cells_per_chunk is None else cells_per_chunk * arr.n_elements
+    with mock.patch.object(oracle, "MAP_CHUNK", budget):
+        fmap = field_map(cfg, wf, dma, plane)
+    assert fmap.values.shape == (13, 12)
+    np.testing.assert_allclose(fmap.values, _reference_map(cfg, wf, dma, fmap),
+                               rtol=1e-10, atol=0)
+
+
+def test_field_map_builds_no_channel_tensor(tiny_dma, rng, monkeypatch):
+    import sys
+
+    from wptopt import channel, transmitter
+    from wptopt.transmitter import DmaState
+    calls = []
+    for fn in (channel.build_channel, transmitter.effective_rows):
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wptopt") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    arr = tiny_dma.array
+    dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
+                               arr.inter_element_dx, tiny_dma.microstrip)
+    wf = Waveform(np.ones((arr.n_v, tiny_dma.frequency.n_f), dtype=complex))
+    field_map(tiny_dma, wf, dma, PlaneSpec(-0.5, 0.5, 0.5, 1.5, 0.1))
+    assert calls == []
+    synthesize_received(tiny_dma, wf, dma, 0)      # the counters see a call
+    assert calls == ["build_channel", "effective_rows"]
+
+
+def test_field_map_csv_bytes(tmp_path):
+    """The CSV writer formats Python floats; its bytes equal formatting each
+    numpy value."""
+    from wptopt.oracle import FieldMap
+    values = np.array([[0.0, 1e-300, 1e300, 5e-324],
+                       [1.2345678901234567, 2.0 / 3.0, 1e-5, 123456789.0],
+                       [np.nextafter(1.0, 2.0), 9.9999999995e-3, 0.5, 7.0]])
+    fmap = FieldMap(PlaneSpec(-0.3, 0.0, 0.5, 0.7, 0.1), xs=np.array([-0.3, -0.2, -0.1, 0.0]),
+                    zs=np.array([0.5, 0.6, 0.7]), values=values)
+    fmap.to_csv(tmp_path / "map.csv")
+    header = "x/z," + ",".join(f"{x:.6g}" for x in fmap.xs)
+    rows = [f"{z:.6g}," + ",".join(f"{v:.9e}" for v in row)
+            for z, row in zip(fmap.zs, fmap.values)]
+    expected = header + "\n" + "\n".join(rows) + "\n"
+    assert "0.000000000e+00" in expected and "1.000000000e+300" in expected
+    assert (tmp_path / "map.csv").read_bytes() == expected.encode()
