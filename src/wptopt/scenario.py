@@ -13,7 +13,8 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -133,8 +134,8 @@ class FrequencyPlan:
 
     @classmethod
     def from_bandwidth(cls, f1: float, bandwidth: float, n_f: int) -> "FrequencyPlan":
-        if n_f == 1:
-            return cls(f1, 1, bandwidth)  # spacing is irrelevant for one tone
+        if n_f <= 1:   # spacing is irrelevant for one tone; validate rejects fewer
+            return cls(f1, n_f, bandwidth)
         return cls(f1, n_f, bandwidth / n_f)
 
     @property
@@ -299,16 +300,21 @@ class SolverSettings:
     init_ramp_factor: float = 5.0      # varsigma: amplitude ramp multiplier
     max_outer_iters: int = 50
     max_sca_iters: int = 60
-    cone_solver_kkt_tol: float = 1e-9
 
     def validate(self):
-        for name in ("sca_rel_tol", "init_seed_amplitude", "cone_solver_kkt_tol"):
+        for name in ("sca_rel_tol", "init_seed_amplitude"):
             if getattr(self, name) <= 0:
                 raise ScenarioValidationError(f"{name} must be positive")
         if self.init_ramp_factor <= 1.0:
             raise ScenarioValidationError("init_ramp_factor must exceed 1")
         if self.max_outer_iters < 1 or self.max_sca_iters < 1:
             raise ScenarioValidationError("iteration caps must be >= 1")
+
+
+# Scenario sections held by one dataclass each; its fields are the section's
+# keys, in both the text format and the JSON export.
+SECTIONS = {"device": DeviceParams, "microstrip": MicrostripParams,
+            "solver": SolverSettings}
 
 
 @dataclass(frozen=True)
@@ -369,28 +375,7 @@ class ScenarioConfig:
                 {"position": list(map(float, r.position)), "eh_requirement": r.eh_requirement}
                 for r in self.receivers
             ],
-            "device": {
-                "hpa_gain": self.device.hpa_gain,
-                "hpa_max_efficiency": self.device.hpa_max_efficiency,
-                "hpa_saturation_power": self.device.hpa_saturation_power,
-                "rect_antenna_resistance": self.device.rect_antenna_resistance,
-                "rect_load_resistance": self.device.rect_load_resistance,
-                "rect_thermal_voltage": self.device.rect_thermal_voltage,
-                "rect_ideality": self.device.rect_ideality,
-                "boresight_gain": self.device.boresight_gain,
-            },
-            "microstrip": {
-                "attenuation": self.microstrip.attenuation,
-                "propagation": self.microstrip.propagation,
-            },
-            "solver": {
-                "sca_rel_tol": self.solver.sca_rel_tol,
-                "init_seed_amplitude": self.solver.init_seed_amplitude,
-                "init_ramp_factor": self.solver.init_ramp_factor,
-                "max_outer_iters": self.solver.max_outer_iters,
-                "max_sca_iters": self.solver.max_sca_iters,
-                "cone_solver_kkt_tol": self.solver.cone_solver_kkt_tol,
-            },
+            **{name: asdict(getattr(self, name)) for name in SECTIONS},
             "seed": self.seed,
         }
 
@@ -402,42 +387,65 @@ class ScenarioConfig:
         return replace(self, solver=replace(self.solver, **kwargs))
 
 
+def _number(section: str, key: str, value, kind: type = float):
+    """``value`` as a finite float, or as a whole number where ``kind`` is int;
+    anything else is a parse error that names the section and key."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        what = "a whole number" if kind is int else "a finite number"
+        raise ScenarioParseError(f"[{section}] {key} = {value!r} is not {what}")
+    return kind(number)
+
+
+def _read_section(name: str, raw: dict):
+    """Build section ``name``'s dataclass; its fields are the only keys."""
+    kinds = {f.name: type(f.default) for f in fields(SECTIONS[name])}
+    for key in raw:
+        if key not in kinds:
+            raise ScenarioParseError(f"[{name}] unknown key {key!r}")
+    return SECTIONS[name](**{k: _number(name, k, v, kinds[k]) for k, v in raw.items()})
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a scenario from its ``to_dict`` form."""
     try:
-        arr = data["array"]
-        arch = Architecture(arr["architecture"])
-        freq = data["frequency"]
-        f1 = float(freq["f1"])
-        n_f = int(freq["n_tones"])
+        arr, freq = data["array"], data["frequency"]
+        f1 = _number("frequency", "f1", freq.get("f1"))
+        n_f = _number("frequency", "n_tones", freq.get("n_tones", 1), int)
         if "delta_f" in freq:
-            plan = FrequencyPlan(f1, n_f, float(freq["delta_f"]))
+            plan = FrequencyPlan(f1, n_f, _number("frequency", "delta_f", freq["delta_f"]))
+        elif "bandwidth" in freq:
+            plan = FrequencyPlan.from_bandwidth(
+                f1, _number("frequency", "bandwidth", freq["bandwidth"]), n_f)
         else:
-            plan = FrequencyPlan.from_bandwidth(f1, float(freq["bandwidth"]), n_f)
-        array = build_array(arch, float(arr["length"]), f1)
+            raise ScenarioParseError("[frequency] needs delta_f or bandwidth")
+        array = build_array(Architecture(arr.get("architecture", "fd").lower()),
+                            _number("array", "length", arr.get("length")), f1)
         receivers = tuple(
             ReceiverSpec(_readonly(np.asarray(r["position"], dtype=float)),
                          float(r["eh_requirement"]))
             for r in data["receivers"]
         )
-        device = DeviceParams(**{k: float(v) for k, v in data.get("device", {}).items()})
-        strip = MicrostripParams(**{k: float(v) for k, v in data.get("microstrip", {}).items()})
-        sv = dict(data.get("solver", {}))
-        for key in ("max_outer_iters", "max_sca_iters"):
-            if key in sv:
-                sv[key] = int(sv[key])
-        solver = SolverSettings(**{k: (float(v) if k not in ("max_outer_iters", "max_sca_iters")
-                                       else v) for k, v in sv.items()})
-        seed = int(data.get("seed", 0))
+        raw = {name: dict(data.get(name, {})) for name in SECTIONS}
+        raw["solver"].pop("cone_solver_kkt_tol", None)  # retired; older artifacts carry it
+        sections = {name: _read_section(name, raw[name]) for name in SECTIONS}
+        seed = _number("solver", "seed", data.get("seed", 0), int)
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"bad scenario data: {exc}") from exc
-    cfg = ScenarioConfig(array, plan, receivers, device, strip, solver, seed)
+    cfg = ScenarioConfig(array, plan, receivers, seed=seed, **sections)
     cfg.validate()
     return cfg
 
 
+# Keys of the text sections that no dataclass holds; [solver] also takes
+# ``seed``. Receivers are ``[receiver.<k>]`` sections, read in the order of k.
+_TEXT_KEYS = {"array": ("architecture", "length"),
+              "frequency": ("f1", "n_tones", "delta_f", "bandwidth")}
 _RECEIVER_KEYS = ("x", "y", "z", "p_target")
 
 
@@ -445,7 +453,8 @@ def load_scenario(path) -> ScenarioConfig:
     """Load and validate a scenario from a text (.cfg/.ini) or .json file.
 
     The text format is sectioned key/value, one ``[receiver.<k>]`` section per
-    device. See README for the full schema.
+    device. A section or key outside the schema is a parse error. See README
+    for the full schema.
     """
     path = str(path)
     if path.endswith(".json"):
@@ -456,61 +465,41 @@ def load_scenario(path) -> ScenarioConfig:
             raise ScenarioParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
         return scenario_from_dict(data)
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh, source=path)
     except configparser.Error as exc:
         raise ScenarioParseError(str(exc)) from exc
 
-    def section(name, required=False):
-        if parser.has_section(name):
-            return dict(parser.items(name))
-        if required:
-            raise ScenarioParseError(f"{path}: missing required section [{name}]")
-        return {}
-
-    def numbers(raw: dict, context: str) -> dict:
-        out = {}
-        for k, v in raw.items():
-            try:
-                out[k] = float(v)
-            except ValueError as exc:
-                raise ScenarioParseError(
-                    f"{path}: [{context}] {k} = {v!r} is not a number") from exc
-        return out
-
-    arr = section("array", required=True)
-    freq = numbers(section("frequency", required=True), "frequency")
-    data = {
-        "array": {"architecture": arr.get("architecture", "fd").strip().lower(),
-                  "length": numbers({"length": arr.get("length", "")}, "array")["length"]},
-        "frequency": {"f1": freq.get("f1"),
-                      "n_tones": int(freq.get("n_tones", 1))},
-        "receivers": [],
-        "device": numbers(section("device"), "device"),
-        "microstrip": numbers(section("microstrip"), "microstrip"),
-        "solver": numbers(section("solver"), "solver"),
-    }
-    if "delta_f" in freq:
-        data["frequency"]["delta_f"] = freq["delta_f"]
-    elif "bandwidth" in freq:
-        data["frequency"]["bandwidth"] = freq["bandwidth"]
-    else:
-        raise ScenarioParseError(f"{path}: [frequency] needs delta_f or bandwidth")
-    if "seed" in data["solver"]:
-        data["seed"] = int(data["solver"].pop("seed"))
-    for name in sorted(parser.sections()):
-        if not name.startswith("receiver"):
+    data, receivers = {}, {}
+    for name in parser.sections():
+        raw = dict(parser.items(name))
+        if name in SECTIONS:  # keys checked against the dataclass fields
+            if name == "solver" and "seed" in raw:
+                data["seed"] = raw.pop("seed")
+            data[name] = raw
             continue
-        vals = numbers(dict(parser.items(name)), name)
-        missing = [k for k in _RECEIVER_KEYS if k not in vals]
+        receiver = re.fullmatch(r"receiver\.(0|[1-9][0-9]*)", name)
+        keys = _RECEIVER_KEYS if receiver else _TEXT_KEYS.get(name)
+        if keys is None:
+            raise ScenarioParseError(f"{path}: unknown section [{name}]")
+        unknown = [k for k in raw if k not in keys]
+        if unknown:
+            raise ScenarioParseError(f"{path}: [{name}] unknown key {unknown[0]!r}")
+        if not receiver:
+            data[name] = raw
+            continue
+        missing = [k for k in keys if k not in raw]
         if missing:
             raise ScenarioParseError(f"{path}: [{name}] missing keys: {missing}")
-        data["receivers"].append({
-            "position": [vals["x"], vals["y"], vals["z"]],
-            "eh_requirement": vals["p_target"],
-        })
+        receivers[int(receiver[1])] = {
+            "position": [_number(name, k, raw[k]) for k in "xyz"],
+            "eh_requirement": _number(name, "p_target", raw["p_target"])}
+    for name in ("array", "frequency"):
+        if name not in data:
+            raise ScenarioParseError(f"{path}: missing required section [{name}]")
+    data["receivers"] = [receivers[k] for k in sorted(receivers)]
     return scenario_from_dict(data)
 
 

@@ -133,6 +133,63 @@ def test_aperiodic_plan_rejected_before_design(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+SAMPLE = Path(__file__).resolve().parents[1] / "sample_scenario.cfg"
+
+
+@pytest.mark.parametrize("edit, names", [
+    (("n_tones = 8", "n_tone = 8"), ("[frequency]", "n_tone")),
+    (("n_tones = 8", "n_tones = 8.7"), ("[frequency]", "n_tones")),
+    (("max_sca_iters = 30", "max_sca_iters = 30.9"), ("[solver]", "max_sca_iters")),
+    (("[solver]", "[solvr]"), ("[solvr]",)),
+    (("length = 0.20", "lenght = 0.20"), ("[array]", "lenght")),
+    (("p_target = 20e-6", "p_tagret = 20e-6"), ("[receiver.1]", "p_tagret")),
+    (("[receiver.1]", "[receivers.1]"), ("[receivers.1]",)),
+])
+def test_keys_outside_the_schema_exit_2(tmp_path, capsys, edit, names):
+    """Each edit is a typo in the sample scenario that would otherwise load
+    as a different design (or as the defaults); it exits 2 with one stderr
+    line naming the section and key."""
+    text = SAMPLE.read_text()
+    assert edit[0] in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(*edit))
+    assert main(["optimize", str(bad), "--out", str(tmp_path / "runs")]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and all(name in err[0] for name in names)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_fractional_tone_count_in_json_exits_2(tmp_path, capsys):
+    from wptopt.scenario import load_scenario
+    data = load_scenario(SAMPLE).to_dict()
+    data["frequency"]["n_tones"] = 8.7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["optimize", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["parse error: [frequency] n_tones = 8.7 is not a whole number"]
+
+
+@pytest.mark.parametrize("text", [
+    SCENARIO.replace("[solver]", "[device]\nboresight_gain = -1\n\n[solver]"),
+    SCENARIO.replace("[solver]", "[microstrip]\nattenuation = -0.1\n\n[solver]"),
+    SCENARIO.replace("max_sca_iters = 20", "max_sca_iters = 0"),
+    SCENARIO.replace("[solver]", "[solver]\ninit_ramp_factor = 1.0"),
+    SCENARIO.replace("n_tones = 2", "n_tones = 0"),
+    SCENARIO.split("[receiver.1]")[0] + "[solver]" + SCENARIO.split("[solver]")[1],
+], ids=["boresight", "microstrip", "cap", "ramp", "no-tones", "no-receiver"])
+def test_invalid_values_exit_3_before_design(tmp_path, monkeypatch, capsys, text):
+    def no_design(scenario):
+        raise AssertionError("a design ran on an invalid scenario")
+
+    monkeypatch.setattr(optimize_module, "run_asca_dma", no_design)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main(["optimize", str(bad), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid scenario: ")
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["optimize", str(tmp_path / "nope.cfg")]) == EXIT_PARSE
 
@@ -198,6 +255,38 @@ def test_single_blas_thread_without_openblas(monkeypatch):
     with blas.single_thread():
         ran.append(True)
     assert ran == [True]
+
+
+def test_simulate_accepts_the_retired_solver_key(artifact_dir, scenario_file,
+                                                tmp_path, capsys):
+    """An artifact or scenario file written while ``SolverSettings`` had
+    ``cone_solver_kkt_tol`` still loads, and simulate passes it."""
+    data = json.loads((artifact_dir / "artifact.json").read_text())
+    data["scenario"]["solver"]["cone_solver_kkt_tol"] = 1e-9
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(data))
+    assert main(["simulate", str(legacy)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    cfg = tmp_path / "legacy.cfg"
+    cfg.write_text(scenario_file.read_text() + "cone_solver_kkt_tol = 1e-9\n")
+    out = tmp_path / "runs"
+    assert main(["optimize", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert next(out.iterdir()).name == artifact_dir.name
+    assert main(["simulate", str(next(out.iterdir()) / "artifact.json")]) == EXIT_OK
+
+
+def test_seed_changes_the_hash_but_not_the_design(artifact_dir, scenario_file, tmp_path):
+    """No design step draws random numbers: ``--seed`` moves the scenario
+    hash (and so the artifact directory), not the weights."""
+    out = tmp_path / "runs"
+    assert main(["optimize", str(scenario_file), "--seed", "7", "--out", str(out)]) == EXIT_OK
+    seeded = RunArtifact.load(next(out.iterdir()) / "artifact.json")
+    base = RunArtifact.load(artifact_dir / "artifact.json")
+    assert seeded.scenario["seed"] == 7 and base.scenario["seed"] == 0
+    assert seeded.scenario_hash != base.scenario_hash
+    assert np.array_equal(seeded.waveform, base.waveform)
+    assert np.array_equal(seeded.dma_q, base.dma_q)
+    assert seeded.power_report == base.power_report
 
 
 def test_simulate_detects_tampering(artifact_dir, tmp_path, capsys):
@@ -444,6 +533,29 @@ def test_sweep_single_value_matches_optimize(scenario_file, tmp_path, capsys):
     artifact = run_optimization(load_scenario(scenario_file))
     assert float(row["p_c_bound"]) == pytest.approx(
         artifact.trace_rows[-1]["p_c_bound"], rel=1e-9)
+
+
+@pytest.mark.parametrize("axis, value, edit", [
+    ("d", "2.0", ("z = 1.5", "z = 2.0")),
+    ("P_max", "2.0", ("[solver]", "[device]\nhpa_saturation_power = 2.0\n\n[solver]")),
+])
+def test_sweep_distance_and_saturation_axes(scenario_file, tmp_path, axis, value, edit):
+    """A sweep point is the design of the scenario with that one value changed:
+    the receiver moved to distance ``d`` along its direction, or the
+    amplifier's saturation power set to ``P_max``."""
+    assert main(["sweep", str(scenario_file), "--axis", axis, "--values", value,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / f"sweep_{axis}.csv", newline="") as fh:
+        row, = csv.DictReader(fh)
+    assert row["status"] == "ok" and row["feasible"] == "True"
+    edited = tmp_path / "edited.cfg"
+    edited.write_text(SCENARIO.replace(*edit))
+    from wptopt.scenario import load_scenario
+    artifact = run_optimization(load_scenario(edited))
+    assert float(row["p_c_bound"]) == pytest.approx(artifact.trace_rows[-1]["p_c_bound"],
+                                                    rel=1e-9)
+    assert float(row["p_c_sampled"]) == pytest.approx(
+        artifact.power_report.p_c_sampled, rel=1e-9)
 
 
 def test_sweep_records_per_point_failures(scenario_file, tmp_path):

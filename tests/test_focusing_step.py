@@ -159,3 +159,36 @@ def test_warm_start_reaches_the_same_optimum():
     for step in (warm, vertex):
         assert step.exit_reason is ExitReason.TOLERANCE
         assert step.primal == pytest.approx(cold.primal, rel=1e-12)
+
+
+def test_lowest_voltage_vertex_fallback(monkeypatch):
+    """Warm-started at the vertex of receiver 0, which is already optimal:
+    pricing it alone lifts receiver 1 above it. The dual value ``f`` there
+    is 0, but the voltage it is compared with sums 100 terms ``3 * 0.6 +
+    4 * 0.8`` that each round below 5, so it reads about -3e-13 and the
+    point is not settled. With one free price the Newton direction is zero
+    and does not descend, so the step points to the vertex of the lowest
+    voltage, receiver 0 itself; it ends there, certified."""
+    from wptopt import dual_newton
+    returned = []
+    newton = dual_newton.direction
+
+    def spy(*args):
+        p = newton(*args)
+        returned.append(p)
+        return p
+
+    monkeypatch.setattr(dual_newton, "direction", spy)
+    n_el = 100
+    q0 = np.full(n_el, LORENTZIAN_CENTER)
+    lins = [LinearizedVoltage(-5.0 * n_el, np.full(n_el, 3.0 + 4.0j), q0),
+            LinearizedVoltage(1.0, np.zeros(n_el, complex), q0)]
+    step = focusing_step(lins, start=np.array([1.0, 0.0]))
+    assert returned and all(p is None for p in returned)
+    assert step.exit_reason is ExitReason.TOLERANCE
+    assert step.gap <= GAP_TOL * (1.0 + abs(step.primal))
+    assert np.array_equal(step.multipliers, [1.0, 0.0])
+    assert_in_disks(step.q)
+    voltages = [lin.predict(step.q) for lin in lins]
+    assert step.primal == min(voltages) == pytest.approx(0.0, abs=1e-12)
+    assert voltages[1] == 1.0

@@ -1,14 +1,24 @@
+import configparser
+import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wptopt.scenario import (SPEED_OF_LIGHT, Architecture, DeviceParams,
-                             FrequencyPlan, ReceiverSpec, ScenarioParseError,
-                             ScenarioValidationError, build_array,
-                             load_scenario, save_scenario)
+from wptopt.scenario import (SECTIONS, SPEED_OF_LIGHT, Architecture, ArraySpec,
+                             DeviceParams, FrequencyPlan, MicrostripParams,
+                             ReceiverSpec, ScenarioConfig, ScenarioParseError,
+                             ScenarioValidationError, SolverSettings, build_array,
+                             load_scenario, save_scenario, scenario_from_dict)
 
 from conftest import F1, make_scenario
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 LAM1 = SPEED_OF_LIGHT / F1
 
@@ -179,3 +189,181 @@ def test_scenario_is_immutable(tiny_dma):
         tiny_dma.array.element_positions[0, 0, 0] = 1.0
     with pytest.raises(Exception):
         tiny_dma.seed = 1
+
+
+def _scenario_data(**sections) -> dict:
+    """``make_scenario()``'s ``to_dict`` form with some sections replaced."""
+    data = make_scenario().to_dict()
+    for name, values in sections.items():
+        data[name] = {**data[name], **values} if isinstance(values, dict) else values
+    return data
+
+
+def _bad_array(**changes):
+    arr = build_array(Architecture.DMA, 0.10, F1)
+    return dataclasses.replace(arr, **changes).validate
+
+
+def _positions(shift):
+    pos = build_array(Architecture.DMA, 0.10, F1).element_positions.copy()
+    pos[0, 0] += shift
+    return pos
+
+
+@pytest.mark.parametrize("check, message", [
+    (_bad_array(n_h=0), "at least one element"),
+    (_bad_array(element_positions=np.zeros((2, 2, 3))), "shape mismatch"),
+    (_bad_array(element_positions=_positions([0.0, 0.0, 1e-3])), "z=0 plane"),
+    (_bad_array(inter_element_dx=0.1), "exceeds the nominal aperture"),
+    (lambda: build_array(Architecture.FULLY_DIGITAL, 0.10, -F1), "frequency must be positive"),
+    (FrequencyPlan(-F1, 2, 1e6).validate, "f1 must be positive"),
+    (FrequencyPlan(F1, 0, 1e6).validate, "tone count"),
+    (FrequencyPlan(F1, 2, 0.0).validate, "delta_f > 0"),
+    (lambda: FrequencyPlan(F1, 2, 1e6).nyquist_grid(1.0), "sampling grid too large"),
+    (ReceiverSpec(np.array([0.0, 1.5]), 20e-6).validate, "3-vector"),
+    (DeviceParams(boresight_gain=-1.0).validate, "boresight_gain"),
+    (MicrostripParams(attenuation=-0.1).validate, "attenuation"),
+    (MicrostripParams(propagation=0.0).validate, "propagation"),
+    (SolverSettings(sca_rel_tol=0.0).validate, "sca_rel_tol"),
+    (SolverSettings(init_ramp_factor=1.0).validate, "init_ramp_factor"),
+    (SolverSettings(max_outer_iters=0).validate, "iteration caps"),
+    (SolverSettings(max_sca_iters=0).validate, "iteration caps"),
+    (lambda: scenario_from_dict(_scenario_data(receivers=[])), "at least one receiver"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_validation_rejects(check, message):
+    with pytest.raises(ScenarioValidationError, match=message):
+        check()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("solver", "max_sca_iters", "30.9", "max_sca_iters = '30.9' is not a whole number"),
+    ("solver", "sca_rel_tol", "nan", "sca_rel_tol = 'nan' is not a finite number"),
+    ("device", "hpa_gain", None, "hpa_gain = None is not a finite number"),
+    ("solver", "max_sca_iter", 30, "[solver] unknown key 'max_sca_iter'"),
+    ("microstrip", "alpha", 0.3, "[microstrip] unknown key 'alpha'"),
+])
+def test_section_reader_names_section_and_key(section, key, value, message):
+    """A section's keys are its dataclass fields; a whole-number field takes
+    no fraction, a number field no text or non-finite value."""
+    data = _scenario_data(**{section: {key: value}})
+    with pytest.raises(ScenarioParseError, match=re.escape(message)):
+        scenario_from_dict(data)
+
+
+def test_to_dict_sections_are_the_dataclass_fields():
+    data = make_scenario().to_dict()
+    for name, cls in SECTIONS.items():
+        assert data[name] == dataclasses.asdict(cls())
+    assert "cone_solver_kkt_tol" not in data["solver"]
+
+
+def test_retired_solver_key_is_dropped_on_read(tmp_path):
+    """Artifacts and files written while ``SolverSettings`` still had
+    ``cone_solver_kkt_tol`` load to the same scenario."""
+    cfg = make_scenario()
+    data = cfg.to_dict()
+    data["solver"]["cone_solver_kkt_tol"] = 1e-9
+    assert scenario_from_dict(data).content_hash() == cfg.content_hash()
+    path = tmp_path / "legacy.cfg"
+    save_scenario(cfg, path)
+    path.write_text(path.read_text().replace("[solver]\n",
+                                             "[solver]\ncone_solver_kkt_tol = 1e-9\n"))
+    assert load_scenario(path).content_hash() == cfg.content_hash()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("[receiver.1]", "[receiver.01]"), "unknown section [receiver.01]"),
+    (("[receiver.1]", "[receiver]"), "unknown section [receiver]"),
+    (("z = 2.2", ""), "[receiver.1] missing keys: ['z']"),
+    (("bandwidth = 10e6", ""), "[frequency] needs delta_f or bandwidth"),
+    (("[frequency]", "[freq]"), "unknown section [freq]"),
+])
+def test_text_reader_rejects_sections_and_keys_outside_the_schema(tmp_path, edit, message):
+    """Cases beyond ``test_cli.py::test_keys_outside_the_schema_exit_2``:
+    receiver sections need a plain index, and a plan needs its spacing."""
+    path = tmp_path / "s.cfg"
+    path.write_text(SCENARIO_TEXT.replace(*edit))
+    with pytest.raises(ScenarioParseError, match=re.escape(message)):
+        load_scenario(path)
+
+
+def test_text_receivers_load_in_the_order_of_k(tmp_path):
+    """``[receiver.10]`` comes after ``[receiver.2]``, whatever the order of
+    the sections in the file."""
+    text = SCENARIO_TEXT.replace("length = 0.25", "length = 0.5")
+    for k in (10, 2, 3, 4, 5, 6, 7, 8, 9, 11):
+        text += f"\n[receiver.{k}]\nx = {0.01 * k}\ny = 0.0\nz = 2.0\np_target = 1e-5\n"
+    path = tmp_path / "s.cfg"
+    path.write_text(text)
+    xs = [r.position[0] for r in load_scenario(path).receivers]
+    assert xs == pytest.approx([0.0] + [0.01 * k for k in range(2, 12)])
+
+
+def _readme_ini() -> str:
+    return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+def test_readme_scenario_block_loads_and_lists_the_defaults(tmp_path):
+    """README's scenario block loads as written, inline comments included,
+    and its [device], [microstrip] and [solver] sections list exactly the
+    dataclass fields at their defaults (and [solver] the seed)."""
+    path = tmp_path / "readme.cfg"
+    path.write_text(_readme_ini())
+    cfg = load_scenario(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(_readme_ini())
+    for name, cls in SECTIONS.items():
+        keys = set(parser[name]) - {"seed"}
+        assert keys == {f.name for f in dataclasses.fields(cls)}
+        assert getattr(cfg, name) == cls()
+    assert parser["solver"]["seed"] == "0" and cfg.seed == 0
+    assert (cfg.array.architecture, cfg.frequency.n_f) == (Architecture.DMA, 8)
+
+
+@st.composite
+def scenarios(draw):
+    """M = 1-12 distinct receivers on a DMA or FD array with enough RF
+    chains, 1-16 tones, and drawn device, microstrip and solver values."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    arch = draw(st.sampled_from(list(Architecture)))
+    m_count = draw(st.integers(1, 12))
+    lengths = [length for length in (0.1, 0.2, 0.4)
+               if build_array(arch, length, F1).rf_chain_count >= m_count]
+    array = build_array(arch, draw(st.sampled_from(lengths)), F1)
+    receivers = tuple(
+        ReceiverSpec(np.array([0.1 * k + draw(st.floats(0.0, 0.05, **finite)),
+                               draw(st.floats(-3.0, 3.0, **finite)),
+                               draw(st.floats(0.1, 5.0, **finite))]),
+                     draw(st.floats(1e-7, 1e-3, **finite)))
+        for k in range(m_count))
+    positive = st.floats(1e-3, 1e3, **finite)
+    device = DeviceParams(
+        hpa_gain=draw(positive), hpa_max_efficiency=draw(st.floats(0.1, 1.0, **finite)),
+        hpa_saturation_power=draw(positive), rect_antenna_resistance=draw(positive),
+        rect_load_resistance=draw(positive), rect_thermal_voltage=draw(positive),
+        rect_ideality=draw(st.floats(1.0, 2.0, **finite)),
+        boresight_gain=draw(st.floats(0.0, 4.0, **finite)))
+    microstrip = MicrostripParams(draw(st.floats(0.0, 2.0, **finite)),
+                                  draw(st.floats(50.0, 400.0, **finite)))
+    solver = SolverSettings(draw(st.floats(1e-9, 1e-3, **finite)),
+                            draw(st.floats(1e-6, 1e-1, **finite)),
+                            draw(st.floats(1.5, 10.0, **finite)),
+                            draw(st.integers(1, 200)), draw(st.integers(1, 200)))
+    cfg = ScenarioConfig(array, FrequencyPlan.from_bandwidth(F1, 10e6, draw(st.integers(1, 16))),
+                         receivers, device, microstrip, solver, draw(st.integers(0, 2 ** 31)))
+    cfg.validate()
+    return cfg
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(scenarios())
+def test_round_trip_property(tmp_path_factory, cfg):
+    """Saved as text or JSON, a scenario loads back to the same dictionary
+    and content hash, with its receivers in their order."""
+    out = tmp_path_factory.mktemp("round_trip")
+    for name in ("s.cfg", "s.json"):
+        save_scenario(cfg, out / name)
+        again = load_scenario(out / name)
+        assert again.to_dict() == cfg.to_dict()
+        assert again.content_hash() == cfg.content_hash()
+    assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()

@@ -169,3 +169,65 @@ def test_production_restriction_matches_its_cone_program(arch):
     assert res.max_violation(step.x) == 0.0
     assert step.primal == pytest.approx(sol.objective, rel=IPM_OBJECTIVE_TOL)
     assert np.all(step.multipliers >= 0.0)
+
+
+def _duplicated_row(seed):
+    """Three rows of which the first two are one receiver twice: the dual
+    Hessian is singular along ``e_1 - e_2`` at every point."""
+    rng = np.random.default_rng(seed)
+    n_rf, n_f = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    g = rng.normal(size=(2, n_rf, 2 * n_f))
+    r = rng.uniform(0.5, 2.0, 2)
+    return WaveformRestriction(rows=np.stack([g[0], g[0], g[1]]), rhs=r[[0, 0, 1]],
+                               scales=rng.uniform(0.0, 2.0, n_rf))
+
+
+@pytest.mark.parametrize("seed", [2194, 2286, 3125, 4596])
+def test_projected_gradient_fallback(monkeypatch, seed):
+    """On these restrictions the Newton direction stops descending by its
+    rounding once the gradient is at its rounding level, and the step takes
+    the projected gradient. The answer is still feasible and certified, and
+    it is the answer without the repeated row."""
+    from wptopt import dual_newton
+    returned = []
+    newton = dual_newton.direction
+
+    def spy(*args):
+        p = newton(*args)
+        returned.append(p)
+        return p
+
+    monkeypatch.setattr(dual_newton, "direction", spy)
+    res = _duplicated_row(seed)
+    step = dual_step(res)
+    assert any(p is None for p in returned)
+    assert step.exit_reason is ExitReason.TOLERANCE
+    assert res.max_violation(step.x) == 0.0 and step.primal == res.objective(step.x)
+    assert step.gap <= GAP_TOL * (1.0 + step.primal)
+    assert step.multipliers.min() >= 0.0
+    single = dual_step(WaveformRestriction(res.rows[1:], res.rhs[1:], res.scales))
+    assert step.primal == pytest.approx(single.primal, rel=1e-11)
+
+
+@pytest.mark.parametrize("factors, infeasible", [
+    ((1.0, -1.0, 1.0), True), ((1.0, 2.0, 3.0), False), ((0.0, 0.0), True)])
+def test_certificate_search_on_a_plane_of_null_rays(factors, infeasible):
+    """Rows that are multiples of one row leave a null space of dimension
+    M - 1 >= 2 in the total Gram matrix, and its extreme rays are searched
+    one zero coordinate at a time. ``g`` and ``-g`` cannot both reach 1, and
+    nor can rows that are all zero; ``g``, ``2g`` and ``3g`` are one row,
+    ``g . w >= 1``."""
+    g = np.random.default_rng(11).normal(size=(3, 4))
+    res = WaveformRestriction(rows=np.array([f * g for f in factors]),
+                              rhs=np.ones(len(factors)), scales=np.full(3, 0.5))
+    gram = np.einsum("mik,lik->ml", res.rows, res.rows)
+    assert np.sum(np.linalg.eigvalsh(gram) <= 1e-12 * max(gram.max(), 1.0)) >= 2
+    step = dual_step(res)
+    if infeasible:
+        assert step.exit_reason is ExitReason.INFEASIBLE
+        assert_certificate(step, res)
+        return
+    assert step.exit_reason is ExitReason.TOLERANCE
+    assert res.max_violation(step.x) == 0.0
+    assert step.gap <= GAP_TOL * (1.0 + step.primal)
+    assert step.primal == pytest.approx(group_soft_threshold(res.scales, g, 1.0), rel=1e-12)
