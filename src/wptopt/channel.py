@@ -51,13 +51,12 @@ class ChannelTensor:
     """All element-to-receiver coefficients, one per tone.
 
     ``gamma[i, l, m, n]`` is the coefficient between element (i, l) and
-    receiver m at tone n; ``|gamma| == gain`` entry-wise.
+    receiver m at tone n; ``gain`` is the amplitude it was built from, equal
+    to ``|gamma|`` up to rounding.
     """
 
-    gamma: np.ndarray = field(repr=False)       # [n_v, n_h, M, n_f] complex
-    gain: np.ndarray = field(repr=False)        # [n_v, n_h, M, n_f]
-    distances: np.ndarray = field(repr=False)   # [n_v, n_h, M]
-    elevations: np.ndarray = field(repr=False)  # [n_v, n_h, M]
+    gamma: np.ndarray = field(repr=False)  # [n_v, n_h, M, n_f] complex
+    gain: np.ndarray = field(repr=False)   # [n_v, n_h, M, n_f]
 
     @property
     def shape(self):
@@ -96,9 +95,9 @@ def build_channel(array: ArraySpec, receivers, plan: FrequencyPlan,
     # design and artifact hash, stay bit-identical to the complex form.
     gamma = np.exp(1j * (-2.0 * np.pi * d[..., None] * (1.0 / lam)))
     gamma *= amp
-    for a in (gamma, amp, d, theta):
+    for a in (gamma, amp):
         a.flags.writeable = False
-    return ChannelTensor(gamma=gamma, gain=amp, distances=d, elevations=theta)
+    return ChannelTensor(gamma=gamma, gain=amp)
 
 
 def field_boundaries(array: ArraySpec, wavelength: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .channel import build_channel
 from .scenario import (Architecture, ScenarioConfig, ScenarioError,
                        ScenarioParseError, ScenarioValidationError,
                        load_scenario, scenario_from_dict)
-from .transmitter import DmaState, Waveform, effective_rows
+from .transmitter import LORENTZIAN_CENTER, DmaState, Waveform, effective_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,7 +54,7 @@ class RunArtifact:
     architecture: str
     waveform: np.ndarray                 # [n_rf, n_f] complex
     dma_q: np.ndarray | None             # [n_v, n_h] complex
-    dma_phi: np.ndarray | None
+    dma_phi: np.ndarray | None           # angle of dma_q about the disk center
     power_report: power.PowerReport
     trace_rows: list[dict]
     p_dc: np.ndarray
@@ -124,7 +124,7 @@ def _rebuild_state(scenario: ScenarioConfig, artifact: RunArtifact):
     waveform = Waveform(artifact.waveform)
     dma = None
     if artifact.dma_q is not None:
-        dma = DmaState.from_phases(np.zeros_like(artifact.dma_phi),
+        dma = DmaState.from_phases(np.zeros(artifact.dma_q.shape),
                                    scenario.array.inter_element_dx,
                                    scenario.microstrip).with_weights(artifact.dma_q)
     return waveform, dma
@@ -135,7 +135,8 @@ def run_optimization(scenario: ScenarioConfig,
     """Optimize one scenario and assemble the full artifact."""
     if scenario.array.architecture is Architecture.DMA:
         waveform, dma, trace = optimize.run_asca_dma(scenario)
-        dma_q, dma_phi = dma.q, dma.phi
+        dma_q = dma.q
+        dma_phi = np.mod(np.angle(dma_q - LORENTZIAN_CENTER), 2.0 * np.pi)
     else:
         waveform, trace = optimize.run_sca_fd(scenario)
         dma = None

@@ -29,12 +29,12 @@ import numpy as np
 
 from .channel import ChannelTensor, build_channel
 from .dual_newton import ExitReason
-from .focusing_step import focusing_step
+from .focusing_step import FocusingStep, focusing_step
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
 from .rectenna import harvested_voltage
 from .scenario import Architecture, ScenarioConfig
 from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
-from .waveform_step import dual_step, waveform_restriction
+from .waveform_step import WaveformStep, dual_step, waveform_restriction
 
 _AMP_CAP = 1e6
 
@@ -53,10 +53,11 @@ class TargetMissedError(OptimizationError):
 
 
 class InfeasibleRestrictionError(OptimizationError):
-    """The waveform restriction was reported infeasible at the first step of
-    its stage although scaling the waveform up meets every linearized
-    harvesting row. A numerical failure. (The focusing restriction cannot
-    raise it: its disks always hold the expansion point.)"""
+    """The first step of a waveform stage found its restriction infeasible,
+    although scaling the waveform up meets every linearized harvesting row,
+    or returned a point that violates it. A numerical failure. (The focusing
+    restriction cannot raise it: its disks always hold the expansion
+    point.)"""
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +218,26 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
 
 @dataclass
 class StageTrace:
-    """Per accepted step: objective, solver iterations, KKT residual and gap.
-    ``exit_reasons`` holds one entry per restriction step the stage made,
-    including a final step whose result it discarded; it stays out of the
-    artifact. A closed-form step counts 0 iterations, KKT residual 0 and
-    exits on ``TOLERANCE``."""
+    """The steps a stage accepted, in order. ``exit_reasons`` holds one
+    entry per restriction step the stage made, including a final step whose
+    result it discarded; it stays out of the artifact. A closed-form step
+    counts 0 iterations, KKT residual 0 and exits on ``TOLERANCE``."""
 
-    objectives: list[float] = field(default_factory=list)
-    solver_iterations: list[int] = field(default_factory=list)
-    kkt_residuals: list[float] = field(default_factory=list)
-    duality_gaps: list[float] = field(default_factory=list)
+    steps: list[WaveformStep | FocusingStep] = field(default_factory=list)
     exit_reasons: list[ExitReason] = field(default_factory=list)
     converged: bool = False
 
     @property
+    def objectives(self) -> list[float]:
+        return [step.primal for step in self.steps]
+
+    @property
     def iterations(self) -> int:
-        return len(self.objectives)
+        return len(self.steps)
 
     @property
     def final_objective(self) -> float:
-        return self.objectives[-1] if self.objectives else math.nan
+        return self.steps[-1].primal if self.steps else math.nan
 
 
 @dataclass
@@ -255,8 +256,8 @@ class OuterRecord:
 def _worst_rel_gap(*traces: StageTrace) -> float:
     worst = 0.0
     for tr in traces:
-        for gap, obj in zip(tr.duality_gaps, tr.objectives):
-            worst = max(worst, gap / (1.0 + abs(obj)))
+        for step in tr.steps:
+            worst = max(worst, step.gap / (1.0 + abs(step.primal)))
     return worst
 
 
@@ -300,22 +301,24 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
                                   dev.hpa_gain)
                 for m in range(scenario.n_receivers)]
         restriction = waveform_restriction(scenario, dma, lins, w)
-        step = dual_step(restriction)
+        # Far from unit scale the dual overflows; its NaN point fails the
+        # violation test below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = dual_step(restriction)
         trace.exit_reasons.append(step.exit_reason)
         if step.exit_reason is ExitReason.INFEASIBLE:
-            if not trace.objectives:
-                raise InfeasibleRestrictionError(
-                    "waveform restriction reported infeasible")
+            failure = "waveform restriction reported infeasible"
+        elif not restriction.max_violation(step.x) <= 1e-7:  # NaN included
+            failure = "waveform step returned a point that violates its restriction"
+        else:
+            failure = None
+        if failure:
+            if not trace.steps:
+                raise InfeasibleRestrictionError(failure)
             break  # keep the last feasible iterate
-        if (step.exit_reason is not ExitReason.TOLERANCE
-                and restriction.max_violation(step.x) > 1e-7):
-            break
         w = Waveform(step.omega)
         upsilon = step.primal
-        trace.objectives.append(upsilon)
-        trace.solver_iterations.append(step.iterations)
-        trace.kkt_residuals.append(step.kkt_residual)
-        trace.duality_gaps.append(step.gap)
+        trace.steps.append(step)
         if _relative_move(upsilon, upsilon_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break
@@ -349,10 +352,7 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
         dma = dma.with_weights(step.q)
         prices = step.multipliers
         xi = step.primal
-        trace.objectives.append(xi)
-        trace.solver_iterations.append(step.iterations)
-        trace.kkt_residuals.append(step.kkt_residual)
-        trace.duality_gaps.append(step.gap)
+        trace.steps.append(step)
         if _relative_move(xi, xi_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break

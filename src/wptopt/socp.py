@@ -1,14 +1,13 @@
 """Second-order-cone subproblems and the embedded primal-dual solver.
 
-The optimizer solves one restriction here: the focusing restriction when two
-or more receivers share it, expressed over stacked real variables in a
-structured :class:`ConeProgram` (linear cost, sum-of-norm groups,
-squared-norm epigraphs, affine rows, disk constraints). The other
-restrictions have their own steps, and their cone programs serve the tests
-as references: with one receiver the focusing restriction has a closed
-form, ``optimize.focusing_step_single`` (:func:`assemble_q_subproblem`), and
-every waveform restriction is solved through its dual by
-``waveform_step.dual_step`` (:func:`assemble_w_subproblem`).
+No design solves a restriction here: every waveform restriction goes
+through its dual in ``waveform_step.dual_step``, and every focusing
+restriction, for any number of receivers, through its dual in
+``focusing_step.focusing_step``. The cone programs serve the tests as the
+reference of both steps: :func:`assemble_w_subproblem` and
+:func:`assemble_q_subproblem` express the two restrictions over stacked real
+variables in a structured :class:`ConeProgram` (linear cost, sum-of-norm
+groups, squared-norm epigraphs, affine rows, disk constraints).
 :func:`solve` lowers the structure to a standard conic form
 ``min c^T x  s.t.  A x + s = b,  s in K`` and runs a homogeneous self-dual
 Mehrotra predictor-corrector with Nesterov-Todd scaling.

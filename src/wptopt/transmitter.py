@@ -18,6 +18,7 @@ from .scenario import Architecture, ArraySpec, MicrostripParams
 
 LORENTZIAN_CENTER = 0.5j
 LORENTZIAN_RADIUS = 0.5
+DISK_TOL = 1e-7  # relative overshoot of the disk radius that with_weights projects back
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,14 @@ def microstrip_response(l_index, spacing: float, alpha: float, beta: float):
 
 @dataclass(frozen=True)
 class DmaState:
-    """Tunable phases, element weights, and fixed feed responses of a DMA.
+    """Element weights and fixed feed responses of a DMA.
 
     ``q`` equals ``lorentzian_weight(phi)`` when built from phases; states
     produced by the relaxed beam-focusing stage may lie strictly inside the
-    Lorentzian disk, in which case ``phi`` stores the angular position of the
-    weight relative to the disk center. Every microstrip shares one feed-line
-    response, so each row of ``h`` is the same.
+    Lorentzian disk. Every microstrip shares one feed-line response, so each
+    row of ``h`` is the same.
     """
 
-    phi: np.ndarray = field(repr=False)  # [n_v, n_h]
     q: np.ndarray = field(repr=False)    # [n_v, n_h] complex
     h: np.ndarray = field(repr=False)    # [n_v, n_h] complex
 
@@ -87,32 +86,32 @@ class DmaState:
         n_v, n_h = phi.shape
         h_row = microstrip_response(np.arange(1, n_h + 1), spacing,
                                     strip.attenuation, strip.propagation)
-        return cls._frozen(phi, lorentzian_weight(phi), np.broadcast_to(h_row, (n_v, n_h)))
+        return cls._frozen(lorentzian_weight(phi), np.broadcast_to(h_row, (n_v, n_h)))
 
     @classmethod
-    def _frozen(cls, phi, q, h):
+    def _frozen(cls, q, h):
         arrs = []
-        for a in (phi, np.asarray(q, dtype=complex), np.asarray(h, dtype=complex)):
+        for a in (np.asarray(q, dtype=complex), np.asarray(h, dtype=complex)):
             a = np.ascontiguousarray(a)
             a.flags.writeable = False
             arrs.append(a)
         return cls(*arrs)
 
-    def with_weights(self, q_new: np.ndarray, tol: float = 1e-7) -> "DmaState":
-        """Replace the element weights, e.g. with a beam-focusing stage result.
+    def with_weights(self, q_new: np.ndarray) -> "DmaState":
+        """Replace the element weights, e.g. with a beam-focusing step's result.
 
-        Weights must lie within the Lorentzian disk (up to ``tol``); tiny
-        overshoot from the cone solver is projected back onto the boundary.
+        Weights must lie within the Lorentzian disk up to a relative
+        ``DISK_TOL``; a rounding-sized overshoot of the focusing step's rim
+        points is projected back onto the boundary.
         """
-        q_new = np.asarray(q_new, dtype=complex).reshape(self.phi.shape)
+        q_new = np.asarray(q_new, dtype=complex).reshape(self.q.shape)
         offset = q_new - LORENTZIAN_CENTER
         r = np.abs(offset)
-        if np.any(r > LORENTZIAN_RADIUS * (1.0 + tol)):
+        if np.any(r > LORENTZIAN_RADIUS * (1.0 + DISK_TOL)):
             raise ValueError("weight outside the Lorentzian disk")
         scale = np.minimum(1.0, LORENTZIAN_RADIUS / np.maximum(r, 1e-300))
         q_proj = LORENTZIAN_CENTER + offset * np.where(r > LORENTZIAN_RADIUS, scale, 1.0)
-        phi = np.mod(np.angle(q_proj - LORENTZIAN_CENTER), 2.0 * np.pi)
-        return self._frozen(phi, q_proj, self.h)
+        return self._frozen(q_proj, self.h)
 
     def q_flat(self) -> np.ndarray:
         return self.q.reshape(-1)
@@ -137,20 +136,19 @@ def expand_dma_weights(waveform: Waveform, n_h: int) -> np.ndarray:
 class EffectiveChannel:
     """Channel rows with the transmit front end folded in.
 
-    ``a[m, n]`` multiplies the stacked element weights; for the DMA this is
-    ``gamma * q * h`` and ``a_hat[m, n] = gamma * w_bar * h`` multiplies the
-    element weight vector instead. ``chain`` aggregates ``a`` over the
-    elements of each RF chain so the received spectrum is
-    ``s[m, n] = chain[m, n] @ omega[:, n]``.
+    ``chain`` aggregates the element rows ``gamma * q * h`` (the raw rows
+    for FD) over the elements of each RF chain, so the received spectrum is
+    ``s[m, n] = chain[m, n] @ omega[:, n]``. For the DMA,
+    ``a_hat[m, n] = gamma * w_bar * h`` multiplies the element weight vector
+    instead.
     """
 
-    a: np.ndarray = field(repr=False)             # [M, n_f, N]
     chain: np.ndarray = field(repr=False)         # [M, n_f, n_rf]
     a_hat: np.ndarray | None = field(default=None, repr=False)  # [M, n_f, N]
 
     @property
     def n_receivers(self) -> int:
-        return self.a.shape[0]
+        return self.chain.shape[0]
 
 
 def effective_rows(channel: ChannelTensor, array: ArraySpec,
@@ -158,10 +156,10 @@ def effective_rows(channel: ChannelTensor, array: ArraySpec,
                    waveform: Waveform | None = None) -> EffectiveChannel:
     """Build the per-receiver effective rows for the current transmitter state.
 
-    Fully digital: ``a`` is the raw coefficient row and each element is its
-    own chain. DMA: ``a = gamma*q*h`` aggregated per microstrip, and when a
-    waveform is supplied ``a_hat = gamma*w_bar*h`` is also produced for the
-    beam-focusing stage.
+    Fully digital: each element is its own chain and ``chain`` is the raw
+    coefficient row. DMA: ``chain`` sums ``gamma*q*h`` per microstrip, and
+    when a waveform is supplied ``a_hat = gamma*w_bar*h`` is also produced
+    for the beam-focusing stage.
     """
     n_v, n_h, m_count, n_f = channel.shape
     n = n_v * n_h
@@ -171,18 +169,17 @@ def effective_rows(channel: ChannelTensor, array: ArraySpec,
     if array.architecture is Architecture.FULLY_DIGITAL:
         if dma is not None:
             raise ValueError("fully-digital array takes no DMA state")
-        return EffectiveChannel(a=gamma_rows, chain=gamma_rows.copy())
+        return EffectiveChannel(chain=gamma_rows.copy())
     if dma is None:
         raise ValueError("DMA architecture requires a DmaState")
     if dma.q.shape != (n_v, n_h):
         raise ValueError("DMA state shape does not match the channel tensor")
     qh = (dma.q * dma.h).reshape(-1)
-    a = gamma_rows * qh[None, None, :]
-    chain = a.reshape(m_count, n_f, n_v, n_h).sum(axis=3)
+    chain = (gamma_rows * qh[None, None, :]).reshape(m_count, n_f, n_v, n_h).sum(axis=3)
     a_hat = None
     if waveform is not None:
         if waveform.n_rf != n_v:
             raise ValueError("waveform chain count does not match the array")
         wbar = expand_dma_weights(waveform, n_h)  # [n_f, N]
         a_hat = gamma_rows * wbar[None, :, :] * dma.h.reshape(-1)[None, None, :]
-    return EffectiveChannel(a=a, chain=chain, a_hat=a_hat)
+    return EffectiveChannel(chain=chain, a_hat=a_hat)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ def single_element_fd(n_f=1, distance=1.0, p_target=20e-6) -> ScenarioConfig:
                          (ReceiverSpec(np.array([0.0, 0.0, distance]), p_target),))
     cfg.validate()
     return cfg
+
+
+def far_from_unit_scale(restriction):
+    """A waveform restriction with its right-hand side at 1e-160 and its
+    chain scales at 1e160, rows unchanged: the dual step overflows and
+    returns a point full of NaN."""
+    return dataclasses.replace(restriction,
+                               rhs=np.full_like(restriction.rhs, 1e-160),
+                               scales=np.full_like(restriction.scales, 1e160))
 
 
 def synthetic_plan(n_f, ratio=5) -> FrequencyPlan:

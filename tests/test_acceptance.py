@@ -205,8 +205,8 @@ def test_criterion_4_solver_correctness():
     v_found = harvested_voltage(eff.a_hat[0], dma.q_flat(), dev.hpa_gain,
                                 dev.k2, dev.k4)
     stage_rel = abs(v_found - float(np.max(vals))) / float(np.max(vals))
-    worst_gap = max(worst_gap, max(g / (1 + abs(o)) for g, o in
-                                   zip(q_trace.duality_gaps, q_trace.objectives)))
+    worst_gap = max(worst_gap, max(step.gap / (1 + abs(step.primal))
+                                   for step in q_trace.steps))
 
     # (b) waveform restriction on 1-D instances vs analytic optimum, solved
     # by the production step through its dual

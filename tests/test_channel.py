@@ -90,10 +90,11 @@ def test_build_channel_distance_bounds():
     cfg = make_scenario("fd", length=0.20, receivers=((0.0, 0.0, 2.2),))
     ch = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
     lam = cfg.frequency.wavelengths
-    d_lo, d_hi = 2.2 - 0.2 * math.sqrt(2) / 2, 2.2 + 0.2 * math.sqrt(2) / 2
+    half_diagonal = 0.2 * math.sqrt(2) / 2
+    d_lo, d_hi = 2.2 - half_diagonal, 2.2 + half_diagonal
     amax = math.sqrt(2.0) * np.max(lam) / (4 * math.pi * d_lo)
     amin = np.min(lam) / (4 * math.pi * d_hi) * math.sqrt(
-        radiation_profile(float(np.max(ch.elevations)), 0.0))
+        radiation_profile(math.atan(half_diagonal / 2.2), 0.0))
     assert np.max(ch.gain) <= amax
     assert np.min(ch.gain) >= amin > 0
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from wptopt import optimize as optimize_module
 from wptopt import power
 from wptopt.optimize import OuterRecord
 from wptopt.waveform_step import waveform_restriction
+
+from conftest import far_from_unit_scale
 
 SCENARIO = """
 [array]
@@ -482,6 +485,23 @@ def test_infeasible_waveform_restriction_exit_code(scenario_file, tmp_path,
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.splitlines() == ["numerical failure: waveform restriction reported infeasible"]
+
+
+@pytest.mark.parametrize("arch", [[], ["--arch", "fd"]], ids=["dma", "fd"])
+def test_non_finite_waveform_step_exit_code(scenario_file, tmp_path, monkeypatch,
+                                            capsys, arch):
+    """A waveform step whose point is not finite is never accepted. At the
+    stage's first step (for DMA, also after the repair ramp) it is a
+    numerical failure: exit 1 with one line, no traceback and no warning."""
+    monkeypatch.setattr("wptopt.optimize.waveform_restriction",
+                        lambda *args: far_from_unit_scale(waveform_restriction(*args)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["optimize", str(scenario_file), "--out", str(tmp_path)] + arch)
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == [
+        "numerical failure: waveform step returned a point that violates its restriction"]
 
 
 @pytest.mark.parametrize("arch", [[], ["--arch", "fd"]], ids=["dma", "fd"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
 from wptopt.oracle import (check_gradient_q, check_gradient_w,
@@ -59,18 +61,23 @@ def test_gradient_parts_scale_with_expected_degrees(rng):
     assert np.allclose(k4_scaled.coeffs, t ** 3 * k4_only.coeffs)
 
 
-def test_underestimator_property(rng):
-    """First-order model is a global lower bound (convexity), checked on 1000
-    random point/perturbation pairs."""
-    violations = 0
-    for _ in range(1000):
-        a, w0 = rand_instance(rng, 2, 2)
-        lin = linearize_vo_in_w(a, w0, 1.0, 0.3)
-        delta = rng.normal(size=w0.shape) + 1j * rng.normal(size=w0.shape)
-        actual = harvested_voltage(a, w0 + delta, 1.0, 1.0, 0.3)
-        if actual < lin.predict(w0 + delta) - 1e-10 * max(abs(lin.base_value), 1.0):
-            violations += 1
-    assert violations == 0
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n_f=st.integers(1, 16), n_el=st.integers(1, 16),
+       k2=st.floats(0.0, 2e3), k4=st.floats(0.0, 1e7), hpa_gain=st.floats(0.1, 10.0),
+       step=st.sampled_from([1e-3, 1e-1, 1.0, 10.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_underestimator_property(n_f, n_el, k2, k4, hpa_gain, step, seed):
+    """The tangent plane is a global lower bound on the voltage (convexity),
+    in the tone weights ``w`` and in the element weights ``q``."""
+    rng = np.random.default_rng(seed)
+    a, w0 = rand_instance(rng, n_f, n_el)
+    delta = step * (rng.normal(size=w0.shape) + 1j * rng.normal(size=w0.shape))
+    lin = linearize_vo_in_w(a, w0, k2, k4, hpa_gain)
+    actual = harvested_voltage(a, w0 + delta, hpa_gain, k2, k4)
+    assert actual >= lin.predict(w0 + delta) - 1e-12 * max(actual, lin.base_value)
+    q0, dq = w0[0], delta[0]
+    lin_q = linearize_vo_in_q(a, q0, k2, k4, hpa_gain)
+    actual_q = harvested_voltage(a, (q0 + dq)[None, :], hpa_gain, k2, k4)
+    assert actual_q >= lin_q.predict(q0 + dq) - 1e-12 * max(actual_q, lin_q.base_value)
 
 
 def test_action_is_real_and_linear(rng):

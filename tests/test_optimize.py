@@ -23,7 +23,7 @@ from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 lorentzian_weight)
 from wptopt.waveform_step import ExitReason
 
-from conftest import make_scenario, single_element_fd
+from conftest import far_from_unit_scale, make_scenario, single_element_fd
 
 
 def _fake_channel(norms_by_receiver_tone, n_v=4, n_h=1):
@@ -33,10 +33,7 @@ def _fake_channel(norms_by_receiver_tone, n_v=4, n_h=1):
     gamma = np.zeros((n_v, n_h, m, n_f), dtype=complex)
     per_element = norms_by_receiver_tone / np.sqrt(n_v * n_h)
     gamma += per_element[None, None, :, :]
-    gain = np.abs(gamma)
-    d = np.ones((n_v, n_h, m))
-    th = np.zeros((n_v, n_h, m))
-    return ChannelTensor(gamma=gamma, gain=gain, distances=d, elevations=th)
+    return ChannelTensor(gamma=gamma, gain=np.abs(gamma))
 
 
 def test_allocate_chains_symmetric_split():
@@ -358,6 +355,26 @@ def test_stage_traces_record_one_exit_reason_per_solve(tiny_dma, monkeypatch):
         assert len(reasons) >= trace.iterations >= 2
 
 
+def test_waveform_stage_ends_on_its_last_finite_iterate(tiny_fd, monkeypatch):
+    """A step whose point is not finite, after the stage's first, ends the
+    stage on the last accepted iterate."""
+    channel = build_channel(tiny_fd.array, tiny_fd.receivers, tiny_fd.frequency, 0.0)
+    plan = allocate_chains(channel, 1, tiny_fd.array.rf_chain_count)
+    w0 = init_digital_weights(tiny_fd, channel, plan, None)
+    real_restriction = optimize_module.waveform_restriction
+    posed = []
+
+    def far_after_first(*args):
+        posed.append(real_restriction(*args))
+        return far_from_unit_scale(posed[-1]) if len(posed) > 1 else posed[-1]
+
+    monkeypatch.setattr(optimize_module, "waveform_restriction", far_after_first)
+    w, trace = run_sca_w(tiny_fd, channel, None, w0)
+    assert len(posed) == len(trace.exit_reasons) == 2
+    assert trace.iterations == 1 and not trace.converged
+    assert np.array_equal(w.omega, trace.steps[0].omega)
+
+
 def test_single_receiver_focusing_takes_closed_form_steps(tiny_dma, monkeypatch):
     """One receiver: every focusing step is the closed form on the one-point
     simplex, which exits on TOLERANCE with 0 iterations and KKT residual 0."""
@@ -375,10 +392,9 @@ def test_single_receiver_focusing_takes_closed_form_steps(tiny_dma, monkeypatch)
     assert trace.iterations >= 2 and len(steps) == trace.iterations
     assert all(step.multipliers.tolist() == [1.0] for step in steps)
     assert trace.exit_reasons == [ExitReason.TOLERANCE] * trace.iterations
-    assert trace.solver_iterations == [0] * trace.iterations
-    assert trace.kkt_residuals == [0.0] * trace.iterations
-    assert all(gap <= 1e-12 * (1.0 + abs(obj))
-               for gap, obj in zip(trace.duality_gaps, trace.objectives))
+    assert [step.iterations for step in trace.steps] == [0] * trace.iterations
+    assert [step.kkt_residual for step in trace.steps] == [0.0] * trace.iterations
+    assert all(step.gap <= 1e-12 * (1.0 + abs(step.primal)) for step in trace.steps)
 
 
 def test_no_design_reaches_the_interior_point_method(monkeypatch):

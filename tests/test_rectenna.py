@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptopt.oracle import moment4_enumerated, time_domain_moments
 from wptopt.rectenna import (dc_power, harvested_voltage, moment2,
@@ -38,21 +40,25 @@ def test_moment4_two_tone_matches_enumeration(rng):
             moment4_enumerated(s, g), rel=1e-12)
 
 
-def test_moments_match_time_domain(rng):
-    for trial in range(30):
-        n_f = int(rng.integers(1, 5))
-        n_el = int(rng.integers(1, 5))
-        plan = synthetic_plan(n_f, ratio=int(rng.integers(3, 9)))
-        a = rng.normal(size=(n_f, n_el)) + 1j * rng.normal(size=(n_f, n_el))
-        w = rng.normal(size=(n_f, n_el)) + 1j * rng.normal(size=(n_f, n_el))
-        g = float(rng.uniform(0.5, 1.5))
-        s = tone_amplitudes(a, w)
-        t = plan.quadrature_times(degree=4)
-        t2, t4 = time_domain_moments(s, plan.tones, t, g)
-        m2 = moment2(a, w, g)
-        m4 = moment4(a, w, g)
-        assert abs(t2 - m2) <= 1e-9 * max(m2, 1e-300)
-        assert abs(t4 - m4) <= 1e-8 * max(m4, 1e-300)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n_f=st.integers(1, 16), n_el=st.integers(1, 16), extra=st.integers(1, 6),
+       g=st.floats(0.1, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_moments_match_time_domain(n_f, n_el, extra, g, seed):
+    """The spectral second and fourth moments equal the time averages of the
+    synthesized signal on the exact quadrature grid. The fourth moment keeps
+    only the products ``f_a + f_b = f_c + f_d``, so the plan is narrow band:
+    ``2 f1 > (n_f - 1) delta_f`` rules out ``f_a + f_b + f_c = f_d``."""
+    rng = np.random.default_rng(seed)
+    plan = synthetic_plan(n_f, ratio=(n_f - 1) // 2 + extra)
+    a = rng.normal(size=(n_f, n_el)) + 1j * rng.normal(size=(n_f, n_el))
+    w = rng.normal(size=(n_f, n_el)) + 1j * rng.normal(size=(n_f, n_el))
+    s = tone_amplitudes(a, w)
+    t = plan.quadrature_times(degree=4)
+    t2, t4 = time_domain_moments(s, plan.tones, t, g)
+    m2 = moment2(a, w, g)
+    m4 = moment4(a, w, g)
+    assert abs(t2 - m2) <= 1e-9 * max(m2, 1e-300)
+    assert abs(t4 - m4) <= 1e-8 * max(m4, 1e-300)
 
 
 def test_moment4_swap_symmetry(rng):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptopt.channel import build_channel
 from wptopt.scenario import MicrostripParams
-from wptopt.transmitter import (DmaState, Waveform, effective_rows,
+from wptopt.transmitter import (DISK_TOL, LORENTZIAN_CENTER, LORENTZIAN_RADIUS,
+                                DmaState, Waveform, effective_rows,
                                 expand_dma_weights, lorentzian_weight,
                                 microstrip_response)
 
@@ -60,6 +63,35 @@ def test_dma_with_weights_disk_check():
         dma.with_weights(np.array([[1.2 + 0.0j, 0.0]]))
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n_v=st.integers(1, 8), n_h=st.integers(1, 16),
+       phase_span=st.sampled_from([1.0, 2 * np.pi, 1e3]),
+       overshoot_share=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_dma_weights_stay_in_their_disks(n_v, n_h, phase_span, overshoot_share, seed):
+    """``from_phases`` puts every weight on the Lorentzian circle, whatever
+    the phase. ``with_weights`` keeps the weights inside the disk, moves
+    those within the tolerance outside it onto the circle, and rejects one
+    beyond the tolerance."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-phase_span, phase_span, (n_v, n_h))
+    dma = DmaState.from_phases(phi, 0.01, MicrostripParams())
+    assert np.max(np.abs(dma.circle_distance())) <= 1e-15
+    radius = LORENTZIAN_RADIUS * rng.uniform(0.0, 1.0, (n_v, n_h))
+    over = rng.random((n_v, n_h)) < overshoot_share
+    radius[over] = LORENTZIAN_RADIUS * (1.0 + DISK_TOL * rng.uniform(0.0, 1.0, over.sum()))
+    q = LORENTZIAN_CENTER + radius * np.exp(1j * rng.uniform(0, 2 * np.pi, (n_v, n_h)))
+    updated = dma.with_weights(q)
+    assert np.all(updated.circle_distance() <= 1e-15)
+    inside = np.abs(q - LORENTZIAN_CENTER) <= LORENTZIAN_RADIUS
+    assert np.array_equal(updated.q[inside], q[inside])
+    assert np.all(np.abs(updated.circle_distance()[~inside]) <= 1e-15)
+    assert np.array_equal(updated.h, dma.h)
+    q[rng.integers(n_v), rng.integers(n_h)] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * (
+        1.0 + 2 * DISK_TOL)
+    with pytest.raises(ValueError):
+        dma.with_weights(q)
+
+
 def test_expand_dma_weights_definition():
     wf = Waveform(np.array([[1.0 + 0j], [2.0j]]))
     out = expand_dma_weights(wf, 3)
@@ -95,21 +127,25 @@ def test_effective_rows_fd_is_raw_channel(tiny_fd):
     ch = build_channel(tiny_fd.array, tiny_fd.receivers, tiny_fd.frequency, 0.0)
     eff = effective_rows(ch, tiny_fd.array)
     assert eff.a_hat is None
-    assert np.allclose(eff.a, eff.chain)
-    assert np.allclose(eff.a[0, 0], ch.gamma[:, :, 0, 0].reshape(-1))
+    assert np.allclose(eff.chain[0, 0], ch.gamma[:, :, 0, 0].reshape(-1))
 
 
 def test_effective_rows_dma_phase_rotation(tiny_dma):
-    """q = j everywhere with a lossless line only rotates each entry."""
-    ch = build_channel(tiny_dma.array, tiny_dma.receivers, tiny_dma.frequency, 0.0)
+    """q = j everywhere with a lossless line only rotates each entry: the
+    element rows ``gamma * q * h`` are ``a_hat`` under a unit waveform times
+    q = j, and each chain sums its elements' rotated coefficients."""
+    arr = tiny_dma.array
+    ch = build_channel(arr, tiny_dma.receivers, tiny_dma.frequency, 0.0)
     strip = MicrostripParams(attenuation=0.0, propagation=202.19)
-    dma = DmaState.from_phases(np.full((tiny_dma.array.n_v, tiny_dma.array.n_h),
-                                       np.pi / 2), tiny_dma.array.inter_element_dx, strip)
-    eff = effective_rows(ch, tiny_dma.array, dma)
+    dma = DmaState.from_phases(np.full((arr.n_v, arr.n_h), np.pi / 2),
+                               arr.inter_element_dx, strip)
+    eff = effective_rows(ch, arr, dma, Waveform(np.ones((arr.n_v, tiny_dma.frequency.n_f))))
     gamma_rows = ch.rows(0)
     expected = gamma_rows * (1j * dma.h.reshape(-1))[None, :]
-    assert np.allclose(eff.a[0], expected)
-    assert np.allclose(np.abs(eff.a[0]), np.abs(gamma_rows))
+    assert np.allclose(1j * eff.a_hat[0], expected)
+    assert np.allclose(np.abs(eff.a_hat[0]), np.abs(gamma_rows))
+    n_f = tiny_dma.frequency.n_f
+    assert np.allclose(eff.chain[0], expected.reshape(n_f, arr.n_v, arr.n_h).sum(axis=2))
 
 
 def test_effective_rows_equal_per_receiver_stack(rng):
@@ -124,15 +160,14 @@ def test_effective_rows_equal_per_receiver_stack(rng):
         stacked = np.stack([ch.rows(m) for m in range(len(receivers))])
         if arch == "fd":
             eff = effective_rows(ch, arr)
-            assert np.array_equal(eff.a, stacked)
             assert np.array_equal(eff.chain, stacked)
+            assert eff.chain.flags.c_contiguous
             continue
         dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
                                    arr.inter_element_dx, cfg.microstrip)
         wf = Waveform(rng.normal(size=(arr.n_v, n_f)) + 1j * rng.normal(size=(arr.n_v, n_f)))
         eff = effective_rows(ch, arr, dma, wf)
         a = stacked * (dma.q * dma.h).reshape(-1)[None, None, :]
-        assert np.array_equal(eff.a, a)
         assert np.array_equal(
             eff.chain, a.reshape(len(receivers), n_f, arr.n_v, arr.n_h).sum(axis=3))
         a_hat = (stacked * expand_dma_weights(wf, arr.n_h)[None, :, :]
@@ -150,8 +185,9 @@ def test_effective_rows_zero_waveform_gives_zero_a_hat(tiny_dma):
 
 
 def test_received_spectrum_same_through_q_or_w_route(tiny_dma, rng):
-    """a.(w_bar) with folded q equals a_hat.q: the two factorizations of the
-    received signal agree on random instances."""
+    """The element rows ``gamma * q * h`` against ``w_bar`` equal
+    ``a_hat . q`` and ``chain . omega``: the factorizations of the received
+    signal agree on random instances."""
     arr = tiny_dma.array
     ch = build_channel(arr, tiny_dma.receivers, tiny_dma.frequency, 0.0)
     phi = rng.uniform(0, 2 * np.pi, size=(arr.n_v, arr.n_h))
@@ -160,7 +196,8 @@ def test_received_spectrum_same_through_q_or_w_route(tiny_dma, rng):
                   + 1j * rng.normal(size=(arr.n_v, tiny_dma.frequency.n_f)))
     eff = effective_rows(ch, arr, dma, wf)
     wbar = expand_dma_weights(wf, arr.n_h)
-    s_via_w = np.sum(eff.a[0] * wbar, axis=1)
+    a = ch.rows(0) * (dma.q * dma.h).reshape(-1)[None, :]
+    s_via_w = np.sum(a * wbar, axis=1)
     s_via_q = eff.a_hat[0] @ dma.q_flat()
     s_via_chain = np.sum(eff.chain[0] * wf.omega.T, axis=1)
     assert np.allclose(s_via_w, s_via_q)
