@@ -1,12 +1,12 @@
 """One BLAS thread for the length of a command.
 
 A design is a long run of small products. A few products per command cross
-OpenBLAS's threading threshold: the sampled consumption's
-``[rows, 2 n_f] @ [2 n_f, samples]`` product and the oracle's
-``[samples, n_f] @ [n_f]`` synthesis. Each such call wakes OpenBLAS's worker
-threads, which then busy-wait for a while after it returns. With designs of
-about 0.1 s the workers never go back to sleep, so a one-thread workload keeps
-a second core busy and its wall time follows whatever else the host runs.
+OpenBLAS's threading threshold, such as the sampled consumption's
+``[rows, 2 n_f] @ [2 n_f, samples]`` product. Each such call wakes OpenBLAS's
+worker threads, which then busy-wait for a while after it returns. With
+designs of about 0.1 s the workers never go back to sleep, so a one-thread
+workload keeps a second core busy and its wall time follows whatever else the
+host runs.
 ``single_thread`` sets OpenBLAS to one thread for a block and restores the
 previous count afterwards; ``cli.main`` runs every command inside it.
 

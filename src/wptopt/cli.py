@@ -308,10 +308,25 @@ def cmd_simulate(args) -> int:
     pc_rel = abs(report.p_c_sampled - artifact.power_report.p_c_sampled) \
         / max(artifact.power_report.p_c_sampled, 1e-300)
     checks.append(("p-c-matches-artifact", pc_rel <= 1e-6, f"rel err {pc_rel:.2e}"))
+    for name in ("p_hpa_bound", "p_in"):
+        stored = getattr(artifact.power_report, name)
+        rel = abs(getattr(report, name) - stored) / max(abs(stored), 1e-300)
+        checks.append((f"{name.replace('_', '-')}-matches-artifact", rel <= 1e-12,
+                       f"rel err {rel:.2e}"))
     if dma is not None:
         disk_ok = bool(np.all(dma.circle_distance() <= 1e-9))
         checks.append(("lorentzian-disks-feasible", disk_ok,
                        f"max excess {np.max(dma.circle_distance()):.2e}"))
+        # Phasors, not angles, so that a phase wrapped at 0/2*pi agrees; and
+        # the direction of q - j/2 only, since a weight inside its disk is
+        # feasible. A weight at the center has no direction: any phase agrees.
+        unit = np.exp(1j * artifact.dma_phi)
+        offset = artifact.dma_q - LORENTZIAN_CENTER
+        r = np.abs(offset)
+        direction = np.where(r > 0, offset / np.maximum(r, 1e-300), unit)
+        phi_err = float(np.max(np.abs(unit - direction)))
+        checks.append(("dma-phi-matches-q", phi_err <= 1e-9,
+                       f"max phasor err {phi_err:.2e}"))
 
     all_ok = True
     for name, ok, detail in checks:

@@ -160,6 +160,14 @@ class FrequencyPlan:
         # simulate's oracle samples the received signal on this grid, and
         # paper-rate sampling folds its window onto the same period.
         self.quadrature_grid(degree=4)
+        # f_a + f_b + f_c = f_d has solutions exactly when 2*f1/delta_f is a
+        # whole number d - a - b - c <= n_f - 1; the spectral fourth moment
+        # keeps only f_a + f_b = f_c + f_d and would miss those products.
+        twice = 2 * self.cycle_ratio()
+        if twice.denominator == 1 and twice <= self.n_f - 1:
+            raise ScenarioValidationError(
+                f"2*f1/delta_f = {twice} is at most n_f - 1 = {self.n_f - 1}: "
+                "the band is too wide for the spectral fourth moment")
 
     # -- periodic time base ------------------------------------------------
     def cycle_ratio(self) -> Fraction:

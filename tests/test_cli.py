@@ -76,15 +76,22 @@ def artifact_dir(tmp_path_factory, scenario_file):
 
 def test_cli_import_loads_no_scipy():
     """A cold ``import wptopt.cli`` imports no scipy module: scipy's LAPACK
-    wrappers alone cost about half of every command's start-up."""
+    wrappers alone cost about half of every command's start-up. Nor does it
+    load ``numpy.fft``, unless a bare ``import numpy`` already does: the
+    oracle reaches it only when it synthesizes a signal."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, wptopt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+
+    def cold(module):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+                "'numpy.fft' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        return proc.stdout.strip()
+
+    assert cold("wptopt.cli") == f"[] {cold('numpy').split()[-1]}"
 
 
 def test_optimize_writes_artifact_and_trace(artifact_dir):
@@ -133,6 +140,26 @@ def test_aperiodic_plan_rejected_before_design(tmp_path, monkeypatch, capsys):
     assert main(["optimize", str(bad), "--paper-sampling", "--out", str(out)]) \
         == EXIT_VALIDATION
     assert "periodic sampling grid too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wide_band_plan_exits_3(tmp_path, monkeypatch, capsys):
+    """Eight tones 1.48 GHz apart from 5.18 GHz: 2*f1/delta_f = 7 = n_f - 1,
+    so f_a + f_b + f_c = f_d has solutions that the spectral fourth moment
+    misses. The scenario exits 3 with one line before any design runs."""
+    bad = tmp_path / "wide.cfg"
+    bad.write_text(SCENARIO.replace("bandwidth = 10e6", "bandwidth = 11.84e9")
+                   .replace("n_tones = 2", "n_tones = 8"))
+
+    def no_design(scenario):
+        raise AssertionError("a design ran on an invalid scenario")
+
+    monkeypatch.setattr(optimize_module, "run_asca_dma", no_design)
+    out = tmp_path / "runs"
+    assert main(["optimize", str(bad), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["invalid scenario: 2*f1/delta_f = 7 is at most n_f - 1 = 7: "
+                   "the band is too wide for the spectral fourth moment"]
     assert not out.exists()
 
 
@@ -301,6 +328,79 @@ def test_simulate_detects_tampering(artifact_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_ERROR
     assert "FAIL" in out
+
+
+def _scale_report(field, factor):
+    def edit(data):
+        data["power_report"][field] *= factor
+    return edit
+
+
+def _shift_phase(shift):
+    def edit(data):
+        data["dma"]["phi"][0] += shift
+    return edit
+
+
+def test_simulate_rederives_the_report_bound_input_power_and_phases(artifact_dir, tmp_path,
+                                                                   capsys):
+    """Each falsified field fails exactly its own line, and exits 1. A phase
+    moved by a whole turn is the same phase and passes."""
+    original = json.loads((artifact_dir / "artifact.json").read_text())
+    falsified = [("p-hpa-bound-matches-artifact", _scale_report("p_hpa_bound", 1 + 1e-10)),
+                 ("p-in-matches-artifact", _scale_report("p_in", 1 - 1e-10)),
+                 ("dma-phi-matches-q", _shift_phase(1e-6))]
+    for name, edit in falsified:
+        data = json.loads(json.dumps(original))
+        edit(data)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code = main(["simulate", str(path)])
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert code == EXIT_ERROR
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL {name}: "), (name, fails)
+    data = json.loads(json.dumps(original))
+    _shift_phase(-2.0 * np.pi if data["dma"]["phi"][0] > np.pi else 2.0 * np.pi)(data)
+    wrapped = tmp_path / "wrapped.json"
+    wrapped.write_text(json.dumps(data))
+    assert main(["simulate", str(wrapped)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "PASS dma-phi-matches-q: " in out
+
+
+def test_simulate_accepts_a_weight_inside_its_disk(scenario_file, tmp_path, monkeypatch,
+                                                   capsys):
+    """A weight strictly inside its Lorentzian disk is feasible, and its phase
+    is the angle of ``q - j/2``: the design passes every check, though
+    ``e^{j phi}`` differs from ``(q - j/2)/(1/2)`` by the weight's depth."""
+    from wptopt.channel import build_channel
+    from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS
+    depth = 1e-6
+    design = optimize_module.run_asca_dma
+
+    def interior_design(scenario):
+        waveform, dma, trace = design(scenario)
+        q = dma.q.copy()
+        q[0, 0] = LORENTZIAN_CENTER + (1.0 - depth) * (q[0, 0] - LORENTZIAN_CENTER)
+        dma = dma.with_weights(q)
+        channel = build_channel(scenario.array, scenario.receivers, scenario.frequency,
+                                scenario.device.boresight_gain)
+        trace.final_p_dc = optimize_module._final_p_dc(scenario, channel, dma, waveform)
+        return waveform, dma, trace
+
+    monkeypatch.setattr(optimize_module, "run_asca_dma", interior_design)
+    assert main(["optimize", str(scenario_file), "--out", str(tmp_path)]) == EXIT_OK
+    path = next(tmp_path.iterdir()) / "artifact.json"
+    artifact = RunArtifact.load(path)
+    offset = artifact.dma_q - LORENTZIAN_CENTER
+    assert np.abs(offset[0, 0]) < LORENTZIAN_RADIUS * (1.0 - 0.5 * depth)
+    assert np.max(np.abs(np.exp(1j * artifact.dma_phi) - offset / LORENTZIAN_RADIUS)) > 1e-9
+    capsys.readouterr()
+    code = main(["simulate", str(path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK, out
+    assert "FAIL" not in out and "PASS dma-phi-matches-q: " in out
 
 
 def test_simulate_fd_skips_disk_checks(scenario_file, tmp_path, capsys):

@@ -53,6 +53,44 @@ def test_synthesized_moments_match_spectral(rng):
         assert sig.moment(4) == pytest.approx(m4, rel=1e-8)
 
 
+def _defining_sum(cfg, wf, period_cycles):
+    """``G Re sum_n s_n e^{j2pi f_n t}`` sample by sample. ``f_n t_j`` is
+    taken as the exact fraction ``period_cycles[n] * j / k`` of a turn."""
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
+    s = tone_amplitudes(effective_rows(channel, cfg.array).chain[0], wf.omega.T)
+    k, _ = cfg.frequency.quadrature_grid(degree=4)
+    turns = np.array([[(b * j) % k for b in period_cycles] for j in range(k)]) / k
+    return cfg.device.hpa_gain * np.real(np.exp(2j * np.pi * turns) @ s)
+
+
+def test_synthesis_equals_the_defining_sum(rng):
+    """The inverse-FFT samples equal the direct sum at every sample, on plans
+    with q > 1 and on the 5.18 GHz, 8-tone plan. Tone n makes ``p + n q``
+    cycles per period ``q/delta_f``, which the plan's own times and tones
+    confirm."""
+    import dataclasses
+    import math
+    plans = [FrequencyPlan(int(rng.choice([p for p in range(1, 40) if math.gcd(p, q) == 1]))
+                           / q * 1e6, int(rng.integers(1, 17)), 1e6)
+             for q in range(2, 8) for _ in range(6)]
+    plans.append(make_scenario("fd", n_f=8).frequency)
+    for plan in plans:
+        cfg = dataclasses.replace(make_scenario("fd", length=0.10), frequency=plan)
+        wf = Waveform(rng.normal(size=(cfg.array.rf_chain_count, plan.n_f))
+                      + 1j * rng.normal(size=(cfg.array.rf_chain_count, plan.n_f)))
+        ratio = plan.cycle_ratio()
+        cycles = ratio.numerator + ratio.denominator * np.arange(plan.n_f)
+        np.testing.assert_allclose(plan.tones * plan.fundamental_period(), cycles,
+                                   rtol=1e-12)
+        sig = synthesize_received(cfg, wf, None, 0)
+        k, step = plan.quadrature_grid(degree=4)
+        assert sig.samples.shape == (k,) and sig.sample_rate == 1.0 / step
+        assert ratio.denominator > 1 or plan.f1 == 5.18e9
+        reference = _defining_sum(cfg, wf, cycles)
+        peak = np.max(np.abs(reference))
+        assert np.max(np.abs(sig.samples - reference)) <= 1e-12 * peak
+
+
 def test_papr_grows_with_tone_count(rng):
     """Aligned multi-tone reception produces higher peaks than one tone."""
     paprs = []
@@ -239,12 +277,52 @@ def test_field_map_matches_channel_tensor(arch, length, n_f, seed, y_offset,
         dma = dma.with_weights(LORENTZIAN_CENTER + rng.uniform(0, 0.5, dma.q.shape)
                                * (dma.q - LORENTZIAN_CENTER))
     plane = PlaneSpec(-0.9, 0.8, 0.3, 2.1, 0.15, y_offset=y_offset)
-    budget = oracle.MAP_CHUNK if cells_per_chunk is None else cells_per_chunk * arr.n_elements
+    # chunks count cell-column pairs; elements that see every cell alike share a column
+    columns = len({(x, (y_offset - y) ** 2, z)
+                   for x, y, z in arr.element_positions.reshape(-1, 3).tolist()})
+    budget = oracle.MAP_CHUNK if cells_per_chunk is None else cells_per_chunk * columns
     with mock.patch.object(oracle, "MAP_CHUNK", budget):
         fmap = field_map(cfg, wf, dma, plane)
     assert fmap.values.shape == (13, 12)
     np.testing.assert_allclose(fmap.values, _reference_map(cfg, wf, dma, fmap),
                                rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("arch, length, columns_on_plane", [
+    ("dma", 0.10, 16), ("dma", 0.20, 51), ("fd", 0.10, 6)])
+def test_field_map_folds_mirrored_elements_on_the_symmetry_plane(arch, length,
+                                                                 columns_on_plane, rng):
+    """On the array's symmetry plane y = 0, mirrored elements share one
+    column of phasors, and the map still equals the channel tensor's. Off
+    the plane no two elements see the cells alike, and nothing folds."""
+    from unittest import mock
+
+    from wptopt import oracle
+    from wptopt.transmitter import DmaState
+    cfg = make_scenario(arch, length=length, n_f=3)
+    arr = cfg.array
+    wf = Waveform(rng.normal(size=(arr.rf_chain_count, 3))
+                  + 1j * rng.normal(size=(arr.rf_chain_count, 3)))
+    dma = None
+    if arch == "dma":
+        dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
+                                   arr.inter_element_dx, cfg.microstrip)
+    columns = []
+
+    def recording(amplitude, cycles):
+        columns.append(cycles.shape[1])
+        return phasors(amplitude, cycles)
+
+    phasors = oracle._phasors
+    for y_offset, expected in ((0.0, columns_on_plane), (0.13, arr.n_elements)):
+        columns.clear()
+        plane = PlaneSpec(-0.9, 0.8, 0.3, 2.1, 0.15, y_offset=y_offset)
+        with mock.patch.object(oracle, "_phasors", recording):
+            fmap = field_map(cfg, wf, dma, plane)
+        assert set(columns) == {expected}
+        np.testing.assert_allclose(fmap.values, _reference_map(cfg, wf, dma, fmap),
+                                   rtol=1e-10, atol=0)
+    assert columns_on_plane < arr.n_elements
 
 
 def test_field_map_builds_no_channel_tensor(tiny_dma, rng, monkeypatch):

@@ -184,6 +184,27 @@ def test_frequency_plan_periodicity():
         irrational.cycle_ratio()
 
 
+def test_validate_rejects_exactly_the_wide_band_plans():
+    """With f1/delta_f = p/q, tone n sits at (p + n q) delta_f / q. A plan is
+    rejected exactly when some three tones sum to a fourth, found here by
+    enumerating every triple."""
+    from fractions import Fraction
+    for q in range(1, 5):
+        for p in range(1, 13):
+            if math.gcd(p, q) != 1:
+                continue
+            for n_f in range(1, 9):
+                bins = [p + n * q for n in range(n_f)]
+                wide = any(a + b + c in bins for a in bins for b in bins for c in bins)
+                plan = FrequencyPlan(p / q * 1e6, n_f, 1e6)
+                assert plan.cycle_ratio() == Fraction(p, q)
+                if wide:
+                    with pytest.raises(ScenarioValidationError, match="band is too wide"):
+                        plan.validate()
+                else:
+                    plan.validate()
+
+
 def test_scenario_is_immutable(tiny_dma):
     with pytest.raises(Exception):
         tiny_dma.array.element_positions[0, 0, 0] = 1.0
