@@ -97,37 +97,58 @@ class RunArtifact:
 
     @classmethod
     def load(cls, path) -> "RunArtifact":
-        with open(path) as fh:
-            data = json.load(fh)
-        wshape = tuple(data["waveform"]["shape"])
-        dma_q = dma_phi = None
-        if data.get("dma"):
-            qshape = tuple(data["dma"]["shape"])
-            dma_q = _pairs_to_complex(data["dma"]["q"], qshape)
-            dma_phi = np.array(data["dma"]["phi"]).reshape(qshape)
-        return cls(
-            scenario_hash=data["scenario_hash"],
-            scenario=data["scenario"],
-            architecture=data["architecture"],
-            waveform=_pairs_to_complex(data["waveform"]["values"], wshape),
-            dma_q=dma_q,
-            dma_phi=dma_phi,
-            power_report=power.PowerReport(**data["power_report"]),
-            trace_rows=data["trace"],
-            p_dc=np.array(data["p_dc"]),
-            converged=data["converged"],
-            paper_sampling=data.get("paper_sampling", False),
-        )
+        """Read an artifact that :meth:`save` wrote, timings included. Text
+        that is not JSON, a missing key, or a value of the wrong type or
+        shape is a parse error that names the file."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            wshape = tuple(data["waveform"]["shape"])
+            dma_q = dma_phi = None
+            if data.get("dma"):
+                qshape = tuple(data["dma"]["shape"])
+                dma_q = _pairs_to_complex(data["dma"]["q"], qshape)
+                dma_phi = np.array(data["dma"]["phi"], dtype=float).reshape(qshape)
+            timings = data.get("timings") or [{}] * len(data["trace"])  # older artifacts
+            flags = data["converged"], data.get("paper_sampling", False)
+            if not all(isinstance(flag, bool) for flag in flags):
+                raise TypeError(f"converged, paper_sampling = {flags} are not booleans")
+            return cls(
+                scenario_hash=data["scenario_hash"],
+                scenario=data["scenario"],
+                architecture=data["architecture"],
+                waveform=_pairs_to_complex(data["waveform"]["values"], wshape),
+                dma_q=dma_q,
+                dma_phi=dma_phi,
+                power_report=power.PowerReport(**{k: float(v) for k, v
+                                                  in data["power_report"].items()}),
+                trace_rows=[{**row, **t} for row, t in zip(data["trace"], timings, strict=True)],
+                p_dc=np.array(data["p_dc"], dtype=float).reshape(-1),
+                converged=flags[0],
+                paper_sampling=flags[1],
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSON errors too
+            raise ScenarioParseError(f"{path}: bad artifact: {exc!r}") from exc
 
 
-def _rebuild_state(scenario: ScenarioConfig, artifact: RunArtifact):
-    waveform = Waveform(artifact.waveform)
+def _load_design(path) -> tuple[RunArtifact, ScenarioConfig, Waveform, DmaState | None]:
+    """An artifact, its scenario and its weights; weights whose shape does not
+    fit the scenario are a parse error."""
+    artifact = RunArtifact.load(path)
+    scenario = scenario_from_dict(artifact.scenario)
+    arr = scenario.array
+    fits = {"waveform": (artifact.waveform.shape, (arr.rf_chain_count, scenario.frequency.n_f)),
+            "dma": (None if artifact.dma_q is None else artifact.dma_q.shape,
+                    (arr.n_v, arr.n_h) if arr.architecture is Architecture.DMA else None)}
+    for name, (shape, expected) in fits.items():
+        if shape != expected:
+            raise ScenarioParseError(f"{path}: {name} shape {shape} does not fit "
+                                     f"the scenario's {expected}")
     dma = None
     if artifact.dma_q is not None:
-        dma = DmaState.from_phases(np.zeros(artifact.dma_q.shape),
-                                   scenario.array.inter_element_dx,
+        dma = DmaState.from_phases(np.zeros(artifact.dma_q.shape), arr.inter_element_dx,
                                    scenario.microstrip).with_weights(artifact.dma_q)
-    return waveform, dma
+    return artifact, scenario, Waveform(artifact.waveform), dma
 
 
 def run_optimization(scenario: ScenarioConfig,
@@ -267,9 +288,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Re-derive the artifact's claims through the time-domain oracle."""
-    artifact = RunArtifact.load(args.artifact)
-    scenario = scenario_from_dict(artifact.scenario)
-    waveform, dma = _rebuild_state(scenario, artifact)
+    artifact, scenario, waveform, dma = _load_design(args.artifact)
     dev = scenario.device
     channel = build_channel(scenario.array, scenario.receivers,
                             scenario.frequency, dev.boresight_gain)
@@ -344,9 +363,7 @@ def cmd_fieldmap(args) -> int:
     except ValueError as exc:
         print(f"invalid plane: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    artifact = RunArtifact.load(args.artifact)
-    scenario = scenario_from_dict(artifact.scenario)
-    waveform, dma = _rebuild_state(scenario, artifact)
+    artifact, scenario, waveform, dma = _load_design(args.artifact)
     fmap = oracle.field_map(scenario, waveform, dma, plane)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -360,7 +377,10 @@ def cmd_fieldmap(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; sub-command ``x``
+    runs ``cmd_x``."""
     parser = argparse.ArgumentParser(
         prog="wptopt",
         description="Minimum-power waveform and beam-focusing design for "
@@ -374,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample consumption over 1 ms at twice the top tone")
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--out", default="runs")
-    p_opt.set_defaults(func=cmd_optimize)
 
     p_sw = sub.add_parser("sweep", help="optimize across one swept axis")
     p_sw.add_argument("scenario")
@@ -384,11 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--seed", type=int, default=None)
     p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.add_argument("--out", default="runs")
-    p_sw.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="re-verify an artifact with the oracle")
     p_sim.add_argument("artifact")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_fm = sub.add_parser("fieldmap", help="spatial power map for an artifact")
     p_fm.add_argument("artifact")
@@ -399,16 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fm.add_argument("--res", type=float, default=0.05)
     p_fm.add_argument("--y", type=float, default=0.0)
     p_fm.add_argument("--out", default="runs")
-    p_fm.set_defaults(func=cmd_fieldmap)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with blas.single_thread():
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -91,7 +91,7 @@ def allocate_chains(channel: ChannelTensor, m_count: int, n_rf: int) -> InitPlan
     Every receiver first gets its own chain; the surplus is granted in
     descending order of ``z_m = 1 - |gamma_m| / sum |gamma|`` (evaluated at
     each receiver's strongest tone), ``ceil(z_m * surplus)`` at a time until
-    the chains run out.
+    the chains run out; a receiver whose quota is 0 takes all that remain.
     """
     if m_count != channel.n_receivers:
         raise ValueError("receiver count does not match the channel tensor")
@@ -108,20 +108,11 @@ def allocate_chains(channel: ChannelTensor, m_count: int, n_rf: int) -> InitPlan
     surplus = n_rf - m_count
     quota = np.ceil(z * surplus).astype(int)
     next_chain = m_count
-    remaining = surplus
-    processed: list[int] = []
-    while remaining > 0 and len(processed) < m_count:
-        order = np.lexsort((np.arange(m_count), -z))
-        m_star = next(int(m) for m in order if m not in processed)
-        processed.append(m_star)
-        need = int(quota[m_star])
-        while remaining > 0:
-            sets[m_star].append(next_chain)
-            next_chain += 1
-            need -= 1
-            remaining -= 1
-            if need == 0:
-                break
+    for m in sorted(range(m_count), key=lambda m: (-z[m], m)):
+        remaining = n_rf - next_chain
+        take = min(int(quota[m]), remaining) if quota[m] else remaining
+        sets[m] += range(next_chain, next_chain + take)
+        next_chain += take
     plan = InitPlan(z=z, chain_sets=sets, strongest_tone=n_star)
     plan.validate(n_rf)
     return plan
@@ -380,8 +371,10 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
     """Alternate focusing and waveform stages until the consumption bound
     settles to the configured relative tolerance.
 
-    An outer pass that increases the bound is rejected: the previous state is
-    restored and the loop stops there.
+    A pass that does not lower the bound ends the loop on the previous state;
+    its record is dropped if the bound rose by more than the tolerance. The
+    bound is finite on every pass, since a stage whose first step fails
+    raises.
     """
     if scenario.array.architecture is not Architecture.DMA:
         raise ValueError("run_asca_dma requires a DMA scenario")
@@ -393,8 +386,7 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
     dma = init_q_phases(channel, plan, scenario)
     w = init_digital_weights(scenario, channel, plan, dma)
     trace = RunTrace()
-    pc_prev = math.nan
-    best = (math.inf, w, dma)
+    pc_prev = math.inf
     for outer in range(settings.max_outer_iters):
         t0 = time.perf_counter()
         dma_new, q_trace = run_sca_q(scenario, channel, w, dma)
@@ -417,19 +409,16 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
             eh_residual=_eh_residual(scenario, eff, w_new.omega),
             q_seconds=t1 - t0, w_seconds=t2 - t1,
             solver_rel_gap=_worst_rel_gap(q_trace, w_trace)))
-        if math.isfinite(pc) and pc < best[0]:
-            best = (pc, w_new, dma_new)
-        if math.isfinite(pc_prev) and pc > pc_prev * (1.0 + settings.sca_rel_tol):
-            trace.records.pop()  # rejected pass: keep the previous accepted state
+        if pc >= pc_prev:  # no fall: stop on the previous state
+            if pc > pc_prev * (1.0 + settings.sca_rel_tol):
+                trace.records.pop()  # a rejected pass
             trace.converged = True
             break
         w, dma = w_new, dma_new
-        if math.isfinite(pc_prev) and _relative_move(pc, pc_prev) <= settings.sca_rel_tol:
+        if _relative_move(pc, pc_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break
         pc_prev = pc
-    if best[0] < math.inf:
-        _, w, dma = best
     trace.final_p_dc = _final_p_dc(scenario, channel, dma, w)
     if np.any(trace.final_p_dc < 0.999 * scenario.eh_targets):
         raise TargetMissedError("converged state misses an EH target by >0.1%")

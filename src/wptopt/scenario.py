@@ -324,6 +324,18 @@ class SolverSettings:
 SECTIONS = {"device": DeviceParams, "microstrip": MicrostripParams,
             "solver": SolverSettings}
 
+# The keys that no dataclass holds, as ``to_dict`` writes them: "" is the top
+# level, "receiver" each entry of its receiver list.
+KEYS = {"": ("array", "frequency", "receivers", *SECTIONS, "seed"),
+        "array": ("architecture", "length"),
+        "frequency": ("f1", "n_tones", "delta_f", "bandwidth"),
+        "receiver": ("position", "eh_requirement")}
+
+# Keys that older writers wrote and the reader drops: the array dimensions
+# that ``build_array`` derives, and the retired interior-point tolerance.
+LEGACY_KEYS = {"array": ("n_v", "n_h", "inter_element_dx", "inter_row_dy"),
+               "solver": ("cone_solver_kkt_tol",)}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -366,19 +378,10 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         return {
-            "array": {
-                "architecture": self.array.architecture.value,
-                "length": self.array.antenna_length,
-                "n_v": self.array.n_v,
-                "n_h": self.array.n_h,
-                "inter_element_dx": self.array.inter_element_dx,
-                "inter_row_dy": self.array.inter_row_dy,
-            },
-            "frequency": {
-                "f1": self.frequency.f1,
-                "n_tones": self.frequency.n_f,
-                "delta_f": self.frequency.delta_f,
-            },
+            "array": {"architecture": self.array.architecture.value,
+                      "length": self.array.antenna_length},
+            "frequency": {"f1": self.frequency.f1, "n_tones": self.frequency.n_f,
+                          "delta_f": self.frequency.delta_f},
             "receivers": [
                 {"position": list(map(float, r.position)), "eh_requirement": r.eh_requirement}
                 for r in self.receivers
@@ -397,9 +400,10 @@ class ScenarioConfig:
 
 def _number(section: str, key: str, value, kind: type = float):
     """``value`` as a finite float, or as a whole number where ``kind`` is int;
-    anything else is a parse error that names the section and key."""
+    anything else (a JSON ``true`` included) is a parse error that names the
+    section and key."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number) or (kind is int and not number.is_integer()):
@@ -408,19 +412,42 @@ def _number(section: str, key: str, value, kind: type = float):
     return kind(number)
 
 
+def _known(section: str, raw: dict, keys, required=()) -> dict:
+    """``raw`` without ``section``'s legacy keys; a key outside ``keys``, or a
+    missing ``required`` key, is a parse error that names the section and key."""
+    legacy = LEGACY_KEYS.get(section, ())
+    for key in raw:
+        if key not in keys and key not in legacy:
+            raise ScenarioParseError(f"[{section}] unknown key {key!r}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ScenarioParseError(f"[{section}] missing keys: {missing}")
+    return {k: v for k, v in raw.items() if k not in legacy}
+
+
 def _read_section(name: str, raw: dict):
     """Build section ``name``'s dataclass; its fields are the only keys."""
     kinds = {f.name: type(f.default) for f in fields(SECTIONS[name])}
-    for key in raw:
-        if key not in kinds:
-            raise ScenarioParseError(f"[{name}] unknown key {key!r}")
-    return SECTIONS[name](**{k: _number(name, k, v, kinds[k]) for k, v in raw.items()})
+    return SECTIONS[name](**{k: _number(name, k, v, kinds[k])
+                             for k, v in _known(name, raw, kinds).items()})
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a scenario from its ``to_dict`` form."""
+    """Build and validate a scenario from its ``to_dict`` form; both file
+    formats load through here. Its keys are ``KEYS`` and the ``SECTIONS``
+    fields, and ``LEGACY_KEYS`` are dropped. An unknown section or key, a
+    missing [array], [frequency] or receiver key, or a value that is not a
+    finite (whole) number is a parse error naming the section and key; list
+    entry i, counted from 1, is ``[receiver.<i>]``."""
     try:
-        arr, freq = data["array"], data["frequency"]
+        for name in data:
+            if name not in KEYS[""]:
+                raise ScenarioParseError(f"unknown section [{name}]")
+        for name in ("array", "frequency"):
+            if name not in data:
+                raise ScenarioParseError(f"missing required section [{name}]")
+        arr = _known("array", data["array"], KEYS["array"])
+        freq = _known("frequency", data["frequency"], KEYS["frequency"])
         f1 = _number("frequency", "f1", freq.get("f1"))
         n_f = _number("frequency", "n_tones", freq.get("n_tones", 1), int)
         if "delta_f" in freq:
@@ -432,37 +459,36 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ScenarioParseError("[frequency] needs delta_f or bandwidth")
         array = build_array(Architecture(arr.get("architecture", "fd").lower()),
                             _number("array", "length", arr.get("length")), f1)
-        receivers = tuple(
-            ReceiverSpec(_readonly(np.asarray(r["position"], dtype=float)),
-                         float(r["eh_requirement"]))
-            for r in data["receivers"]
-        )
-        raw = {name: dict(data.get(name, {})) for name in SECTIONS}
-        raw["solver"].pop("cone_solver_kkt_tol", None)  # retired; older artifacts carry it
-        sections = {name: _read_section(name, raw[name]) for name in SECTIONS}
+        receivers = []
+        for i, r in enumerate(data.get("receivers", []), start=1):
+            name = f"receiver.{i}"
+            _known(name, r, KEYS["receiver"], required=KEYS["receiver"])
+            receivers.append(ReceiverSpec(
+                _readonly(np.array([_number(name, "position", x) for x in r["position"]])),
+                _number(name, "eh_requirement", r["eh_requirement"])))
+        sections = {name: _read_section(name, data.get(name, {})) for name in SECTIONS}
         seed = _number("solver", "seed", data.get("seed", 0), int)
     except ScenarioError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"bad scenario data: {exc}") from exc
-    cfg = ScenarioConfig(array, plan, receivers, seed=seed, **sections)
+    cfg = ScenarioConfig(array, plan, tuple(receivers), seed=seed, **sections)
     cfg.validate()
     return cfg
 
 
-# Keys of the text sections that no dataclass holds; [solver] also takes
-# ``seed``. Receivers are ``[receiver.<k>]`` sections, read in the order of k.
-_TEXT_KEYS = {"array": ("architecture", "length"),
-              "frequency": ("f1", "n_tones", "delta_f", "bandwidth")}
+# A text receiver is a ``[receiver.<k>]`` section with these keys, read in the
+# order of k: x, y, z make its position and p_target its eh_requirement.
 _RECEIVER_KEYS = ("x", "y", "z", "p_target")
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Load and validate a scenario from a text (.cfg/.ini) or .json file.
 
-    The text format is sectioned key/value, one ``[receiver.<k>]`` section per
-    device. A section or key outside the schema is a parse error. See README
-    for the full schema.
+    The text format is sectioned key/value, with ``seed`` in ``[solver]``.
+    Its reader only translates it to the ``to_dict`` form (and names a text
+    receiver's own keys), so :func:`scenario_from_dict` checks both formats
+    alike. See README for the full schema.
     """
     path = str(path)
     if path.endswith(".json"):
@@ -483,30 +509,18 @@ def load_scenario(path) -> ScenarioConfig:
     data, receivers = {}, {}
     for name in parser.sections():
         raw = dict(parser.items(name))
-        if name in SECTIONS:  # keys checked against the dataclass fields
+        receiver = re.fullmatch(r"receiver\.(0|[1-9][0-9]*)", name)
+        if receiver:
+            _known(name, raw, _RECEIVER_KEYS, required=_RECEIVER_KEYS)
+            receivers[int(receiver[1])] = {
+                "position": [_number(name, k, raw[k]) for k in "xyz"],
+                "eh_requirement": _number(name, "p_target", raw["p_target"])}
+        elif name in ("receivers", "seed"):  # top-level keys, not text sections
+            raise ScenarioParseError(f"unknown section [{name}]")
+        else:
             if name == "solver" and "seed" in raw:
                 data["seed"] = raw.pop("seed")
             data[name] = raw
-            continue
-        receiver = re.fullmatch(r"receiver\.(0|[1-9][0-9]*)", name)
-        keys = _RECEIVER_KEYS if receiver else _TEXT_KEYS.get(name)
-        if keys is None:
-            raise ScenarioParseError(f"{path}: unknown section [{name}]")
-        unknown = [k for k in raw if k not in keys]
-        if unknown:
-            raise ScenarioParseError(f"{path}: [{name}] unknown key {unknown[0]!r}")
-        if not receiver:
-            data[name] = raw
-            continue
-        missing = [k for k in keys if k not in raw]
-        if missing:
-            raise ScenarioParseError(f"{path}: [{name}] missing keys: {missing}")
-        receivers[int(receiver[1])] = {
-            "position": [_number(name, k, raw[k]) for k in "xyz"],
-            "eh_requirement": _number(name, "p_target", raw["p_target"])}
-    for name in ("array", "frequency"):
-        if name not in data:
-            raise ScenarioParseError(f"{path}: missing required section [{name}]")
     data["receivers"] = [receivers[k] for k in sorted(receivers)]
     return scenario_from_dict(data)
 
@@ -520,27 +534,10 @@ def save_scenario(config: ScenarioConfig, path) -> None:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
-    lines = ["[array]",
-             f"architecture = {data['array']['architecture']}",
-             f"length = {data['array']['length']!r}",
-             "",
-             "[frequency]",
-             f"f1 = {data['frequency']['f1']!r}",
-             f"n_tones = {data['frequency']['n_tones']}",
-             f"delta_f = {data['frequency']['delta_f']!r}",
-             ""]
-    for i, r in enumerate(data["receivers"], start=1):
-        lines += [f"[receiver.{i}]",
-                  f"x = {r['position'][0]!r}",
-                  f"y = {r['position'][1]!r}",
-                  f"z = {r['position'][2]!r}",
-                  f"p_target = {r['eh_requirement']!r}",
-                  ""]
-    for sec in ("device", "microstrip", "solver"):
-        lines.append(f"[{sec}]")
-        lines += [f"{k} = {v!r}" for k, v in data[sec].items()]
-        if sec == "solver":
-            lines.append(f"seed = {data['seed']}")
-        lines.append("")
+    data["solver"]["seed"] = data.pop("seed")
+    for i, r in enumerate(data.pop("receivers"), start=1):
+        data[f"receiver.{i}"] = {**dict(zip("xyz", r["position"])),
+                                 "p_target": r["eh_requirement"]}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+        for name, values in data.items():
+            fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()) + "\n")

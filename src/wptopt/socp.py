@@ -27,9 +27,8 @@ no cone reads form one bordered Schur system, LU-solved by
 Iterative refinement against the exact KKT operator checks the accuracy of
 every solve.
 That block plan depends only on the program's structure (cone dimensions,
-the cone rows' columns and coefficients, the orthant row count), so it is
-built once per structure and reused by every SCA step that solves the same
-shape.
+the cone rows' columns and coefficients, the orthant row count); each solve
+builds it once and reuses it in every iteration.
 
 Cones of one dimension sit back to back, so each run of them is read and
 written as one ``[n_blocks, dim]`` view of the stacked vector. The step to
@@ -41,7 +40,6 @@ the rotated direction.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -483,8 +481,8 @@ class _BlockPlan:
     the variables no cone reads (``free``) form the border.
 
     The plan depends only on the cone layout, the cone rows' columns ``col``
-    and coefficients ``coef`` and the variable count, so :func:`_block_plan`
-    builds it once per structure.
+    and coefficients ``coef`` and the variable count; each solve builds it
+    once.
     """
 
     def __init__(self, cones: _ConeLayout, n: int, col: np.ndarray, coef: np.ndarray):
@@ -546,20 +544,6 @@ class _BlockPlan:
                                cc * np.diag(np.r_[1.0, -np.ones(d - 1)])))
         self.n_border = p   # the orthant rows
         self.schur_size = len(self.free) + self.n_border
-
-
-@functools.lru_cache(maxsize=8)
-def _plan_for(structure) -> _BlockPlan:
-    n, p, soc, col, coef = structure
-    return _BlockPlan(_ConeLayout(p, soc), n, np.frombuffer(col, dtype=int),
-                      np.frombuffer(coef))
-
-
-def _block_plan(cones: _ConeLayout, a_op: _AffineRows) -> _BlockPlan:
-    """The block plan of this program's structure, shared by every program of
-    that structure (the SCA stages solve one structure over and over)."""
-    return _plan_for((a_op.n, cones.p, cones.soc,
-                      a_op.col.tobytes(), a_op.coef.tobytes()))
 
 
 class _NewtonSystem:
@@ -641,7 +625,7 @@ class _NewtonSystem:
 def _solve_standard(c, a_op: _AffineRows, b_vec, cones: _ConeLayout,
                     tol: float, max_iter: int):
     n = len(c)
-    plan = _block_plan(cones, a_op)
+    plan = _BlockPlan(cones, a_op.n, a_op.col, a_op.coef)
     x = np.zeros(n)
     s = cones.identity(); z = cones.identity()
     tau, kappa = 1.0, 1.0

@@ -200,6 +200,38 @@ def test_fractional_tone_count_in_json_exits_2(tmp_path, capsys):
     assert err == ["parse error: [frequency] n_tones = 8.7 is not a whole number"]
 
 
+def _receiver(data):
+    return data["receivers"][0]
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda d: d.update(solvr={}), ("[solvr]",)),
+    (lambda d: d["array"].update(lenght=0.2), ("[array]", "lenght")),
+    (lambda d: d["frequency"].update(n_tone=8), ("[frequency]", "n_tone")),
+    (lambda d: _receiver(d).update(p_target=20e-6), ("[receiver.1]", "p_target")),
+    (lambda d: _receiver(d)["position"].__setitem__(0, float("nan")),
+     ("[receiver.1]", "position")),
+    (lambda d: _receiver(d)["position"].__setitem__(2, float("inf")),
+     ("[receiver.1]", "position")),
+    (lambda d: _receiver(d).update(eh_requirement=float("inf")),
+     ("[receiver.1]", "eh_requirement")),
+], ids=["section", "array-key", "frequency-key", "receiver-key", "nan-x", "inf-z",
+        "inf-target"])
+def test_json_keys_and_values_outside_the_schema_exit_2(tmp_path, capsys, edit, names):
+    """The JSON form of the sample scenario is as strict as its text: each
+    edit exits 2 with one stderr line naming the section and key, before
+    any design runs."""
+    from wptopt.scenario import load_scenario
+    data = load_scenario(SAMPLE).to_dict()
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["optimize", str(bad), "--out", str(tmp_path / "runs")]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and all(name in err[0] for name in names), err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("text", [
     SCENARIO.replace("[solver]", "[device]\nboresight_gain = -1\n\n[solver]"),
     SCENARIO.replace("[solver]", "[microstrip]\nattenuation = -0.1\n\n[solver]"),
@@ -704,6 +736,85 @@ def test_sweep_table_keeps_a_comma_in_the_status(scenario_file, tmp_path, monkey
     assert rows == [{"value": "0.1", "p_c_bound": "nan", "p_c_sampled": "nan",
                      "outer_iters": "0", "feasible": "False",
                      "status": f"error: {message}"}]
+
+
+def test_artifact_load_save_keeps_bytes_and_hash(artifact_dir, tmp_path):
+    """``load`` reads the timings back into the trace rows, so saving a
+    loaded artifact writes the same bytes and the same content hash."""
+    path = artifact_dir / "artifact.json"
+    artifact = RunArtifact.load(path)
+    assert all(row["q_seconds"] >= 0.0 for row in artifact.trace_rows)
+    artifact.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    assert RunArtifact.load(tmp_path / "again.json").content_hash() \
+        == json.loads(path.read_text())["content_hash"]
+
+
+def _values_as_text(data):
+    data["waveform"]["values"] = "oops"
+
+
+def _flag_as_text(data):
+    data["paper_sampling"] = "no"
+
+
+def _report_value_as_text(data):
+    data["power_report"]["p_c_sampled"] = "high"
+
+
+def _shape_without_values(data):
+    data["waveform"]["shape"] = [7, 5]
+
+
+def _shape_off_the_scenario(data):
+    data["waveform"]["shape"] = [1, len(data["waveform"]["values"])]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fieldmap"])
+@pytest.mark.parametrize("corrupt", [
+    "not json {", {"scenario_hash": "x"}, _values_as_text, _flag_as_text,
+    _report_value_as_text, _shape_without_values, _shape_off_the_scenario,
+], ids=["not-json", "missing-keys", "values-as-text", "flag-as-text", "report-as-text",
+        "wrong-shape", "shape-off-scenario"])
+def test_malformed_artifact_exits_2(artifact_dir, tmp_path, capsys, command, corrupt):
+    """An artifact that is not JSON, lacks a key, or holds a value of the
+    wrong type or shape exits 2 with one line naming the file."""
+    bad = tmp_path / "bad.json"
+    if isinstance(corrupt, str):
+        bad.write_text(corrupt)
+    elif isinstance(corrupt, dict):
+        bad.write_text(json.dumps(corrupt))
+    else:
+        data = json.loads((artifact_dir / "artifact.json").read_text())
+        corrupt(data)
+        bad.write_text(json.dumps(data))
+    out = ["--out", str(tmp_path)] if command == "fieldmap" else []
+    capsys.readouterr()
+    assert main([command, str(bad), *out]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: {bad}: "), err
+
+
+def test_simulate_accepts_the_keys_older_writers_put_in_the_scenario(artifact_dir,
+                                                                     tmp_path, capsys):
+    """Artifacts written before the array's derived dimensions left the export
+    (and before ``cone_solver_kkt_tol`` was retired) still pass simulate."""
+    data = json.loads((artifact_dir / "artifact.json").read_text())
+    data["scenario"]["array"].update(n_v=3, n_h=8, inter_element_dx=0.0115746,
+                                     inter_row_dy=0.0289365)
+    data["scenario"]["solver"]["cone_solver_kkt_tol"] = 1e-9
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["simulate", str(legacy)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_main_builds_one_parser(tmp_path):
+    cli_module.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["simulate", str(tmp_path / "missing.json")]) == EXIT_PARSE
+    assert cli_module.build_parser.cache_info().misses == 1
 
 
 def test_artifact_round_trip(artifact_dir):

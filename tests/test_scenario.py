@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptopt.scenario import (SECTIONS, SPEED_OF_LIGHT, Architecture, ArraySpec,
-                             DeviceParams, FrequencyPlan, MicrostripParams,
+from wptopt.scenario import (KEYS, LEGACY_KEYS, SECTIONS, SPEED_OF_LIGHT,
+                             Architecture, ArraySpec, DeviceParams, FrequencyPlan,
+                             MicrostripParams,
                              ReceiverSpec, ScenarioConfig, ScenarioParseError,
                              ScenarioValidationError, SolverSettings, build_array,
                              load_scenario, save_scenario, scenario_from_dict)
@@ -260,6 +261,7 @@ def test_validation_rejects(check, message):
     ("solver", "max_sca_iters", "30.9", "max_sca_iters = '30.9' is not a whole number"),
     ("solver", "sca_rel_tol", "nan", "sca_rel_tol = 'nan' is not a finite number"),
     ("device", "hpa_gain", None, "hpa_gain = None is not a finite number"),
+    ("solver", "max_sca_iters", True, "max_sca_iters = True is not a whole number"),
     ("solver", "max_sca_iter", 30, "[solver] unknown key 'max_sca_iter'"),
     ("microstrip", "alpha", 0.3, "[microstrip] unknown key 'alpha'"),
 ])
@@ -388,3 +390,82 @@ def test_round_trip_property(tmp_path_factory, cfg):
         assert again.to_dict() == cfg.to_dict()
         assert again.content_hash() == cfg.content_hash()
     assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+
+
+# Every key name the schema knows, in any section and either format.
+_KNOWN = {*(k for keys in KEYS.values() for k in keys),
+          *(k for keys in LEGACY_KEYS.values() for k in keys),
+          *(f.name for cls in SECTIONS.values() for f in dataclasses.fields(cls)),
+          "x", "y", "z", "p_target"}
+_NAMES = st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
+    lambda name: name not in _KNOWN)
+
+
+@st.composite
+def strays(draw):
+    """One edit of a two-receiver scenario and the names its error must
+    give: an unknown section, an unknown key in any section, or a
+    non-finite receiver coordinate or target."""
+    kind = draw(st.sampled_from(["section", "key", "value"]))
+    if kind == "section":
+        name = draw(_NAMES)
+        return kind, name, None, None, ("unknown section", f"[{name}]")
+    if kind == "key":
+        section = draw(st.sampled_from(["array", "frequency", "receiver.1",
+                                        "receiver.2", *SECTIONS]))
+        key = draw(_NAMES)
+        return kind, section, key, 1.0, (f"[{section}] unknown key {key!r}",)
+    section = draw(st.sampled_from(["receiver.1", "receiver.2"]))
+    key = draw(st.sampled_from(["x", "y", "z", "p_target"]))
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return kind, section, key, value, (f"[{section}]", "is not a finite number")
+
+
+def _edit_json(data, kind, section, key, value):
+    if kind == "section":
+        data[section] = {}
+        return
+    if section.startswith("receiver."):
+        target = data["receivers"][int(section[-1]) - 1]
+        if kind == "value":   # the dict form's names for a text receiver's keys
+            if key == "p_target":
+                key = "eh_requirement"
+            else:
+                target, key = target["position"], "xyz".index(key)
+    else:
+        target = data[section]
+    target[key] = value
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stray=strays(), suffix=st.sampled_from([".json", ".cfg"]))
+def test_one_stray_key_or_value_fails_the_load_naming_it(tmp_path_factory, stray, suffix):
+    """Both formats go through one checker: an unknown section or key in any
+    section, or a non-finite receiver value, is a one-line parse error that
+    names the section and key (in the text format a coordinate is x, y or
+    z, a target p_target)."""
+    kind, section, key, value, names = stray
+    cfg = make_scenario(receivers=((0.1, -0.2, 1.7), (0.0, 0.3, 2.1)))
+    path = tmp_path_factory.mktemp("stray") / f"s{suffix}"
+    if suffix == ".json":
+        data = cfg.to_dict()
+        _edit_json(data, kind, section, key, value)
+        path.write_text(json.dumps(data))
+        if kind == "value":
+            names += ("eh_requirement" if key == "p_target" else "position",)
+    else:
+        save_scenario(cfg, path)
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        if kind == "section":
+            parser.add_section(section)
+        else:
+            parser[section][key] = str(value)
+        with open(path, "w") as fh:
+            parser.write(fh)
+        if kind == "value":
+            names += (f"{key} = {str(value)!r}",)
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(path)
+    message = str(err.value)
+    assert "\n" not in message and all(name in message for name in names), message

@@ -1,9 +1,8 @@
 """The structured Newton solve of the interior-point method, checked against
 a dense reference, its step length checked against the roots of the cone's
-quadratic, its block plan's reuse and its blocks on the production
-restrictions, and the solver checked against the M = 1 closed forms of both
-restrictions: the production focusing step and a test oracle of the waveform
-step."""
+quadratic, its block plan's blocks on the production restrictions, and the
+solver checked against the M = 1 closed forms of both restrictions: the
+production focusing step and a test oracle of the waveform step."""
 
 from pathlib import Path
 
@@ -20,9 +19,8 @@ from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import DeviceParams, load_scenario
 from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
-                         _block_plan, _BlockPlan, _ConeLayout, _lower,
-                         _NewtonSystem, _NTScaling, _plan_for,
-                         assemble_q_subproblem, assemble_w_subproblem, solve,
+                         _BlockPlan, _ConeLayout, _lower, _NewtonSystem,
+                         _NTScaling, assemble_q_subproblem, assemble_w_subproblem, solve,
                          unstack_complex)
 from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS, effective_rows
 
@@ -236,29 +234,9 @@ def test_closed_form_step_matches_quadratic_roots(case):
     assert margins.min() >= -scale  # and none is crossed
 
 
-# ---------------------------------------------------------------------------
-# block plan reuse
-# ---------------------------------------------------------------------------
-
 def plan_of(prog):
     _, a_op, _, cones, _ = _lower(prog)
-    return _block_plan(cones, a_op)
-
-
-def test_block_plan_is_shared_by_one_structure():
-    rng = np.random.default_rng(31)
-    plan = plan_of(focusing_program(rng, 5, 2))
-    assert plan_of(focusing_program(rng, 5, 2)) is plan   # other rows and rhs
-    for other in (focusing_program(rng, 5, 3),            # another M
-                  focusing_program(rng, 6, 2)):           # another disk count
-        assert plan_of(other) is not plan
-    prog = focusing_program(rng, 7, 2)
-    _plan_for.cache_clear()
-    fresh = solve(prog)
-    assert _plan_for.cache_info().misses == 1
-    reused = solve(prog)
-    assert _plan_for.cache_info().hits == 1
-    assert fresh.x.tobytes() == reused.x.tobytes()
+    return _BlockPlan(cones, a_op.n, a_op.col, a_op.coef)
 
 
 TWO_RECEIVERS = ((0.0, 0.0, 1.5), (0.2, 0.1, 1.8))
