@@ -47,19 +47,32 @@ def _pairs_to_complex(pairs, shape) -> np.ndarray:
 
 @dataclass
 class RunArtifact:
-    """Everything needed to reproduce and re-verify one optimization run."""
+    """Everything needed to reproduce and re-verify one optimization run: the
+    scenario, the weights and the claims that ``simulate`` re-derives. What
+    is a function of these (the scenario hash, the DMA phases) is derived on
+    reading, not stored."""
 
-    scenario_hash: str
     scenario: dict
-    architecture: str
     waveform: np.ndarray                 # [n_rf, n_f] complex
     dma_q: np.ndarray | None             # [n_v, n_h] complex
-    dma_phi: np.ndarray | None           # angle of dma_q about the disk center
     power_report: power.PowerReport
     trace_rows: list[dict]
     p_dc: np.ndarray
     converged: bool
     paper_sampling: bool = False         # P_c sampled on the 1 ms paper grid
+
+    @property
+    def scenario_hash(self) -> str:
+        """sha256 of the stored scenario as sorted JSON, the hash that
+        ``ScenarioConfig.content_hash`` takes of its export."""
+        return hashlib.sha256(json.dumps(self.scenario, sort_keys=True).encode()).hexdigest()
+
+    @property
+    def dma_phi(self) -> np.ndarray | None:
+        """Angle of each DMA weight about its disk center, in [0, 2*pi)."""
+        if self.dma_q is None:
+            return None
+        return np.mod(np.angle(self.dma_q - LORENTZIAN_CENTER), 2.0 * np.pi)
 
     def content_hash(self) -> str:
         blob = json.dumps(self._payload(with_hash=False), sort_keys=True).encode()
@@ -67,9 +80,7 @@ class RunArtifact:
 
     def _payload(self, with_hash=True) -> dict:
         payload = {
-            "scenario_hash": self.scenario_hash,
             "scenario": self.scenario,
-            "architecture": self.architecture,
             "waveform": {"shape": list(self.waveform.shape),
                          "values": _complex_to_pairs(self.waveform)},
             "dma": None,
@@ -82,8 +93,7 @@ class RunArtifact:
         }
         if self.dma_q is not None:
             payload["dma"] = {"shape": list(self.dma_q.shape),
-                              "q": _complex_to_pairs(self.dma_q),
-                              "phi": list(map(float, self.dma_phi.reshape(-1)))}
+                              "q": _complex_to_pairs(self.dma_q)}
         if with_hash:
             payload["content_hash"] = self.content_hash()
             payload["timings"] = [{k: row[k] for k in row if k.endswith("_seconds")}
@@ -97,31 +107,29 @@ class RunArtifact:
 
     @classmethod
     def load(cls, path) -> "RunArtifact":
-        """Read an artifact that :meth:`save` wrote, timings included. Text
+        """Read an artifact that :meth:`save` wrote, timings included. Keys
+        that older writers stored and this one derives are ignored. Text
         that is not JSON, a missing key, or a value of the wrong type or
         shape is a parse error that names the file."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
             wshape = tuple(data["waveform"]["shape"])
-            dma_q = dma_phi = None
+            dma_q = None
             if data.get("dma"):
-                qshape = tuple(data["dma"]["shape"])
-                dma_q = _pairs_to_complex(data["dma"]["q"], qshape)
-                dma_phi = np.array(data["dma"]["phi"], dtype=float).reshape(qshape)
+                dma_q = _pairs_to_complex(data["dma"]["q"], tuple(data["dma"]["shape"]))
             timings = data.get("timings") or [{}] * len(data["trace"])  # older artifacts
             flags = data["converged"], data.get("paper_sampling", False)
             if not all(isinstance(flag, bool) for flag in flags):
                 raise TypeError(f"converged, paper_sampling = {flags} are not booleans")
+            report = data["power_report"]
             return cls(
-                scenario_hash=data["scenario_hash"],
                 scenario=data["scenario"],
-                architecture=data["architecture"],
                 waveform=_pairs_to_complex(data["waveform"]["values"], wshape),
                 dma_q=dma_q,
-                dma_phi=dma_phi,
-                power_report=power.PowerReport(**{k: float(v) for k, v
-                                                  in data["power_report"].items()}),
+                power_report=power.PowerReport(**{
+                    f.name: float(report[f.name])
+                    for f in dataclasses.fields(power.PowerReport)}),
                 trace_rows=[{**row, **t} for row, t in zip(data["trace"], timings, strict=True)],
                 p_dc=np.array(data["p_dc"], dtype=float).reshape(-1),
                 converged=flags[0],
@@ -156,23 +164,18 @@ def run_optimization(scenario: ScenarioConfig,
     """Optimize one scenario and assemble the full artifact."""
     if scenario.array.architecture is Architecture.DMA:
         waveform, dma, trace = optimize.run_asca_dma(scenario)
-        dma_q = dma.q
-        dma_phi = np.mod(np.angle(dma_q - LORENTZIAN_CENTER), 2.0 * np.pi)
     else:
         waveform, trace = optimize.run_sca_fd(scenario)
         dma = None
-        dma_q = dma_phi = None
     dev = scenario.device
     report = power.sampled_consumption(
         waveform, dma, scenario.array, scenario.frequency, dev.hpa_gain,
         dev.hpa_saturation_power, dev.hpa_max_efficiency,
         paper_sampling=paper_sampling)
     return RunArtifact(
-        scenario_hash=scenario.content_hash(),
         scenario=scenario.to_dict(),
-        architecture=scenario.array.architecture.value,
         waveform=waveform.omega,
-        dma_q=dma_q, dma_phi=dma_phi,
+        dma_q=None if dma is None else dma.q,
         power_report=report,
         trace_rows=[dataclasses.asdict(r) for r in trace.records],
         p_dc=trace.final_p_dc,
@@ -261,11 +264,10 @@ def _sweep_point(payload):
         return {"value": value, "status": "ok",
                 "p_c_bound": artifact.trace_rows[-1]["p_c_bound"],
                 "p_c_sampled": artifact.power_report.p_c_sampled,
-                "outer_iters": len(artifact.trace_rows),
-                "feasible": bool(np.all(artifact.p_dc >= 0.999 * scenario.eh_targets))}
+                "outer_iters": len(artifact.trace_rows)}
     except Exception as exc:  # per-point failures recorded, sweep continues
         return {"value": value, "status": f"error: {exc}", "p_c_bound": math.nan,
-                "p_c_sampled": math.nan, "outer_iters": 0, "feasible": False}
+                "p_c_sampled": math.nan, "outer_iters": 0}
 
 
 def cmd_sweep(args) -> int:
@@ -280,7 +282,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"sweep_{args.axis}.csv"
-    fields = ["value", "p_c_bound", "p_c_sampled", "outer_iters", "feasible", "status"]
+    fields = ["value", "p_c_bound", "p_c_sampled", "outer_iters", "status"]
     write_csv(path, fields, results)
     print(f"sweep table: {path}")
     return EXIT_OK if all(r["status"] == "ok" for r in results) else EXIT_ERROR
@@ -301,7 +303,7 @@ def cmd_simulate(args) -> int:
         s = rectenna.tone_amplitudes(eff.chain[m], waveform.omega.T)
         m2 = rectenna.moment2_from_spectrum(s, dev.hpa_gain)
         m4 = rectenna.moment4_from_spectrum(s, dev.hpa_gain)
-        sig = oracle.synthesize_received(scenario, waveform, dma, m, channel=channel)
+        sig = oracle.synthesize_received(scenario.frequency, dev.hpa_gain, s)
         t2, t4 = sig.moment(2), sig.moment(4)
         rel = max(abs(t2 - m2) / max(m2, 1e-300), abs(t4 - m4) / max(m4, 1e-300))
         worst = max(worst, rel)
@@ -336,16 +338,6 @@ def cmd_simulate(args) -> int:
         disk_ok = bool(np.all(dma.circle_distance() <= 1e-9))
         checks.append(("lorentzian-disks-feasible", disk_ok,
                        f"max excess {np.max(dma.circle_distance()):.2e}"))
-        # Phasors, not angles, so that a phase wrapped at 0/2*pi agrees; and
-        # the direction of q - j/2 only, since a weight inside its disk is
-        # feasible. A weight at the center has no direction: any phase agrees.
-        unit = np.exp(1j * artifact.dma_phi)
-        offset = artifact.dma_q - LORENTZIAN_CENTER
-        r = np.abs(offset)
-        direction = np.where(r > 0, offset / np.maximum(r, 1e-300), unit)
-        phi_err = float(np.max(np.abs(unit - direction)))
-        checks.append(("dma-phi-matches-q", phi_err <= 1e-9,
-                       f"max phasor err {phi_err:.2e}"))
 
     all_ok = True
     for name, ok, detail in checks:
@@ -427,7 +419,7 @@ def main(argv=None) -> int:
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ScenarioValidationError, ScenarioError) as exc:
+    except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except optimize.UnmeetableRequirementError as exc:
@@ -439,7 +431,7 @@ def main(argv=None) -> int:
     except optimize.OptimizationError as exc:  # a missed target or a broken invariant
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FloatingPointError as exc:  # unbounded cone program
+    except FloatingPointError as exc:  # numpy set to raise on overflow or NaN
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except FileNotFoundError as exc:

@@ -54,10 +54,11 @@ class TargetMissedError(OptimizationError):
 
 class InfeasibleRestrictionError(OptimizationError):
     """The first step of a waveform stage found its restriction infeasible,
-    although scaling the waveform up meets every linearized harvesting row,
-    or returned a point that violates it. A numerical failure. (The focusing
-    restriction cannot raise it: its disks always hold the expansion
-    point.)"""
+    or returned a point that violates it. A numerical failure, which ends the
+    run: the output voltage is a degree-2 plus degree-4 form in ``w``, so
+    each row's gradient has ``g_m . w = 2 k2 E[y^2] + 4 k4 E[y^4] > 0`` and
+    scaling the waveform up meets every row. (The focusing restriction cannot
+    raise it: its disks always hold the expansion point.)"""
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +161,16 @@ def _exact_voltages(eff: EffectiveChannel, omega: np.ndarray,
 
 
 def _ramp(scenario: ScenarioConfig, eff: EffectiveChannel, omega_for,
-          amp: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Grow ``amp[index[m]]`` by the ramp factor until receiver ``m`` meets its
+          amp: np.ndarray) -> np.ndarray:
+    """Grow ``amp[m]`` by the ramp factor until receiver ``m`` meets its
     target under the non-linear rectifier model; extra passes cover the
     coupling between receivers. ``omega_for(amp)`` builds the waveform."""
     targets = scenario.voltage_targets()
     for _ in range(32):
-        for m, k in enumerate(index):
+        for m in range(len(amp)):
             while _exact_voltages(eff, omega_for(amp), scenario)[m] < targets[m]:
-                amp[k] *= scenario.solver.init_ramp_factor
-                if amp[k] > _AMP_CAP:
+                amp[m] *= scenario.solver.init_ramp_factor
+                if amp[m] > _AMP_CAP:
                     raise UnmeetableRequirementError(
                         f"receiver {m}: EH target unreachable within amplitude cap")
         if np.all(_exact_voltages(eff, omega_for(amp), scenario) >= targets):
@@ -196,10 +197,8 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
         om[mask] = amp_vec[owner[mask]][:, None] * np.exp(1j * phases[mask])
         return om
 
-    m_count = scenario.n_receivers
     plan.w_amp = _ramp(scenario, eff, omega_for,
-                       np.full(m_count, scenario.solver.init_seed_amplitude),
-                       np.arange(m_count))
+                       np.full(scenario.n_receivers, scenario.solver.init_seed_amplitude))
     return Waveform(omega_for(plan.w_amp))
 
 
@@ -264,7 +263,7 @@ class RunTrace:
 
 
 def _relative_move(new: float, old: float) -> float:
-    if not math.isfinite(old) or old == 0.0:
+    if not math.isfinite(old):
         return math.inf
     return abs(1.0 - new / old)
 
@@ -286,7 +285,7 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
     eff = effective_rows(channel, scenario.array, dma)
     trace = StageTrace()
     w = w_init
-    upsilon_prev = 0.0
+    upsilon_prev = math.inf
     for _ in range(settings.max_sca_iters):
         lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4,
                                   dev.hpa_gain)
@@ -391,15 +390,7 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
         t0 = time.perf_counter()
         dma_new, q_trace = run_sca_q(scenario, channel, w, dma)
         t1 = time.perf_counter()
-        try:
-            w_new, w_trace = run_sca_w(scenario, channel, dma_new, w)
-        except InfeasibleRestrictionError:
-            # feasibility repair: scale the whole waveform up by one shared amplitude
-            eff = effective_rows(channel, scenario.array, dma_new)
-            scale = _ramp(scenario, eff, lambda a: w.omega * a[0], np.ones(1),
-                          np.zeros(scenario.n_receivers, dtype=int))
-            w_new, w_trace = run_sca_w(scenario, channel, dma_new,
-                                       Waveform(w.omega * scale[0]))
+        w_new, w_trace = run_sca_w(scenario, channel, dma_new, w)
         t2 = time.perf_counter()
         pc = w_trace.final_objective
         eff = effective_rows(channel, scenario.array, dma_new)

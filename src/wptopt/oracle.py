@@ -19,8 +19,8 @@ import numpy as np
 from .channel import build_channel, cosine_profile
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
 from .power import chain_norm_scales
-from .rectenna import harvested_voltage, tone_amplitudes
-from .scenario import SPEED_OF_LIGHT, Architecture, ScenarioConfig
+from .rectenna import harvested_voltage
+from .scenario import SPEED_OF_LIGHT, Architecture, FrequencyPlan, ScenarioConfig
 from .transmitter import DmaState, Waveform, effective_rows
 
 
@@ -47,11 +47,10 @@ class SampledSignal:
         return float(np.max(p) / np.mean(p))
 
 
-def synthesize_received(scenario: ScenarioConfig, waveform: Waveform,
-                        dma: DmaState | None, receiver: int,
-                        channel=None) -> SampledSignal:
+def synthesize_received(plan: FrequencyPlan, hpa_gain: float,
+                        s: np.ndarray) -> SampledSignal:
     """Sample the exact received signal ``G * Re sum_n s_n e^{j2pi f_n t}`` of
-    one device over one period.
+    the tone spectrum ``s`` (one entry per tone of ``plan``) over one period.
 
     The grid is ``quadrature_times(degree=4)``: ``k`` samples over one period
     ``q/delta_f``, where ``f1/delta_f = p/q``. It is dense enough that
@@ -62,18 +61,12 @@ def synthesize_received(scenario: ScenarioConfig, waveform: Waveform,
     ``k*s_n/2`` in those bins. The phases come from integer bins, so no
     carrier-scale argument is rounded.
     """
-    plan = scenario.frequency
-    if channel is None:
-        channel = build_channel(scenario.array, scenario.receivers,
-                                plan, scenario.device.boresight_gain)
-    eff = effective_rows(channel, scenario.array, dma)
-    s = tone_amplitudes(eff.chain[receiver], waveform.omega.T)
     k, step = plan.quadrature_grid(degree=4)
     ratio = plan.cycle_ratio()
     spectrum = np.zeros(k // 2 + 1, dtype=complex)
     spectrum[ratio.numerator + ratio.denominator * np.arange(plan.n_f)] = 0.5 * k * s
     # numpy.fft is imported on first use, so importing the CLI does not load it
-    y = scenario.device.hpa_gain * np.fft.irfft(spectrum, n=k)
+    y = hpa_gain * np.fft.irfft(spectrum, n=k)
     return SampledSignal(sample_rate=1.0 / step, samples=y,
                          duration=plan.fundamental_period())
 

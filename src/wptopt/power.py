@@ -64,13 +64,13 @@ def _chain_element_amplitudes(waveform: Waveform, dma: DmaState | None,
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Consumption summary for one transmitter state."""
+    """Consumption summary for one transmitter state. The optimization
+    objective is ``p_hpa_bound + p_in`` (:func:`hpa_bound_objective`)."""
 
     p_in: float            # digital input power
     p_hpa_sampled: float   # time-averaged amplifier consumption
     p_hpa_bound: float     # Jensen upper bound on the amplifier term
     p_c_sampled: float     # p_hpa_sampled + p_in
-    upsilon_objective: float  # p_hpa_bound + p_in (the optimization objective)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -162,5 +162,4 @@ def sampled_consumption(waveform: Waveform, dma: DmaState | None,
         p_hpa_sampled=p_hpa,
         p_hpa_bound=bound,
         p_c_sampled=p_hpa + p_in,
-        upsilon_objective=bound + p_in,
     )

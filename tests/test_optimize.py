@@ -11,7 +11,7 @@ from wptopt import optimize as optimize_module
 from wptopt import socp
 from wptopt.channel import ChannelTensor, build_channel
 from wptopt.cli import write_csv
-from wptopt.optimize import (OuterRecord, UnmeetableRequirementError, _ramp,
+from wptopt.optimize import (OuterRecord, UnmeetableRequirementError,
                              allocate_chains, init_digital_weights,
                              init_q_phases, phase_search, run_asca_dma,
                              run_sca_fd, run_sca_q, run_sca_w)
@@ -118,30 +118,6 @@ def test_init_pins_sample_scenario():
     assert np.max(np.abs(np.angle(dma.q[~zero] * coeff[~zero]))) <= 1e-9
     init_digital_weights(cfg, channel, plan, dma)
     assert plan.w_amp.tolist() == [0.025]
-
-
-def test_repair_ramp_takes_smallest_shared_power():
-    """With one shared amplitude the ramp stops at the smallest power of the
-    ramp factor at which every receiver meets its target."""
-    cfg = make_scenario("fd", length=0.10, n_f=2,
-                        receivers=((0.2, 0.0, 1.4), (-0.3, 0.1, 1.8)))
-    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
-    plan = allocate_chains(channel, 2, cfg.array.rf_chain_count)
-    omega = init_digital_weights(cfg, channel, plan, None).omega * 1e-3
-    eff = effective_rows(channel, cfg.array, None)
-    scale = _ramp(cfg, eff, lambda a: omega * a[0], np.ones(1), np.zeros(2, dtype=int))
-    factor = cfg.solver.init_ramp_factor
-    k = round(np.log(scale[0]) / np.log(factor))
-    assert k >= 1 and scale[0] == pytest.approx(factor ** k, rel=1e-12)
-    targets = cfg.voltage_targets()
-    dev = cfg.device
-
-    def voltages(s):
-        return np.array([harvested_voltage(eff.chain[m], (omega * s).T, dev.hpa_gain,
-                                           dev.k2, dev.k4) for m in range(2)])
-
-    assert np.all(voltages(scale[0]) >= targets)
-    assert np.any(voltages(scale[0] / factor) < targets)
 
 
 def test_init_q_phases_rejects_fd(tiny_fd):

@@ -72,7 +72,7 @@ def test_sampled_consumption_zero_waveform(tiny_fd):
     rep = sampled_consumption(Waveform.zeros(tiny_fd.array.rf_chain_count, 2),
                               None, tiny_fd.array, plan, 1.0, 1.0, 0.7)
     assert rep.p_c_sampled == 0.0
-    assert rep.upsilon_objective == 0.0
+    assert rep.p_hpa_bound + rep.p_in == 0.0
 
 
 def test_jensen_bound_and_parseval(rng):
@@ -146,7 +146,8 @@ def test_power_report_invariant(rng):
     rep = sampled_consumption(wf, dma, cfg.array, plan, 1.0, 1.0, 0.7)
     assert rep.p_hpa_bound >= rep.p_hpa_sampled - 1e-9 * max(1.0, rep.p_hpa_sampled)
     assert rep.p_c_sampled == pytest.approx(rep.p_hpa_sampled + rep.p_in)
-    assert rep.upsilon_objective == pytest.approx(rep.p_hpa_bound + rep.p_in)
+    assert hpa_bound_objective(wf, dma, 1.0, 1.0, 0.7) == pytest.approx(rep.p_hpa_bound
+                                                                         + rep.p_in)
     assert min(rep.p_in, rep.p_hpa_sampled, rep.p_hpa_bound) >= 0.0
 
 
