@@ -11,7 +11,7 @@ from .transmitter import (DmaState, EffectiveChannel, Waveform,
                           lorentzian_weight, microstrip_response)
 from .rectenna import (dc_power, harvested_voltage, moment2, moment4,
                        output_voltage)
-from .power import PowerReport, hpa_bound_objective, input_power, \
+from .power import Design, PowerReport, hpa_bound_objective, input_power, \
     sampled_consumption
 from .linearize import LinearizedVoltage, linearize_vo_in_q, linearize_vo_in_w
 from .dual_newton import ExitReason

@@ -12,7 +12,6 @@ import concurrent.futures
 import csv
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -22,11 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import blas, optimize, oracle, power, rectenna
-from .channel import build_channel
 from .scenario import (Architecture, ScenarioConfig, ScenarioError,
-                       ScenarioParseError, ScenarioValidationError,
-                       load_scenario, scenario_from_dict)
-from .transmitter import LORENTZIAN_CENTER, DmaState, Waveform, effective_rows
+                       ScenarioParseError, ScenarioValidationError, _digest,
+                       _number, load_scenario, scenario_from_dict)
+from .transmitter import LORENTZIAN_CENTER, DmaState, Waveform
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,7 +63,7 @@ class RunArtifact:
     def scenario_hash(self) -> str:
         """sha256 of the stored scenario as sorted JSON, the hash that
         ``ScenarioConfig.content_hash`` takes of its export."""
-        return hashlib.sha256(json.dumps(self.scenario, sort_keys=True).encode()).hexdigest()
+        return _digest(self.scenario)
 
     @property
     def dma_phi(self) -> np.ndarray | None:
@@ -75,8 +73,7 @@ class RunArtifact:
         return np.mod(np.angle(self.dma_q - LORENTZIAN_CENTER), 2.0 * np.pi)
 
     def content_hash(self) -> str:
-        blob = json.dumps(self._payload(with_hash=False), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return _digest(self._payload(with_hash=False))
 
     def _payload(self, with_hash=True) -> dict:
         payload = {
@@ -122,6 +119,8 @@ class RunArtifact:
             flags = data["converged"], data.get("paper_sampling", False)
             if not all(isinstance(flag, bool) for flag in flags):
                 raise TypeError(f"converged, paper_sampling = {flags} are not booleans")
+            if not all(type(row["p_c_bound"]) is float for row in data["trace"]):
+                raise TypeError("a trace row's p_c_bound is not a number")
             report = data["power_report"]
             return cls(
                 scenario=data["scenario"],
@@ -139,9 +138,9 @@ class RunArtifact:
             raise ScenarioParseError(f"{path}: bad artifact: {exc!r}") from exc
 
 
-def _load_design(path) -> tuple[RunArtifact, ScenarioConfig, Waveform, DmaState | None]:
-    """An artifact, its scenario and its weights; weights whose shape does not
-    fit the scenario are a parse error."""
+def _load_design(path) -> tuple[RunArtifact, power.Design]:
+    """An artifact and the design it stores; weights whose shape does not fit
+    the scenario are a parse error."""
     artifact = RunArtifact.load(path)
     scenario = scenario_from_dict(artifact.scenario)
     arr = scenario.array
@@ -156,7 +155,7 @@ def _load_design(path) -> tuple[RunArtifact, ScenarioConfig, Waveform, DmaState 
     if artifact.dma_q is not None:
         dma = DmaState.from_phases(np.zeros(artifact.dma_q.shape), arr.inter_element_dx,
                                    scenario.microstrip).with_weights(artifact.dma_q)
-    return artifact, scenario, Waveform(artifact.waveform), dma
+    return artifact, power.Design(scenario, Waveform(artifact.waveform), dma)
 
 
 def run_optimization(scenario: ScenarioConfig,
@@ -167,16 +166,11 @@ def run_optimization(scenario: ScenarioConfig,
     else:
         waveform, trace = optimize.run_sca_fd(scenario)
         dma = None
-    dev = scenario.device
-    report = power.sampled_consumption(
-        waveform, dma, scenario.array, scenario.frequency, dev.hpa_gain,
-        dev.hpa_saturation_power, dev.hpa_max_efficiency,
-        paper_sampling=paper_sampling)
     return RunArtifact(
         scenario=scenario.to_dict(),
         waveform=waveform.omega,
         dma_q=None if dma is None else dma.q,
-        power_report=report,
+        power_report=power.Design(scenario, waveform, dma).report(paper_sampling),
         trace_rows=[dataclasses.asdict(r) for r in trace.records],
         p_dc=trace.final_p_dc,
         converged=trace.converged,
@@ -233,11 +227,11 @@ def _scenario_for_point(base: ScenarioConfig, axis: str, value: float) -> Scenar
         data["array"]["length"] = float(value)
     elif axis == "n_f":
         bandwidth = base.frequency.delta_f * base.frequency.n_f
-        data["frequency"]["n_tones"] = int(value)
+        data["frequency"]["n_tones"] = value
         data["frequency"].pop("delta_f", None)
         data["frequency"]["bandwidth"] = bandwidth
     elif axis == "M":
-        m = int(value)
+        m = _number("sweep", "M", value, int)
         if m > len(data["receivers"]):
             raise ScenarioValidationError("sweep M exceeds configured receivers")
         data["receivers"] = data["receivers"][:m]
@@ -288,62 +282,53 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all(r["status"] == "ok" for r in results) else EXIT_ERROR
 
 
+def _matches(name: str, stored, derived, tol: float) -> tuple[str, bool, str]:
+    """Check row: ``derived`` equals ``stored`` to relative ``tol``, entrywise."""
+    stored = np.asarray(stored, dtype=float)
+    rel = float(np.max(np.abs(derived - stored) / np.maximum(np.abs(stored), 1e-300)))
+    return name, rel <= tol, f"{'max ' if stored.ndim else ''}rel err {rel:.2e}"
+
+
 def cmd_simulate(args) -> int:
     """Re-derive the artifact's claims through the time-domain oracle."""
-    artifact, scenario, waveform, dma = _load_design(args.artifact)
-    dev = scenario.device
-    channel = build_channel(scenario.array, scenario.receivers,
-                            scenario.frequency, dev.boresight_gain)
-    eff = effective_rows(channel, scenario.array, dma)
-    checks: list[tuple[str, bool, str]] = []
-
-    worst = 0.0
-    p_dc_re = np.zeros(scenario.n_receivers)
-    for m in range(scenario.n_receivers):
-        s = rectenna.tone_amplitudes(eff.chain[m], waveform.omega.T)
-        m2 = rectenna.moment2_from_spectrum(s, dev.hpa_gain)
-        m4 = rectenna.moment4_from_spectrum(s, dev.hpa_gain)
+    artifact, design = _load_design(args.artifact)
+    scenario, dev = design.scenario, design.scenario.device
+    stored = json.loads(Path(args.artifact).read_text())  # hashed as stored: old keys count
+    digest = _digest({k: v for k, v in stored.items() if k not in ("content_hash", "timings")})
+    checks = [("content-hash-matches-artifact", digest == stored.get("content_hash"),
+               f"sha256 {digest[:12]}")]
+    spectral, sampled = [], []
+    for rows in design.rows:
+        s = rectenna.tone_amplitudes(rows, design.waveform.omega.T)
+        spectral.append([rectenna.moment2_from_spectrum(s, dev.hpa_gain),
+                         rectenna.moment4_from_spectrum(s, dev.hpa_gain)])
         sig = oracle.synthesize_received(scenario.frequency, dev.hpa_gain, s)
-        t2, t4 = sig.moment(2), sig.moment(4)
-        rel = max(abs(t2 - m2) / max(m2, 1e-300), abs(t4 - m4) / max(m4, 1e-300))
-        worst = max(worst, rel)
-        v = rectenna.output_voltage(m2, m4, dev.k2, dev.k4)
-        p_dc_re[m] = rectenna.dc_power(v, dev.rect_load_resistance)
-    checks.append(("moment-equivalence", worst <= 1e-8, f"max rel err {worst:.2e}"))
-    dc_rel = float(np.max(np.abs(p_dc_re - artifact.p_dc)
-                          / np.maximum(artifact.p_dc, 1e-300)))
-    checks.append(("p-dc-matches-artifact", dc_rel <= 1e-6, f"max rel err {dc_rel:.2e}"))
-    feas = bool(np.all(p_dc_re >= 0.999 * scenario.eh_targets))
-    checks.append(("eh-targets-met", feas,
-                   f"min margin {np.min(p_dc_re / scenario.eh_targets):.4f}"))
-    consumption = functools.partial(
-        power.sampled_consumption, waveform, dma, scenario.array, scenario.frequency,
-        dev.hpa_gain, dev.hpa_saturation_power, dev.hpa_max_efficiency)
-    report = consumption(paper_sampling=artifact.paper_sampling)
-    # Jensen's bound holds on the default grid only: at the paper rate
-    # 2*f_max the top tone's second harmonic aliases onto DC.
-    default = consumption(paper_sampling=False) if artifact.paper_sampling else report
+        sampled.append([sig.moment(2), sig.moment(4)])
+    checks.append(_matches("moment-equivalence", spectral, np.array(sampled), 1e-8))
+    p_dc, report = design.p_dc(), design.report(artifact.paper_sampling)
+    checks.append(_matches("p-dc-matches-artifact", artifact.p_dc, p_dc, 1e-6))
+    checks.append(("eh-targets-met", bool(np.all(p_dc >= 0.999 * scenario.eh_targets)),
+                   f"min margin {np.min(p_dc / scenario.eh_targets):.4f}"))
+    # Jensen's bound holds on the default grid; at 2*f_max a harmonic aliases onto DC.
+    default = design.report() if artifact.paper_sampling else report
     jensen = default.p_hpa_sampled <= default.p_hpa_bound + 1e-9 * max(1.0, default.p_hpa_bound)
     checks.append(("amplifier-bound-holds", jensen,
                    f"sampled {default.p_hpa_sampled:.6e} <= bound {default.p_hpa_bound:.6e}"))
-    pc_rel = abs(report.p_c_sampled - artifact.power_report.p_c_sampled) \
-        / max(artifact.power_report.p_c_sampled, 1e-300)
-    checks.append(("p-c-matches-artifact", pc_rel <= 1e-6, f"rel err {pc_rel:.2e}"))
-    for name in ("p_hpa_bound", "p_in"):
-        stored = getattr(artifact.power_report, name)
-        rel = abs(getattr(report, name) - stored) / max(abs(stored), 1e-300)
-        checks.append((f"{name.replace('_', '-')}-matches-artifact", rel <= 1e-12,
-                       f"rel err {rel:.2e}"))
-    if dma is not None:
-        disk_ok = bool(np.all(dma.circle_distance() <= 1e-9))
-        checks.append(("lorentzian-disks-feasible", disk_ok,
-                       f"max excess {np.max(dma.circle_distance()):.2e}"))
+    claims = artifact.power_report
+    checks += [
+        _matches("p-c-matches-artifact", claims.p_c_sampled, report.p_c_sampled, 1e-6),
+        _matches("p-hpa-bound-matches-artifact", claims.p_hpa_bound, report.p_hpa_bound, 1e-12),
+        _matches("p-in-matches-artifact", claims.p_in, report.p_in, 1e-12),
+        _matches("trace-bound-matches-artifact",
+                 min((row["p_c_bound"] for row in artifact.trace_rows), default=math.nan),
+                 report.p_hpa_bound + report.p_in, 1e-9)]
+    if design.dma is not None:
+        excess = np.max(design.dma.circle_distance())
+        checks.append(("lorentzian-disks-feasible", excess <= 1e-9, f"max excess {excess:.2e}"))
 
-    all_ok = True
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        all_ok &= ok
-    return EXIT_OK if all_ok else EXIT_ERROR
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_ERROR
 
 
 def cmd_fieldmap(args) -> int:
@@ -355,8 +340,8 @@ def cmd_fieldmap(args) -> int:
     except ValueError as exc:
         print(f"invalid plane: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    artifact, scenario, waveform, dma = _load_design(args.artifact)
-    fmap = oracle.field_map(scenario, waveform, dma, plane)
+    artifact, design = _load_design(args.artifact)
+    fmap = oracle.field_map(design.scenario, design.waveform, design.dma, plane)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fmap.to_csv(out / "fieldmap.csv")

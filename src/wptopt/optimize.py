@@ -31,9 +31,9 @@ from .channel import ChannelTensor, build_channel
 from .dual_newton import ExitReason
 from .focusing_step import FocusingStep, focusing_step
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
-from .rectenna import harvested_voltage
+from .power import Design
 from .scenario import Architecture, ScenarioConfig
-from .transmitter import DmaState, EffectiveChannel, Waveform, effective_rows
+from .transmitter import DmaState, Waveform, effective_rows
 from .waveform_step import WaveformStep, dual_step, waveform_restriction
 
 _AMP_CAP = 1e6
@@ -151,29 +151,22 @@ def init_q_phases(channel: ChannelTensor, plan: InitPlan,
     return template.with_weights(q)
 
 
-def _exact_voltages(eff: EffectiveChannel, omega: np.ndarray,
-                    scenario: ScenarioConfig) -> np.ndarray:
-    dev = scenario.device
-    return np.array([
-        harvested_voltage(eff.chain[m], omega.T, dev.hpa_gain, dev.k2, dev.k4)
-        for m in range(eff.n_receivers)
-    ])
-
-
-def _ramp(scenario: ScenarioConfig, eff: EffectiveChannel, omega_for,
-          amp: np.ndarray) -> np.ndarray:
+def _ramp(scenario: ScenarioConfig, channel: ChannelTensor, dma: DmaState | None,
+          omega_for, amp: np.ndarray) -> np.ndarray:
     """Grow ``amp[m]`` by the ramp factor until receiver ``m`` meets its
     target under the non-linear rectifier model; extra passes cover the
     coupling between receivers. ``omega_for(amp)`` builds the waveform."""
     targets = scenario.voltage_targets()
+    def voltages():
+        return Design(scenario, Waveform(omega_for(amp)), dma, channel).voltages()
     for _ in range(32):
         for m in range(len(amp)):
-            while _exact_voltages(eff, omega_for(amp), scenario)[m] < targets[m]:
+            while voltages()[m] < targets[m]:
                 amp[m] *= scenario.solver.init_ramp_factor
                 if amp[m] > _AMP_CAP:
                     raise UnmeetableRequirementError(
                         f"receiver {m}: EH target unreachable within amplitude cap")
-        if np.all(_exact_voltages(eff, omega_for(amp), scenario) >= targets):
+        if np.all(voltages() >= targets):
             return amp
     raise UnmeetableRequirementError("amplitude ramp did not stabilize")
 
@@ -197,7 +190,7 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
         om[mask] = amp_vec[owner[mask]][:, None] * np.exp(1j * phases[mask])
         return om
 
-    plan.w_amp = _ramp(scenario, eff, omega_for,
+    plan.w_amp = _ramp(scenario, channel, dma, omega_for,
                        np.full(scenario.n_receivers, scenario.solver.init_seed_amplitude))
     return Waveform(omega_for(plan.w_amp))
 
@@ -354,16 +347,15 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
 # full drivers
 # ---------------------------------------------------------------------------
 
-def _eh_residual(scenario, eff, omega) -> float:
-    v = _exact_voltages(eff, omega, scenario)
-    return float(np.max(scenario.voltage_targets() - v))
+def _eh_residual(design: Design) -> float:
+    return float(np.max(design.scenario.voltage_targets() - design.voltages()))
 
 
-def _final_p_dc(scenario, channel, dma, waveform) -> np.ndarray:
-    dev = scenario.device
-    eff = effective_rows(channel, scenario.array, dma)
-    v = _exact_voltages(eff, waveform.omega, scenario)
-    return v ** 2 / dev.rect_load_resistance
+def _final_p_dc(design: Design) -> np.ndarray:
+    p_dc = design.p_dc()
+    if np.any(p_dc < 0.999 * design.scenario.eh_targets):
+        raise TargetMissedError("converged state misses an EH target by >0.1%")
+    return p_dc
 
 
 def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace]:
@@ -383,21 +375,21 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
     plan = allocate_chains(channel, scenario.n_receivers,
                            scenario.array.rf_chain_count)
     dma = init_q_phases(channel, plan, scenario)
-    w = init_digital_weights(scenario, channel, plan, dma)
+    design = Design(scenario, init_digital_weights(scenario, channel, plan, dma), dma, channel)
     trace = RunTrace()
     pc_prev = math.inf
     for outer in range(settings.max_outer_iters):
         t0 = time.perf_counter()
-        dma_new, q_trace = run_sca_q(scenario, channel, w, dma)
+        dma_new, q_trace = run_sca_q(scenario, channel, design.waveform, design.dma)
         t1 = time.perf_counter()
-        w_new, w_trace = run_sca_w(scenario, channel, dma_new, w)
+        w_new, w_trace = run_sca_w(scenario, channel, dma_new, design.waveform)
         t2 = time.perf_counter()
         pc = w_trace.final_objective
-        eff = effective_rows(channel, scenario.array, dma_new)
+        candidate = Design(scenario, w_new, dma_new, channel)
         trace.records.append(OuterRecord(
             index=outer, p_c_bound=pc, min_voltage=q_trace.final_objective,
             q_sca_iters=q_trace.iterations, w_sca_iters=w_trace.iterations,
-            eh_residual=_eh_residual(scenario, eff, w_new.omega),
+            eh_residual=_eh_residual(candidate),
             q_seconds=t1 - t0, w_seconds=t2 - t1,
             solver_rel_gap=_worst_rel_gap(q_trace, w_trace)))
         if pc >= pc_prev:  # no fall: stop on the previous state
@@ -405,15 +397,13 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
                 trace.records.pop()  # a rejected pass
             trace.converged = True
             break
-        w, dma = w_new, dma_new
+        design = candidate
         if _relative_move(pc, pc_prev) <= settings.sca_rel_tol:
             trace.converged = True
             break
         pc_prev = pc
-    trace.final_p_dc = _final_p_dc(scenario, channel, dma, w)
-    if np.any(trace.final_p_dc < 0.999 * scenario.eh_targets):
-        raise TargetMissedError("converged state misses an EH target by >0.1%")
-    return w, dma, trace
+    trace.final_p_dc = _final_p_dc(design)
+    return design.waveform, design.dma, trace
 
 
 def run_sca_fd(scenario: ScenarioConfig) -> tuple[Waveform, RunTrace]:
@@ -429,14 +419,12 @@ def run_sca_fd(scenario: ScenarioConfig) -> tuple[Waveform, RunTrace]:
     w, w_trace = run_sca_w(scenario, channel, None, w0)
     t1 = time.perf_counter()
     trace = RunTrace(converged=w_trace.converged)
-    eff = effective_rows(channel, scenario.array, None)
+    design = Design(scenario, w, None, channel)
     trace.records.append(OuterRecord(
         index=0, p_c_bound=w_trace.final_objective, min_voltage=math.nan,
         q_sca_iters=0, w_sca_iters=w_trace.iterations,
-        eh_residual=_eh_residual(scenario, eff, w.omega),
+        eh_residual=_eh_residual(design),
         q_seconds=0.0, w_seconds=t1 - t0,
         solver_rel_gap=_worst_rel_gap(w_trace)))
-    trace.final_p_dc = _final_p_dc(scenario, channel, None, w)
-    if np.any(trace.final_p_dc < 0.999 * scenario.eh_targets):
-        raise TargetMissedError("converged state misses an EH target by >0.1%")
+    trace.final_p_dc = _final_p_dc(design)
     return w, trace

@@ -9,12 +9,15 @@ which separates per chain into ``scale_i * ||omega_i||``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .scenario import Architecture, ArraySpec, FrequencyPlan
-from .transmitter import DmaState, Waveform
+from .channel import ChannelTensor, build_channel
+from .rectenna import harvested_voltage
+from .scenario import Architecture, ArraySpec, FrequencyPlan, ScenarioConfig
+from .transmitter import DmaState, Waveform, effective_rows
 
 _CHUNK = 1 << 16  # time samples per block when sampling long windows
 
@@ -163,3 +166,39 @@ def sampled_consumption(waveform: Waveform, dma: DmaState | None,
         p_hpa_bound=bound,
         p_c_sampled=p_hpa + p_in,
     )
+
+
+@dataclass(frozen=True)
+class Design:
+    """A finished transmitter state and what is reported of it: each receiver's
+    voltage and DC power, the sampled consumption and its bound. Its effective
+    chain rows [M, n_f, n_rf] are built on first use, from ``channel`` if given."""
+
+    scenario: ScenarioConfig
+    waveform: Waveform
+    dma: DmaState | None = None
+    channel: ChannelTensor | None = None
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        sc = self.scenario
+        channel = self.channel if self.channel is not None else build_channel(
+            sc.array, sc.receivers, sc.frequency, sc.device.boresight_gain)
+        return effective_rows(channel, sc.array, self.dma).chain
+
+    def voltages(self) -> np.ndarray:
+        """Rectifier output voltage per receiver."""
+        dev = self.scenario.device
+        return np.array([harvested_voltage(rows, self.waveform.omega.T, dev.hpa_gain,
+                                           dev.k2, dev.k4) for rows in self.rows])
+
+    def p_dc(self) -> np.ndarray:
+        """Harvested DC power per receiver."""
+        return self.voltages() ** 2 / self.scenario.device.rect_load_resistance
+
+    def report(self, paper_sampling: bool = False) -> PowerReport:
+        """Sampled consumption and its bound (:func:`sampled_consumption`)."""
+        sc, dev = self.scenario, self.scenario.device
+        return sampled_consumption(self.waveform, self.dma, sc.array, sc.frequency,
+                                   dev.hpa_gain, dev.hpa_saturation_power,
+                                   dev.hpa_max_efficiency, paper_sampling=paper_sampling)

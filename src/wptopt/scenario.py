@@ -391,11 +391,15 @@ class ScenarioConfig:
         }
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return _digest(self.to_dict())
 
     def with_solver(self, **kwargs) -> "ScenarioConfig":
         return replace(self, solver=replace(self.solver, **kwargs))
+
+
+def _digest(payload: dict) -> str:
+    """sha256 of ``payload`` as sorted JSON: the scenario and artifact hashes."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _number(section: str, key: str, value, kind: type = float):

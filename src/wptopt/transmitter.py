@@ -146,10 +146,6 @@ class EffectiveChannel:
     chain: np.ndarray = field(repr=False)         # [M, n_f, n_rf]
     a_hat: np.ndarray | None = field(default=None, repr=False)  # [M, n_f, N]
 
-    @property
-    def n_receivers(self) -> int:
-        return self.chain.shape[0]
-
 
 def effective_rows(channel: ChannelTensor, array: ArraySpec,
                    dma: DmaState | None = None,

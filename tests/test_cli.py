@@ -65,6 +65,12 @@ p_target = 20e-6
     return path
 
 
+def _rehash(data):
+    """Set an edited artifact's content hash as its writer would have."""
+    data["content_hash"] = cli_module._digest(
+        {k: v for k, v in data.items() if k not in ("content_hash", "timings")})
+
+
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory, scenario_file):
     out = tmp_path_factory.mktemp("runs")
@@ -325,6 +331,7 @@ def test_simulate_accepts_the_retired_solver_key(artifact_dir, scenario_file,
     ``cone_solver_kkt_tol`` still loads, and simulate passes it."""
     data = json.loads((artifact_dir / "artifact.json").read_text())
     data["scenario"]["solver"]["cone_solver_kkt_tol"] = 1e-9
+    _rehash(data)
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(data))
     assert main(["simulate", str(legacy)]) == EXIT_OK
@@ -365,7 +372,17 @@ def test_simulate_detects_tampering(artifact_dir, tmp_path, capsys):
 def _scale_report(field, factor):
     def edit(data):
         data["power_report"][field] *= factor
+        _rehash(data)
     return edit
+
+
+def _zero_hash(data):
+    data["content_hash"] = "0" * 64
+
+
+def _halve_last_bound(data):
+    data["trace"][-1]["p_c_bound"] /= 2.0
+    _rehash(data)
 
 
 def test_simulate_rederives_the_report_bound_and_input_power(artifact_dir, tmp_path,
@@ -373,7 +390,9 @@ def test_simulate_rederives_the_report_bound_and_input_power(artifact_dir, tmp_p
     """Each falsified field fails exactly its own line, and exits 1."""
     original = json.loads((artifact_dir / "artifact.json").read_text())
     falsified = [("p-hpa-bound-matches-artifact", _scale_report("p_hpa_bound", 1 + 1e-10)),
-                 ("p-in-matches-artifact", _scale_report("p_in", 1 - 1e-10))]
+                 ("p-in-matches-artifact", _scale_report("p_in", 1 - 1e-10)),
+                 ("content-hash-matches-artifact", _zero_hash),
+                 ("trace-bound-matches-artifact", _halve_last_bound)]
     for name, edit in falsified:
         data = json.loads(json.dumps(original))
         edit(data)
@@ -392,7 +411,6 @@ def test_simulate_accepts_a_weight_inside_its_disk(scenario_file, tmp_path, monk
     passes every check. Its derived phase is the direction of ``q - j/2``,
     although ``(q - j/2)/(1/2)`` falls short of a unit phasor by the weight's
     depth."""
-    from wptopt.channel import build_channel
     from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS
     depth = 1e-6
     design = optimize_module.run_asca_dma
@@ -401,11 +419,12 @@ def test_simulate_accepts_a_weight_inside_its_disk(scenario_file, tmp_path, monk
         waveform, dma, trace = design(scenario)
         q = dma.q.copy()
         q[0, 0] = LORENTZIAN_CENTER + (1.0 - depth) * (q[0, 0] - LORENTZIAN_CENTER)
-        dma = dma.with_weights(q)
-        channel = build_channel(scenario.array, scenario.receivers, scenario.frequency,
-                                scenario.device.boresight_gain)
-        trace.final_p_dc = optimize_module._final_p_dc(scenario, channel, dma, waveform)
-        return waveform, dma, trace
+        # the trace and p_dc claim the interior design, as a run that found it would
+        interior = power.Design(scenario, waveform, dma.with_weights(q))
+        report = interior.report()
+        trace.records[-1].p_c_bound = report.p_hpa_bound + report.p_in
+        trace.final_p_dc = interior.p_dc()
+        return waveform, interior.dma, trace
 
     monkeypatch.setattr(optimize_module, "run_asca_dma", interior_design)
     assert main(["optimize", str(scenario_file), "--out", str(tmp_path)]) == EXIT_OK
@@ -628,10 +647,10 @@ def test_non_finite_waveform_step_exit_code(scenario_file, tmp_path, monkeypatch
 def test_missed_target_exit_code(scenario_file, tmp_path, monkeypatch, capsys, arch):
     """A final state below an EH target is a failure of its own (exit 1), not
     an iteration limit: neither loop hit a cap."""
-    def short(scenario, *args):
-        return 0.5 * scenario.eh_targets
+    def short(design):
+        return 0.5 * design.scenario.eh_targets
 
-    monkeypatch.setattr("wptopt.optimize._final_p_dc", short)
+    monkeypatch.setattr(power.Design, "p_dc", short)
     code = main(["optimize", str(scenario_file), "--out", str(tmp_path)] + arch)
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
@@ -706,6 +725,20 @@ def test_sweep_records_per_point_failures(scenario_file, tmp_path):
     assert "error" in lines[2]
 
 
+@pytest.mark.parametrize("axis", ["n_f", "M"])
+def test_sweep_rejects_a_fractional_count(scenario_file, tmp_path, axis):
+    """A tone or receiver count that is not a whole number gets an error row,
+    not the design of its truncation."""
+    code = main(["sweep", str(scenario_file), "--axis", axis,
+                 "--values", "1.5", "2.7", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    with open(tmp_path / f"sweep_{axis}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["value"] for row in rows] == ["1.5", "2.7"]
+    assert all(row["status"].startswith("error: ") and "is not a whole number" in row["status"]
+               for row in rows), rows
+
+
 def test_sweep_table_keeps_a_comma_in_the_status(scenario_file, tmp_path, monkeypatch):
     """A failed point's status is the exception text; a comma in that text
     stays inside the status field when the table is read back as CSV."""
@@ -762,6 +795,7 @@ def test_artifact_with_the_derived_keys_of_older_writers(artifact_dir, tmp_path,
     data["dma"]["phi"] = fresh.dma_phi.reshape(-1).tolist()
     report = data["power_report"]
     report["upsilon_objective"] = report["p_hpa_bound"] + report["p_in"]
+    _rehash(data)
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(data))
     capsys.readouterr()
@@ -791,6 +825,10 @@ def _report_value_as_text(data):
     data["power_report"]["p_c_sampled"] = "high"
 
 
+def _bound_as_text(data):
+    data["trace"][-1]["p_c_bound"] = "low"
+
+
 def _shape_without_values(data):
     data["waveform"]["shape"] = [7, 5]
 
@@ -802,9 +840,9 @@ def _shape_off_the_scenario(data):
 @pytest.mark.parametrize("command", ["simulate", "fieldmap"])
 @pytest.mark.parametrize("corrupt", [
     "not json {", {"scenario_hash": "x"}, _values_as_text, _flag_as_text,
-    _report_value_as_text, _shape_without_values, _shape_off_the_scenario,
+    _report_value_as_text, _bound_as_text, _shape_without_values, _shape_off_the_scenario,
 ], ids=["not-json", "missing-keys", "values-as-text", "flag-as-text", "report-as-text",
-        "wrong-shape", "shape-off-scenario"])
+        "bound-as-text", "wrong-shape", "shape-off-scenario"])
 def test_malformed_artifact_exits_2(artifact_dir, tmp_path, capsys, command, corrupt):
     """An artifact that is not JSON, lacks a key, or holds a value of the
     wrong type or shape exits 2 with one line naming the file."""
@@ -832,6 +870,7 @@ def test_simulate_accepts_the_keys_older_writers_put_in_the_scenario(artifact_di
     data["scenario"]["array"].update(n_v=3, n_h=8, inter_element_dx=0.0115746,
                                      inter_row_dy=0.0289365)
     data["scenario"]["solver"]["cone_solver_kkt_tol"] = 1e-9
+    _rehash(data)
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(data))
     capsys.readouterr()

@@ -16,7 +16,7 @@ from wptopt.optimize import (OuterRecord, UnmeetableRequirementError,
                              init_q_phases, phase_search, run_asca_dma,
                              run_sca_fd, run_sca_q, run_sca_w)
 from wptopt.oracle import closed_form_single
-from wptopt.power import sampled_consumption
+from wptopt.power import Design
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import Architecture, load_scenario
 from wptopt.transmitter import (DmaState, Waveform, effective_rows,
@@ -133,9 +133,7 @@ def test_init_digital_weights_feasible(tiny_dma):
     plan = allocate_chains(channel, 1, tiny_dma.array.rf_chain_count)
     dma = init_q_phases(channel, plan, tiny_dma)
     wf = init_digital_weights(tiny_dma, channel, plan, dma)
-    eff = effective_rows(channel, tiny_dma.array, dma)
-    dev = tiny_dma.device
-    v = harvested_voltage(eff.chain[0], wf.omega.T, dev.hpa_gain, dev.k2, dev.k4)
+    v = Design(tiny_dma, wf, dma, channel).voltages()[0]
     assert v >= tiny_dma.voltage_targets()[0]
     assert plan.w_amp is not None and plan.w_amp[0] > 0
 
@@ -170,9 +168,7 @@ def test_run_sca_w_monotone_and_feasible(tiny_dma):
     objs = np.array(trace.objectives)
     assert len(objs) >= 1
     assert np.all(np.diff(objs) <= 1e-6 * np.maximum(objs[:-1], 1.0))
-    eff = effective_rows(channel, cfg.array, dma)
-    dev = cfg.device
-    v = harvested_voltage(eff.chain[0], w.omega.T, dev.hpa_gain, dev.k2, dev.k4)
+    v = Design(cfg, w, dma, channel).voltages()[0]
     assert v >= cfg.voltage_targets()[0] - 1e-9
 
 
@@ -412,9 +408,7 @@ def test_run_sca_fd_single_element_matches_closed_form():
     w, trace = run_sca_fd(cfg)
     w_opt, pc_opt = closed_form_single(cfg)
     assert abs(w.omega[0, 0]) == pytest.approx(w_opt, rel=1e-3)
-    dev = cfg.device
-    rep = sampled_consumption(w, None, cfg.array, cfg.frequency, dev.hpa_gain,
-                              dev.hpa_saturation_power, dev.hpa_max_efficiency)
+    rep = Design(cfg, w).report()
     assert rep.p_c_sampled == pytest.approx(pc_opt, rel=1e-3)
 
 
@@ -509,10 +503,7 @@ def test_dma_vs_fd_matched_aperture_reported():
         else:
             w, trace = run_sca_fd(cfg)
             dma = None
-        dev = cfg.device
-        rep = sampled_consumption(w, dma, cfg.array, cfg.frequency,
-                                  dev.hpa_gain, dev.hpa_saturation_power,
-                                  dev.hpa_max_efficiency)
+        rep = Design(cfg, w, dma).report()
         assert np.all(trace.final_p_dc >= 0.999 * cfg.eh_targets)
         results[arch] = rep.p_c_sampled
     print(f"\nmatched-aperture consumption: dma {results['dma']:.4e} W, "

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptopt import power
-from wptopt.power import (chain_norm_scales, hpa_bound_objective, input_power,
+from wptopt.channel import build_channel
+from wptopt.power import (Design, chain_norm_scales, hpa_bound_objective, input_power,
                           sampled_consumption, sampled_output_means)
-from wptopt.scenario import FrequencyPlan, MicrostripParams
-from wptopt.transmitter import DmaState, Waveform
+from wptopt.rectenna import harvested_voltage
+from wptopt.scenario import Architecture, FrequencyPlan, MicrostripParams
+from wptopt.transmitter import DmaState, Waveform, effective_rows
 
 from conftest import make_scenario, synthetic_plan
 
@@ -286,3 +288,30 @@ def test_consumption_properties(q, cycles, n_f, arch, seed):
     expected, window_bound = _paper_reference(wf, dma, plan, g, p_max, eta)
     assert paper.p_hpa_sampled == pytest.approx(expected, rel=1e-10)
     assert paper.p_hpa_sampled <= window_bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["tiny_dma", "tiny_fd"])
+def test_design_matches_its_building_blocks(name, request, rng):
+    """``Design``'s voltages, DC powers and reports are bitwise what
+    ``harvested_voltage`` per receiver and ``sampled_consumption`` with the
+    device's fields give, with or without a channel passed in; its rows are
+    built once."""
+    cfg = request.getfixturevalue(name)
+    arr, dev = cfg.array, cfg.device
+    dma = None
+    if arr.architecture is Architecture.DMA:
+        dma = random_dma_state(rng, arr.n_v, arr.n_h, arr.inter_element_dx)
+    wf = Waveform(rng.normal(size=(arr.rf_chain_count, cfg.frequency.n_f))
+                  + 1j * rng.normal(size=(arr.rf_chain_count, cfg.frequency.n_f)))
+    channel = build_channel(arr, cfg.receivers, cfg.frequency, dev.boresight_gain)
+    chain = effective_rows(channel, arr, dma).chain
+    v = np.array([harvested_voltage(chain[m], wf.omega.T, dev.hpa_gain, dev.k2, dev.k4)
+                  for m in range(cfg.n_receivers)])
+    for design in (Design(cfg, wf, dma), Design(cfg, wf, dma, channel)):
+        assert np.array_equal(design.voltages(), v)
+        assert np.array_equal(design.p_dc(), v ** 2 / dev.rect_load_resistance)
+        assert design.rows is design.rows
+        for paper in (False, True):
+            assert design.report(paper) == sampled_consumption(
+                wf, dma, arr, cfg.frequency, dev.hpa_gain, dev.hpa_saturation_power,
+                dev.hpa_max_efficiency, paper_sampling=paper)
