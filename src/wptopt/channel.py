@@ -48,15 +48,15 @@ def channel_coefficient(element_pos, receiver_pos, wavelength: float,
 
 @dataclass(frozen=True)
 class ChannelTensor:
-    """All element-to-receiver coefficients, one per tone.
+    """All element-to-receiver coefficients, one per tone, in row order.
 
-    ``gamma[i, l, m, n]`` is the coefficient between element (i, l) and
-    receiver m at tone n; ``gain`` is the amplitude it was built from, equal
-    to ``|gamma|`` up to rounding.
+    ``gamma[m, k, n]`` is the coefficient between receiver m and element
+    ``k = (i-1)*n_h + l`` at tone n; ``gain`` is the amplitude it was built
+    from, equal to ``|gamma|`` up to rounding.
     """
 
-    gamma: np.ndarray = field(repr=False)  # [n_v, n_h, M, n_f] complex
-    gain: np.ndarray = field(repr=False)   # [n_v, n_h, M, n_f]
+    gamma: np.ndarray = field(repr=False)  # [M, N, n_f] complex
+    gain: np.ndarray = field(repr=False)   # [M, N, n_f]
 
     @property
     def shape(self):
@@ -64,17 +64,15 @@ class ChannelTensor:
 
     @property
     def n_receivers(self) -> int:
-        return self.gamma.shape[2]
+        return self.gamma.shape[0]
 
     def rows(self, m: int) -> np.ndarray:
-        """Per-tone flattened coefficient rows for receiver ``m``:
-        shape [n_f, N] with element order ``(i-1)*n_h + l``."""
-        n_v, n_h, _, n_f = self.gamma.shape
-        return np.moveaxis(self.gamma[:, :, m, :], -1, 0).reshape(n_f, n_v * n_h)
+        """Per-tone coefficient rows for receiver ``m``: shape [n_f, N]."""
+        return self.gamma[m].T
 
     def vector_norms(self) -> np.ndarray:
         """l2 norm of the per-receiver channel vector at each tone, [M, n_f]."""
-        return np.sqrt(np.sum(self.gain ** 2, axis=(0, 1)))
+        return np.sqrt(np.sum(self.gain ** 2, axis=1))
 
 
 def build_channel(array: ArraySpec, receivers, plan: FrequencyPlan,
@@ -82,7 +80,7 @@ def build_channel(array: ArraySpec, receivers, plan: FrequencyPlan,
     """Evaluate the full coefficient tensor for a validated scenario."""
     positions = np.array([np.asarray(r.position if isinstance(r, ReceiverSpec) else r,
                                      dtype=float) for r in receivers])
-    delta = positions[None, None, :, :] - array.element_positions[:, :, None, :]
+    delta = positions[:, None, :] - array.element_positions.reshape(-1, 3)[None, :, :]
     d = np.linalg.norm(delta, axis=-1)
     if np.min(d) <= 0.0:
         raise ValueError("receiver coincides with an array element")

@@ -105,9 +105,10 @@ class RunArtifact:
     @classmethod
     def load(cls, path) -> "RunArtifact":
         """Read an artifact that :meth:`save` wrote, timings included. Keys
-        that older writers stored and this one derives are ignored. Text
-        that is not JSON, a missing key, or a value of the wrong type or
-        shape is a parse error that names the file."""
+        that older writers stored and this one derives are ignored. A path
+        that cannot be read as text, text that is not JSON, a missing key,
+        or a value of the wrong type or shape is a parse error that names
+        the file."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -134,7 +135,7 @@ class RunArtifact:
                 converged=flags[0],
                 paper_sampling=flags[1],
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSON errors too
+        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:  # JSON too
             raise ScenarioParseError(f"{path}: bad artifact: {exc!r}") from exc
 
 
@@ -419,9 +420,6 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:  # numpy set to raise on overflow or NaN
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -74,17 +74,6 @@ class InitPlan:
     strongest_tone: np.ndarray       # per-receiver strongest sub-carrier index
     w_amp: np.ndarray | None = None  # final ramp amplitude per receiver
 
-    def validate(self, n_rf: int):
-        seen = set()
-        for chains in self.chain_sets:
-            if not chains:
-                raise OptimizationError("every receiver needs at least one chain")
-            if seen & set(chains):
-                raise OptimizationError("chain sets must be disjoint")
-            seen |= set(chains)
-        if seen - set(range(n_rf)):
-            raise OptimizationError("chain index out of range")
-
 
 def allocate_chains(channel: ChannelTensor, m_count: int, n_rf: int) -> InitPlan:
     """Dedicate RF chains to receivers, weakest channels first.
@@ -114,9 +103,7 @@ def allocate_chains(channel: ChannelTensor, m_count: int, n_rf: int) -> InitPlan
         take = min(int(quota[m]), remaining) if quota[m] else remaining
         sets[m] += range(next_chain, next_chain + take)
         next_chain += take
-    plan = InitPlan(z=z, chain_sets=sets, strongest_tone=n_star)
-    plan.validate(n_rf)
-    return plan
+    return InitPlan(z=z, chain_sets=sets, strongest_tone=n_star)
 
 
 def phase_search(coeffs):
@@ -143,22 +130,23 @@ def init_q_phases(channel: ChannelTensor, plan: InitPlan,
                                     scenario.microstrip)
     q = template.q.copy()
     for m, chains in enumerate(plan.chain_sets):
-        coeffs = template.h[chains] * channel.gamma[chains, :, m,
-                                                    int(plan.strongest_tone[m])]
+        tone = int(plan.strongest_tone[m])
+        coeffs = template.h[chains] * channel.gamma[m, :, tone].reshape(n_v, n_h)[chains]
         t = phase_search(coeffs)
         aligned = np.maximum(np.sin(t), 0.0) * np.exp(1j * t)
         q[chains] = np.where(coeffs == 0, q[chains], aligned)
     return template.with_weights(q)
 
 
-def _ramp(scenario: ScenarioConfig, channel: ChannelTensor, dma: DmaState | None,
-          omega_for, amp: np.ndarray) -> np.ndarray:
+def _ramp(start: Design, omega_for, amp: np.ndarray) -> np.ndarray:
     """Grow ``amp[m]`` by the ramp factor until receiver ``m`` meets its
     target under the non-linear rectifier model; extra passes cover the
-    coupling between receivers. ``omega_for(amp)`` builds the waveform."""
+    coupling between receivers. ``omega_for(amp)`` builds the waveform that
+    each trial puts on ``start``'s transmitter state."""
+    scenario = start.scenario
     targets = scenario.voltage_targets()
     def voltages():
-        return Design(scenario, Waveform(omega_for(amp)), dma, channel).voltages()
+        return start.with_waveform(Waveform(omega_for(amp))).voltages()
     for _ in range(32):
         for m in range(len(amp)):
             while voltages()[m] < targets[m]:
@@ -176,13 +164,13 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
     """Phase-align each allocated chain per tone, then grow per-receiver
     amplitudes geometrically until every harvesting target is met exactly
     under the non-linear rectifier model."""
-    eff = effective_rows(channel, scenario.array, dma)
     n_rf, n_f = scenario.array.rf_chain_count, scenario.frequency.n_f
+    start = Design(scenario, Waveform.zeros(n_rf, n_f), dma, channel)
     phases = np.zeros((n_rf, n_f))
     owner = np.full(n_rf, -1, dtype=int)
     for m, chains in enumerate(plan.chain_sets):
         owner[chains] = m
-        phases[chains] = phase_search(eff.chain[m][:, chains].T)
+        phases[chains] = phase_search(start.rows[m][:, chains].T)
     mask = owner >= 0
 
     def omega_for(amp_vec):
@@ -190,7 +178,7 @@ def init_digital_weights(scenario: ScenarioConfig, channel: ChannelTensor,
         om[mask] = amp_vec[owner[mask]][:, None] * np.exp(1j * phases[mask])
         return om
 
-    plan.w_amp = _ramp(scenario, channel, dma, omega_for,
+    plan.w_amp = _ramp(start, omega_for,
                        np.full(scenario.n_receivers, scenario.solver.init_seed_amplitude))
     return Waveform(omega_for(plan.w_amp))
 
@@ -234,14 +222,6 @@ class OuterRecord:
     q_seconds: float
     w_seconds: float
     solver_rel_gap: float = 0.0  # worst relative duality gap this pass
-
-
-def _worst_rel_gap(*traces: StageTrace) -> float:
-    worst = 0.0
-    for tr in traces:
-        for step in tr.steps:
-            worst = max(worst, step.gap / (1.0 + abs(step.primal)))
-    return worst
 
 
 @dataclass
@@ -347,8 +327,30 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
 # full drivers
 # ---------------------------------------------------------------------------
 
-def _eh_residual(design: Design) -> float:
-    return float(np.max(design.scenario.voltage_targets() - design.voltages()))
+def _start(scenario: ScenarioConfig,
+           architecture: Architecture) -> tuple[ChannelTensor, InitPlan]:
+    """The channel and the chain allocation that a driver for
+    ``architecture`` starts from."""
+    if scenario.array.architecture is not architecture:
+        raise ValueError(f"a driver for the {architecture.value!r} architecture was "
+                         f"given a {scenario.array.architecture.value!r} scenario")
+    channel = build_channel(scenario.array, scenario.receivers,
+                            scenario.frequency, scenario.device.boresight_gain)
+    return channel, allocate_chains(channel, scenario.n_receivers,
+                                    scenario.array.rf_chain_count)
+
+
+def _record(index: int, design: Design, q_trace: StageTrace, w_trace: StageTrace,
+            q_seconds: float, w_seconds: float) -> OuterRecord:
+    """The record of a pass whose stages ended on ``design``; a fully-digital
+    pass has an empty focusing trace."""
+    gaps = [step.gap / (1.0 + abs(step.primal)) for step in q_trace.steps + w_trace.steps]
+    return OuterRecord(
+        index=index, p_c_bound=w_trace.final_objective,
+        min_voltage=q_trace.final_objective,
+        q_sca_iters=q_trace.iterations, w_sca_iters=w_trace.iterations,
+        eh_residual=float(np.max(design.scenario.voltage_targets() - design.voltages())),
+        q_seconds=q_seconds, w_seconds=w_seconds, solver_rel_gap=max([0.0, *gaps]))
 
 
 def _final_p_dc(design: Design) -> np.ndarray:
@@ -367,13 +369,8 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
     bound is finite on every pass, since a stage whose first step fails
     raises.
     """
-    if scenario.array.architecture is not Architecture.DMA:
-        raise ValueError("run_asca_dma requires a DMA scenario")
     settings = scenario.solver
-    channel = build_channel(scenario.array, scenario.receivers,
-                            scenario.frequency, scenario.device.boresight_gain)
-    plan = allocate_chains(channel, scenario.n_receivers,
-                           scenario.array.rf_chain_count)
+    channel, plan = _start(scenario, Architecture.DMA)
     dma = init_q_phases(channel, plan, scenario)
     design = Design(scenario, init_digital_weights(scenario, channel, plan, dma), dma, channel)
     trace = RunTrace()
@@ -386,12 +383,7 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
         t2 = time.perf_counter()
         pc = w_trace.final_objective
         candidate = Design(scenario, w_new, dma_new, channel)
-        trace.records.append(OuterRecord(
-            index=outer, p_c_bound=pc, min_voltage=q_trace.final_objective,
-            q_sca_iters=q_trace.iterations, w_sca_iters=w_trace.iterations,
-            eh_residual=_eh_residual(candidate),
-            q_seconds=t1 - t0, w_seconds=t2 - t1,
-            solver_rel_gap=_worst_rel_gap(q_trace, w_trace)))
+        trace.records.append(_record(outer, candidate, q_trace, w_trace, t1 - t0, t2 - t1))
         if pc >= pc_prev:  # no fall: stop on the previous state
             if pc > pc_prev * (1.0 + settings.sca_rel_tol):
                 trace.records.pop()  # a rejected pass
@@ -408,23 +400,13 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
 
 def run_sca_fd(scenario: ScenarioConfig) -> tuple[Waveform, RunTrace]:
     """Single-stage waveform design for the fully-digital architecture."""
-    if scenario.array.architecture is not Architecture.FULLY_DIGITAL:
-        raise ValueError("run_sca_fd requires a fully-digital scenario")
-    channel = build_channel(scenario.array, scenario.receivers,
-                            scenario.frequency, scenario.device.boresight_gain)
-    plan = allocate_chains(channel, scenario.n_receivers,
-                           scenario.array.rf_chain_count)
+    channel, plan = _start(scenario, Architecture.FULLY_DIGITAL)
     w0 = init_digital_weights(scenario, channel, plan, None)
     t0 = time.perf_counter()
     w, w_trace = run_sca_w(scenario, channel, None, w0)
     t1 = time.perf_counter()
-    trace = RunTrace(converged=w_trace.converged)
     design = Design(scenario, w, None, channel)
-    trace.records.append(OuterRecord(
-        index=0, p_c_bound=w_trace.final_objective, min_voltage=math.nan,
-        q_sca_iters=0, w_sca_iters=w_trace.iterations,
-        eh_residual=_eh_residual(design),
-        q_seconds=0.0, w_seconds=t1 - t0,
-        solver_rel_gap=_worst_rel_gap(w_trace)))
+    trace = RunTrace(records=[_record(0, design, StageTrace(), w_trace, 0.0, t1 - t0)],
+                     converged=w_trace.converged)
     trace.final_p_dc = _final_p_dc(design)
     return w, trace

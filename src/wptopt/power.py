@@ -10,7 +10,7 @@ which separates per chain into ``scale_i * ||omega_i||``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -185,6 +185,13 @@ class Design:
         channel = self.channel if self.channel is not None else build_channel(
             sc.array, sc.receivers, sc.frequency, sc.device.boresight_gain)
         return effective_rows(channel, sc.array, self.dma).chain
+
+    def with_waveform(self, waveform: Waveform) -> "Design":
+        """The same state with another waveform. It shares this design's rows,
+        which do not depend on the waveform."""
+        other = replace(self, waveform=waveform)
+        vars(other)["rows"] = self.rows
+        return other
 
     def voltages(self) -> np.ndarray:
         """Rectifier output voltage per receiver."""

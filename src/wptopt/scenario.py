@@ -202,7 +202,9 @@ class FrequencyPlan:
         no component aliases onto DC.
         """
         k, step = self.quadrature_grid(degree)
-        return np.arange(k) * step
+        times = np.arange(k, dtype=float)
+        times *= step  # in place: no integer copy beside the float one
+        return times
 
     def nyquist_grid(self, duration: float) -> tuple[int, float]:
         """Sample count and spacing of ``nyquist_times(duration)``."""
@@ -225,7 +227,9 @@ class FrequencyPlan:
     def nyquist_times(self, duration: float) -> np.ndarray:
         """Samples at exactly twice the highest tone over ``duration``."""
         k, step = self.nyquist_grid(duration)
-        return np.arange(k) * step
+        times = np.arange(k, dtype=float)
+        times *= step
+        return times
 
 
 @dataclass(frozen=True)
@@ -495,18 +499,21 @@ def load_scenario(path) -> ScenarioConfig:
     alike. See README for the full schema.
     """
     path = str(path)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioParseError(f"{path}: cannot read: {exc}") from exc
     if path.endswith(".json"):
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
         return scenario_from_dict(data)
 
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=path)
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ScenarioParseError(str(exc)) from exc
 

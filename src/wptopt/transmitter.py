@@ -157,11 +157,11 @@ def effective_rows(channel: ChannelTensor, array: ArraySpec,
     when a waveform is supplied ``a_hat = gamma*w_bar*h`` is also produced
     for the beam-focusing stage.
     """
-    n_v, n_h, m_count, n_f = channel.shape
-    n = n_v * n_h
-    # [M, n_f, N], laid out like a stack of channel.rows(m) (tones fastest)
-    gamma_rows = np.moveaxis(channel.gamma, 2, 0).reshape(m_count, n, n_f) \
-        .copy().transpose(0, 2, 1)
+    n_v, n_h = array.n_v, array.n_h
+    m_count, n, n_f = channel.shape
+    if n != array.n_elements:
+        raise ValueError("channel tensor does not match the array's element count")
+    gamma_rows = channel.gamma.transpose(0, 2, 1)  # [M, n_f, N], tones fastest
     if array.architecture is Architecture.FULLY_DIGITAL:
         if dma is not None:
             raise ValueError("fully-digital array takes no DMA state")
@@ -169,7 +169,7 @@ def effective_rows(channel: ChannelTensor, array: ArraySpec,
     if dma is None:
         raise ValueError("DMA architecture requires a DmaState")
     if dma.q.shape != (n_v, n_h):
-        raise ValueError("DMA state shape does not match the channel tensor")
+        raise ValueError("DMA state shape does not match the array")
     qh = (dma.q * dma.h).reshape(-1)
     chain = (gamma_rows * qh[None, None, :]).reshape(m_count, n_f, n_v, n_h).sum(axis=3)
     a_hat = None

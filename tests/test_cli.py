@@ -258,8 +258,18 @@ def test_invalid_values_exit_3_before_design(tmp_path, monkeypatch, capsys, text
     assert len(err) == 1 and err[0].startswith("invalid scenario: ")
 
 
-def test_missing_file_exit_code(tmp_path):
-    assert main(["optimize", str(tmp_path / "nope.cfg")]) == EXIT_PARSE
+def test_missing_file_exit_code(tmp_path, capsys):
+    """A scenario path that is missing, a directory, or not UTF-8 text exits
+    2 with one line naming the path."""
+    unreadable = [tmp_path / "nope.cfg", tmp_path]
+    for name in ("latin.cfg", "latin.json"):
+        unreadable.append(tmp_path / name)
+        unreadable[-1].write_bytes(b"[array]\nlength = 0.1 ; caf\xe9\n")
+    for path in unreadable:
+        capsys.readouterr()
+        assert main(["optimize", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"parse error: {path}: "), err
 
 
 def test_arch_override_runs_fd(scenario_file, tmp_path):
@@ -841,13 +851,19 @@ def _shape_off_the_scenario(data):
 @pytest.mark.parametrize("corrupt", [
     "not json {", {"scenario_hash": "x"}, _values_as_text, _flag_as_text,
     _report_value_as_text, _bound_as_text, _shape_without_values, _shape_off_the_scenario,
+    b'{"p_dc": "caf\xe9"}', None,
 ], ids=["not-json", "missing-keys", "values-as-text", "flag-as-text", "report-as-text",
-        "bound-as-text", "wrong-shape", "shape-off-scenario"])
+        "bound-as-text", "wrong-shape", "shape-off-scenario", "not-utf8", "directory"])
 def test_malformed_artifact_exits_2(artifact_dir, tmp_path, capsys, command, corrupt):
-    """An artifact that is not JSON, lacks a key, or holds a value of the
-    wrong type or shape exits 2 with one line naming the file."""
+    """An artifact path that is a directory or not UTF-8 text, an artifact
+    that is not JSON, lacks a key, or holds a value of the wrong type or shape
+    exits 2 with one line naming the file."""
     bad = tmp_path / "bad.json"
-    if isinstance(corrupt, str):
+    if corrupt is None:
+        bad.mkdir()
+    elif isinstance(corrupt, bytes):
+        bad.write_bytes(corrupt)
+    elif isinstance(corrupt, str):
         bad.write_text(corrupt)
     elif isinstance(corrupt, dict):
         bad.write_text(json.dumps(corrupt))

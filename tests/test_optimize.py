@@ -30,9 +30,9 @@ def _fake_channel(norms_by_receiver_tone, n_v=4, n_h=1):
     """Channel tensor with prescribed per-receiver/tone vector norms spread
     uniformly over elements."""
     m, n_f = norms_by_receiver_tone.shape
-    gamma = np.zeros((n_v, n_h, m, n_f), dtype=complex)
+    gamma = np.zeros((m, n_v * n_h, n_f), dtype=complex)
     per_element = norms_by_receiver_tone / np.sqrt(n_v * n_h)
-    gamma += per_element[None, None, :, :]
+    gamma += per_element[:, None, :]
     return ChannelTensor(gamma=gamma, gain=np.abs(gamma))
 
 
@@ -90,7 +90,7 @@ def test_init_q_phases_aligns_products(tiny_dma):
     # circle reaches the target phase, and q = 0 elsewhere
     for i in plan.chain_sets[0]:
         for l in range(tiny_dma.array.n_h):
-            coeff = dma.h[i, l] * channel.gamma[i, l, 0, n_sel]
+            coeff = dma.h[i, l] * channel.gamma[0, i * tiny_dma.array.n_h + l, n_sel]
             target = phase_search(coeff)
             if not 0.0 < target < np.pi:
                 assert dma.q[i, l] == 0
@@ -111,13 +111,34 @@ def test_init_pins_sample_scenario():
                             cfg.device.boresight_gain)
     plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg)
-    coeff = dma.h * channel.gamma[:, :, 0, int(plan.strongest_tone[0])]
+    coeff = dma.h * channel.gamma[0, :, int(plan.strongest_tone[0])].reshape(dma.h.shape)
     zero = dma.q == 0
     assert dma.q.size == 102 and int(np.sum(zero)) == 46
     assert np.max(np.abs(dma.circle_distance()[~zero])) <= 1e-12
     assert np.max(np.abs(np.angle(dma.q[~zero] * coeff[~zero]))) <= 1e-9
     init_digital_weights(cfg, channel, plan, dma)
     assert plan.w_amp.tolist() == [0.025]
+
+
+@pytest.mark.parametrize("arch", ["dma", "fd"])
+def test_init_digital_weights_builds_its_rows_once(arch, monkeypatch):
+    """The ramp tries amplitudes on one transmitter state, so the start
+    builds its effective rows once however many trials it makes."""
+    from wptopt import power
+    cfg = make_scenario(arch, length=0.10, n_f=8, receivers=THREE_RECEIVERS)
+    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
+    plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
+    dma = init_q_phases(channel, plan, cfg) if arch == "dma" else None
+    builds, trials = [], []
+
+    def counted(fn, calls):
+        return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+    for module in (optimize_module, power):  # every name the rows are built through
+        monkeypatch.setattr(module, "effective_rows", counted(effective_rows, builds))
+    monkeypatch.setattr(Design, "voltages", counted(Design.voltages, trials))
+    init_digital_weights(cfg, channel, plan, dma)
+    assert len(trials) > 3
+    assert len(builds) == 1
 
 
 def test_init_q_phases_rejects_fd(tiny_fd):

@@ -212,7 +212,7 @@ def _reference_map(cfg, wf, dma, fmap):
     ch = build_channel(arr, cells, cfg.frequency, dev.boresight_gain)
     s = np.einsum("mnc,cn->mn", effective_rows(ch, arr, dma).chain, wf.omega)
     p_rf = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
-    loss = np.mean(ch.gain[:, :, :, 0].reshape(arr.n_elements, len(cells)) ** 2, axis=0)
+    loss = np.mean(ch.gain[:, :, 0] ** 2, axis=1)
     return (p_rf / loss).reshape(len(fmap.zs), len(fmap.xs))
 
 

@@ -315,3 +315,24 @@ def test_design_matches_its_building_blocks(name, request, rng):
             assert design.report(paper) == sampled_consumption(
                 wf, dma, arr, cfg.frequency, dev.hpa_gain, dev.hpa_saturation_power,
                 dev.hpa_max_efficiency, paper_sampling=paper)
+
+
+@pytest.mark.parametrize("name", ["tiny_dma", "tiny_fd"])
+def test_design_with_waveform_equals_a_fresh_design(name, request, rng):
+    """A design moved to another waveform reports bitwise what a design built
+    for that waveform does, and shares the rows of the design it came from."""
+    cfg = request.getfixturevalue(name)
+    arr, shape = cfg.array, (cfg.array.rf_chain_count, cfg.frequency.n_f)
+    dma = None
+    if arr.architecture is Architecture.DMA:
+        dma = random_dma_state(rng, arr.n_v, arr.n_h, arr.inter_element_dx)
+    first, wf = (Waveform(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                 for _ in range(2))
+    design = Design(cfg, first, dma)
+    moved, fresh = design.with_waveform(wf), Design(cfg, wf, dma)
+    assert moved.waveform is wf and moved.dma is dma
+    assert moved.rows is design.rows
+    assert np.array_equal(moved.voltages(), fresh.voltages())
+    assert np.array_equal(moved.p_dc(), fresh.p_dc())
+    for paper in (False, True):
+        assert moved.report(paper) == fresh.report(paper)

@@ -127,7 +127,7 @@ def test_effective_rows_fd_is_raw_channel(tiny_fd):
     ch = build_channel(tiny_fd.array, tiny_fd.receivers, tiny_fd.frequency, 0.0)
     eff = effective_rows(ch, tiny_fd.array)
     assert eff.a_hat is None
-    assert np.allclose(eff.chain[0, 0], ch.gamma[:, :, 0, 0].reshape(-1))
+    assert np.allclose(eff.chain[0, 0], ch.gamma[0, :, 0])
 
 
 def test_effective_rows_dma_phase_rotation(tiny_dma):
@@ -208,6 +208,8 @@ def test_effective_rows_dimension_checks(tiny_dma, tiny_fd):
     ch = build_channel(tiny_dma.array, tiny_dma.receivers, tiny_dma.frequency, 0.0)
     with pytest.raises(ValueError):
         effective_rows(ch, tiny_dma.array)  # DMA needs a state
+    with pytest.raises(ValueError, match="element count"):
+        effective_rows(ch, tiny_fd.array)  # a channel built for another array
     ch_fd = build_channel(tiny_fd.array, tiny_fd.receivers, tiny_fd.frequency, 0.0)
     dma = DmaState.from_phases(np.zeros((2, 2)), 0.01, MicrostripParams())
     with pytest.raises(ValueError):
