@@ -12,6 +12,7 @@ data and callables, and keeps its own start, fallback and certificate.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -37,10 +38,13 @@ class ExitReason(enum.Enum):
     ITER_CAP = "iteration cap"
 
 
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis [n, n - rank] of ``{x : rows @ x = 0}``."""
-    _, sv, vt = np.linalg.svd(rows)
-    return vt[int(np.sum(sv > FLAT * sv[0])):].T
+@functools.lru_cache(maxsize=64)
+def _null_space(n: int, rows: bytes) -> np.ndarray:
+    """Orthonormal, read-only basis [n, n - rank] of ``{x : rows @ x = 0}`` (n columns)."""
+    _, sv, vt = np.linalg.svd(np.frombuffer(rows).reshape(-1, n))
+    basis = vt[int(np.sum(sv > FLAT * sv[0])):].T
+    basis.flags.writeable = False
+    return basis
 
 
 def direction(lam: np.ndarray, grad: np.ndarray, hess: np.ndarray,
@@ -52,12 +56,14 @@ def direction(lam: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     to the variables. A zero variable the step would push below its bound
     is fixed and the step taken again. ``None`` when the result does not
     descend or leaves the set."""
+    zero = lam == 0
+    bounded = zero.any()   # a variable on its bound, which the step may push below it
     for _ in range(len(lam)):
-        idx = np.flatnonzero(free)
-        p = np.zeros_like(lam)
+        idx = free.nonzero()[0]
+        p = np.zeros(len(lam))
         # with no rows the free variables are their own basis
-        basis = _null_space(rows[:, idx]) if len(rows) else None
-        h_red, g_red = hess[np.ix_(idx, idx)], grad[idx]
+        basis = _null_space(len(idx), rows[:, idx].tobytes()) if len(rows) else None
+        h_red, g_red = hess[idx[:, None], idx], grad[idx]
         if basis is not None:
             h_red, g_red = basis.T @ h_red @ basis, basis.T @ g_red
         if len(g_red):
@@ -65,16 +71,17 @@ def direction(lam: np.ndarray, grad: np.ndarray, hess: np.ndarray,
             comp = vecs.T @ g_red
             curved = vals > FLAT * max(vals[-1], 0.0)
             step = -vecs[:, curved] @ (comp[curved] / vals[curved])
-            flat = -vecs[:, ~curved] @ comp[~curved]
-            size = np.linalg.norm(flat)
-            if size > 0:
-                flat *= max(np.linalg.norm(lam[idx]), np.linalg.norm(step), size) / size
+            flat = 0.0   # the empty flat part where every eigenvalue is curved
+            if not curved[0]:   # they ascend
+                flat = -vecs[:, ~curved] @ comp[~curved]
+                size = np.linalg.norm(flat)
+                if size > 0:
+                    flat *= max(np.linalg.norm(lam[idx]), np.linalg.norm(step), size) / size
             p[idx] = step + flat if basis is None else basis @ (step + flat)
-        blocked = (lam == 0) & (p < 0)
-        if not blocked.any():
+        if not bounded or not (blocked := zero & (p < 0)).any():
             break
         free = free & ~blocked
-    if grad @ p < 0 and np.all(p[lam == 0] >= 0):
+    if grad @ p < 0 and (not bounded or (p[zero] >= 0).all()):
         return p
     return None
 
@@ -89,10 +96,8 @@ def search(pt, p: np.ndarray, at, gradient, curvature, rise):
     minimizer only if the value rose by no more than ``rise(pt)``), or at
     the bound while still negative. Trial steps are Newton steps on the
     slope, bisection when those leave the bracket."""
-    neg = p < 0
-    ratios = np.full_like(p, np.inf)
-    ratios[neg] = -pt.lam[neg] / p[neg]
-    bound = float(np.min(ratios, initial=np.inf))
+    ratios = np.divide(-pt.lam, p, out=np.full(len(p), np.inf), where=p < 0)
+    bound = float(ratios.min())
     slope0 = float(gradient(pt) @ p)
     lo, hi = 0.0, np.inf
     t = min(1.0, bound)

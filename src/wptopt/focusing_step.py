@@ -94,7 +94,7 @@ def _single(lin: LinearizedVoltage) -> FocusingStep:
     return FocusingStep(q, np.ones(1), primal, bound, 0.0, 0, reason)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Point:
     """``f`` and its gradient at one price vector."""
 
@@ -102,11 +102,12 @@ class _Point:
     dr: np.ndarray       # Re d, over the live elements
     di: np.ndarray       # Im d
     mag: np.ndarray      # |d|
+    inv: np.ndarray      # 1/|d|, 0 where d = 0
     value: float
     grad: np.ndarray     # the voltages at the rim point
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Face:
     """``f`` on the manifold of one kink, ``d_k = 0`` (or on the whole
     simplex, ``k = None``): the gradient of its smooth part, the rows of the
@@ -131,24 +132,22 @@ class _Dual:
     every receiver do not enter it and keep their expansion weight."""
 
     def __init__(self, lins: list[LinearizedVoltage]):
-        self.lins = lins
-        self.q0 = np.asarray(lins[0].expansion_point)
-        coeffs = np.array([np.asarray(lin.coeffs).reshape(-1) for lin in lins])
-        self.live = np.any(coeffs != 0, axis=0)
+        self.q0 = lins[0].expansion_point
+        coeffs = np.array([lin.coeffs.reshape(-1) for lin in lins])
+        self.live = (coeffs != 0).any(axis=0)
         coeffs = coeffs[:, self.live]
         self.cr, self.ci = coeffs.real.copy(), coeffs.imag.copy()
         self.size = np.abs(coeffs)
-        self.beta = np.array([
-            lin.base_value + 2.0 * np.real(np.vdot(lin.coeffs,
-                                                   LORENTZIAN_CENTER - lin.expansion_point))
-            for lin in lins])
+        self.beta = np.array([lin.base_value + 2.0 * np.vdot(
+            lin.coeffs, LORENTZIAN_CENTER - lin.expansion_point).real for lin in lins])
+        self.simplex = np.ones((1, len(lins)))   # the row of sum lam = 1
 
     def at(self, lam: np.ndarray) -> _Point:
         dr, di = lam @ self.cr, lam @ self.ci
         mag = np.hypot(dr, di)
-        inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0)
+        inv = np.divide(1.0, mag, out=np.zeros(len(mag)), where=mag > 0)
         grad = self.beta + self.cr @ (dr * inv) + self.ci @ (di * inv)
-        return _Point(lam, dr, di, mag, float(lam @ self.beta + mag.sum()), grad)
+        return _Point(lam, dr, di, mag, inv, float(lam @ self.beta + mag.sum()), grad)
 
     def rounding(self, pt: _Point) -> float:
         """A bound on the rounding error of ``f(lam)``."""
@@ -159,9 +158,7 @@ class _Dual:
         """Columns ``a_k / sqrt|d_k|`` [M, K], so that the Hessian of ``f``
         is ``across @ across.T``; zero where ``d_k = 0`` and, if given, for
         the kink element ``k``."""
-        inv = np.divide(1.0, pt.mag, out=np.zeros_like(pt.mag), where=pt.mag > 0)
-        if k is not None:
-            inv[k] = 0.0
+        inv = pt.inv if k is None else np.where(np.arange(len(pt.inv)) == k, 0.0, pt.inv)
         return (self.ci * pt.dr - self.cr * pt.di) * inv ** 1.5
 
     def grad(self, pt: _Point, k: int | None = None) -> np.ndarray:
@@ -175,9 +172,8 @@ class _Dual:
         ``f = lam . grad``. At the kink of ``k``, ``u_k`` and ``t`` solve
         the equalization ``v_m = t`` over the priced receivers (least
         squares), and ``u_k`` is then projected onto its disk."""
-        ones = np.ones((1, len(pt.lam)))
         if k is None:
-            return _Face(None, pt.grad, ones, pt.grad, pt.value)
+            return _Face(None, pt.grad, self.simplex, pt.grad, pt.value)
         ck = np.stack([self.cr[:, k], self.ci[:, k]])
         rest = self.grad(pt, k)
         priced = pt.lam > 0
@@ -187,20 +183,20 @@ class _Dual:
         if abs(u) > LORENTZIAN_RADIUS:
             u *= LORENTZIAN_RADIUS / abs(u)
         v = rest + 2.0 * (ck.T @ np.array([u.real, u.imag]))
-        return _Face(k, rest, np.vstack([ones, ck]), v, float(t), u)
+        return _Face(k, rest, np.vstack([self.simplex, ck]), v, float(t), u)
 
     def kink_candidate(self, pt: _Point) -> int | None:
         """The element whose ``d_k`` has cancelled most, if below ``_KINK``."""
         scale = pt.lam @ self.size
-        ratio = np.divide(pt.mag, scale, out=np.full_like(scale, np.inf), where=scale > 0)
-        k = int(np.argmin(ratio))
+        ratio = np.divide(pt.mag, scale, out=np.full(len(scale), np.inf), where=scale > 0)
+        k = int(ratio.argmin())
         return k if ratio[k] < _KINK else None
 
     def primal_point(self, pt: _Point, face: _Face | None = None) -> np.ndarray:
         """The rim point of ``pt``; at a kink its element sits at
         ``j/2 + u_k``, and an element with ``d_k = 0`` otherwise keeps its
         expansion weight."""
-        q_live = self.q0[self.live].copy()
+        q_live = self.q0[self.live]
         on = pt.mag > 0
         # exp(j*arg d) is a unit phasor also where d/|d| would round off it
         q_live[on] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(
@@ -210,9 +206,6 @@ class _Dual:
         q = self.q0.copy()
         q[self.live] = q_live
         return q
-
-    def voltages(self, q: np.ndarray) -> np.ndarray:
-        return np.array([lin.predict(q) for lin in self.lins])
 
 
 def _direction(dual: _Dual, pt: _Point, face: _Face) -> np.ndarray | None:
@@ -226,7 +219,7 @@ def _direction(dual: _Dual, pt: _Point, face: _Face) -> np.ndarray | None:
     if p is not None or face.k is not None:
         return p
     p = -pt.lam
-    p[int(np.argmin(face.grad))] += 1.0
+    p[int(face.grad.argmin())] += 1.0
     return p
 
 
@@ -236,7 +229,7 @@ def _search(dual: _Dual, pt: _Point, p: np.ndarray, k: int | None) -> _Point:
     minimizer by its rounding."""
     return dual_newton.search(
         pt, p, lambda lam: dual.at(lam / lam.sum()), lambda pt: dual.grad(pt, k),
-        lambda pt, p: float(np.sum((dual.across(pt, k).T @ p) ** 2)), dual.rounding)
+        lambda pt, p: float(((dual.across(pt, k).T @ p) ** 2).sum()), dual.rounding)
 
 
 def _kink(dual: _Dual, pt: _Point, k: int) -> tuple[_Point, _Face, int] | None:
@@ -264,11 +257,42 @@ def _kink(dual: _Dual, pt: _Point, k: int) -> tuple[_Point, _Face, int] | None:
             break
         nxt = _search(dual, cur, p, k)
         iterations += 1
-        moved = np.max(np.abs(nxt.lam - cur.lam))
+        moved = abs(nxt.lam - cur.lam).max()
         cur, face = nxt, dual.face(nxt, k)
         if moved <= 4.0 * np.finfo(float).eps:
             break
     return cur, face, iterations
+
+
+def _finish(lins: list[LinearizedVoltage], q: np.ndarray, lam: np.ndarray, dual: float,
+            iterations: int, reason: ExitReason) -> FocusingStep:
+    """The step that ends on ``q`` and ``lam``, judged by its certificate."""
+    v = np.array([lin.base_value + float(2.0 * np.vdot(lin.coeffs, q - lin.expansion_point).real)
+                  for lin in lins])   # each lin.predict(q)
+    primal = float(v.min())
+    if _certified(primal, dual):
+        reason = ExitReason.TOLERANCE
+    elif reason is ExitReason.TOLERANCE:
+        reason = ExitReason.SHORT_STEP
+    kkt = float(v[lam > 0].max() - primal) / (1.0 + abs(primal))
+    return FocusingStep(q, lam, primal, dual, kkt, iterations, reason)
+
+
+def _capped(lins: list[LinearizedVoltage], dead: np.ndarray,
+            start: np.ndarray | None) -> FocusingStep:
+    """Receivers with all-zero coefficients see a constant ``base_value``: they leave the
+    dual, and the lowest caps primal and dual. Where it binds, the prices sit on its vertex."""
+    live = np.flatnonzero(~dead)
+    cap = min(np.flatnonzero(dead), key=lambda m: lins[m].base_value)
+    bound, lam = lins[cap].base_value, np.zeros(len(lins))
+    # with no receiver left, the cap's own step keeps q0 at its bound
+    sub = focusing_step([lins[m] for m in live] or [lins[cap]],
+                        None if start is None or not start[live].any() else start[live])
+    if bound <= sub.dual:
+        lam[cap] = 1.0
+    else:
+        lam[live] = sub.multipliers
+    return _finish(lins, sub.q, lam, min(sub.dual, bound), sub.iterations, sub.exit_reason)
 
 
 def focusing_step(lins: list[LinearizedVoltage],
@@ -276,12 +300,18 @@ def focusing_step(lins: list[LinearizedVoltage],
     """Solve a focusing restriction through its dual (module docstring).
 
     ``lins`` are the receivers' linearizations at one expansion point;
-    ``start`` optionally warm-starts the prices (the previous step's)."""
-    if len(lins) == 1:
-        return _single(lins[0])
-    dual = _Dual(lins)
+    ``start`` optionally warm-starts the prices, nonnegative and not all 0."""
     m_count = len(lins)
     lam = np.full(m_count, 1.0 / m_count) if start is None else np.asarray(start, float)
+    if start is not None and not (lam.shape == (m_count,) and lam.min() >= 0.0
+                                  and 0.0 < lam.sum() < np.inf):
+        raise ValueError("the warm start must be one finite, non-negative price per receiver, "
+                         "not all 0")
+    if m_count == 1:
+        return _single(lins[0])
+    if (dead := np.array([not lin.coeffs.any() for lin in lins])).any():
+        return _capped(lins, dead, None if start is None else lam)
+    dual = _Dual(lins)
     pt = dual.at(lam / lam.sum())
     face = dual.face(pt)
     tried = set()
@@ -292,32 +322,22 @@ def focusing_step(lins: list[LinearizedVoltage],
             reason = ExitReason.TOLERANCE
             break
         k = dual.kink_candidate(pt)
-        priced = tuple(pt.lam > 0)
-        if k is not None and (k, priced) not in tried:
-            tried.add((k, priced))   # the manifold's minimizer does not depend on the start
+        if k is not None and (k, tuple(pt.lam > 0)) not in tried:
+            tried.add((k, tuple(pt.lam > 0)))   # its minimizer does not depend on the start
             at_kink = _kink(dual, pt, k)
             if at_kink is not None:
                 iterations += at_kink[2]
-                v = dual.voltages(dual.primal_point(at_kink[0], at_kink[1]))
-                if _certified(float(v.min()), at_kink[0].value):
-                    pt, face = at_kink[:2]
-                    reason = ExitReason.TOLERANCE
-                    break
+                done = _finish(lins, dual.primal_point(*at_kink[:2]), at_kink[0].lam,
+                               at_kink[0].value, iterations, ExitReason.ITER_CAP)
+                if done.exit_reason is ExitReason.TOLERANCE:
+                    return done
         if iterations >= MAX_NEWTON:
             break
         nxt = _search(dual, pt, _direction(dual, pt, face), None)
         iterations += 1
-        moved = np.max(np.abs(nxt.lam - pt.lam))
+        moved = abs(nxt.lam - pt.lam).max()
         pt, face = nxt, dual.face(nxt)
         if moved <= 4.0 * np.finfo(float).eps:
             reason = ExitReason.SHORT_STEP   # the prices are as good as they get
             break
-    q = dual.primal_point(pt, face)
-    v = dual.voltages(q)
-    primal = float(v.min())
-    if _certified(primal, pt.value):
-        reason = ExitReason.TOLERANCE
-    elif reason is ExitReason.TOLERANCE:
-        reason = ExitReason.SHORT_STEP
-    kkt = float(np.max(v[pt.lam > 0]) - primal) / (1.0 + abs(primal))
-    return FocusingStep(q, pt.lam, primal, pt.value, kkt, iterations, reason)
+    return _finish(lins, dual.primal_point(pt, face), pt.lam, pt.value, iterations, reason)

@@ -210,6 +210,13 @@ class StageTrace:
     def final_objective(self) -> float:
         return self.steps[-1].primal if self.steps else math.nan
 
+    def accept(self, step: WaveformStep | FocusingStep, rel_tol: float) -> bool:
+        """Append ``step``; the stage has converged once its objective moved
+        by at most ``rel_tol`` from the previous step's."""
+        self.converged = _relative_move(step.primal, self.final_objective) <= rel_tol
+        self.steps.append(step)
+        return self.converged
+
 
 @dataclass
 class OuterRecord:
@@ -258,7 +265,6 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
     eff = effective_rows(channel, scenario.array, dma)
     trace = StageTrace()
     w = w_init
-    upsilon_prev = math.inf
     for _ in range(settings.max_sca_iters):
         lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4,
                                   dev.hpa_gain)
@@ -280,12 +286,8 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
                 raise InfeasibleRestrictionError(failure)
             break  # keep the last feasible iterate
         w = Waveform(step.omega)
-        upsilon = step.primal
-        trace.steps.append(step)
-        if _relative_move(upsilon, upsilon_prev) <= settings.sca_rel_tol:
-            trace.converged = True
+        if trace.accept(step, settings.sca_rel_tol):
             break
-        upsilon_prev = upsilon
     return w, trace
 
 
@@ -302,7 +304,6 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
     eff = effective_rows(channel, scenario.array, q_init, waveform)
     trace = StageTrace()
     dma = q_init
-    xi_prev = math.inf
     prices = None
     for _ in range(settings.max_sca_iters):
         q0 = dma.q_flat()
@@ -314,12 +315,8 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
             break
         dma = dma.with_weights(step.q)
         prices = step.multipliers
-        xi = step.primal
-        trace.steps.append(step)
-        if _relative_move(xi, xi_prev) <= settings.sca_rel_tol:
-            trace.converged = True
+        if trace.accept(step, settings.sca_rel_tol):
             break
-        xi_prev = xi
     return dma, trace
 
 

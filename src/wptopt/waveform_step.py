@@ -139,7 +139,7 @@ class WaveformStep:
         return self.x[:, 0::2] + 1j * self.x[:, 1::2]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Point:
     """``f = -d`` and its derivatives at one multiplier vector."""
 
@@ -158,16 +158,17 @@ class _Dual:
 
     def __init__(self, restriction: WaveformRestriction):
         self.rows = restriction.rows
+        self.stacked = self.rows.reshape(len(restriction.rhs), -1)   # [M, n_rf * 2 n_f]
         self.r = restriction.rhs
         self.s = restriction.scales
         self.gram = np.einsum("mik,lik->iml", self.rows, self.rows)
         self.no_rows = np.empty((0, len(self.r)))   # the orthant has no equality rows
 
     def at(self, lam: np.ndarray) -> _Point:
-        combo = np.tensordot(lam, self.rows, axes=1)
-        rho = np.linalg.norm(combo, axis=1)
+        combo = np.dot(lam.reshape(1, -1), self.stacked).reshape(self.rows.shape[1:])
+        rho = np.sqrt(np.add.reduce(combo * combo, axis=1))
         excess = np.maximum(rho - self.s, 0.0)
-        half = np.divide(excess, 2.0 * rho, out=np.zeros_like(rho), where=excess > 0)
+        half = np.divide(excess, 2.0 * rho, out=np.zeros(len(rho)), where=excess > 0)
         kl = np.einsum("mik,ik->im", self.rows, combo)
         value = 0.25 * float(excess @ excess) - float(lam @ self.r)
         return _Point(lam, combo, rho, excess, half, kl, value, half @ kl - self.r)
@@ -180,17 +181,14 @@ class _Dual:
         return 0.5 * (np.einsum("i,iml->ml", 1.0 - s / rho, self.gram[live])
                       + np.einsum("i,im,il->ml", s / rho ** 3, kl, kl))
 
-    def curvature(self, pt: _Point, p: np.ndarray) -> float:
-        return float(p @ self.hessian(pt) @ p)
-
     def certified_gap(self, pt: _Point) -> float:
         """``(primal - dual) / (1 + primal)`` for ``w(lam)`` scaled up to meet
         every row; infinite while a row it must meet reads 0 or less."""
         reach = pt.grad + self.r
         need = self.r > 0
-        if np.any(need & (reach <= 0)):
+        if (need & (reach <= 0)).any():
             return np.inf
-        c = max(1.0, float(np.max(self.r[need] / reach[need], initial=1.0)))
+        c = max(1.0, float((self.r[need] / reach[need]).max(initial=1.0)))
         primal = (c * 0.5 * float(self.s @ pt.excess)
                   + c * c * 0.25 * float(pt.excess @ pt.excess))
         return (primal + pt.value) / (1.0 + primal)
@@ -276,12 +274,12 @@ def dual_step(restriction: WaveformRestriction) -> WaveformStep:
                                   ~((lam == 0) & (grad >= 0)), dual.no_rows)
         if p is None:
             p = np.where((lam == 0) & (grad > 0), 0.0, -grad)   # projected gradient
-        nxt = dual_newton.search(pt, p, dual.at, lambda pt: pt.grad, dual.curvature,
-                                 lambda pt: 0.0)
+        nxt = dual_newton.search(pt, p, dual.at, lambda pt: pt.grad,
+                                 lambda pt, p: float(p @ dual.hessian(pt) @ p), lambda pt: 0.0)
         iterations += 1
-        moved = np.max(np.abs(nxt.lam - pt.lam))
+        moved = abs(nxt.lam - pt.lam).max()
         pt = nxt
-        if moved <= 4.0 * np.finfo(float).eps * np.max(pt.lam):
+        if moved <= 4.0 * np.finfo(float).eps * pt.lam.max():
             reason = ExitReason.SHORT_STEP   # the multipliers are as good as they get
             break
     x, primal = _feasible_point(restriction, pt)

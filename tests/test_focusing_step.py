@@ -168,7 +168,9 @@ def test_lowest_voltage_vertex_fallback(monkeypatch):
     4 * 0.8`` that each round below 5, so it reads about -3e-13 and the
     point is not settled. With one free price the Newton direction is zero
     and does not descend, so the step points to the vertex of the lowest
-    voltage, receiver 0 itself; it ends there, certified."""
+    voltage, receiver 0 itself; it ends there, certified. Receiver 1 enters
+    the dual through one coefficient too small to move its voltage: a
+    receiver whose coefficients are all zero is solved apart, as a cap."""
     from wptopt import dual_newton
     returned = []
     newton = dual_newton.direction
@@ -181,8 +183,10 @@ def test_lowest_voltage_vertex_fallback(monkeypatch):
     monkeypatch.setattr(dual_newton, "direction", spy)
     n_el = 100
     q0 = np.full(n_el, LORENTZIAN_CENTER)
+    negligible = np.zeros(n_el, complex)
+    negligible[0] = 1e-300
     lins = [LinearizedVoltage(-5.0 * n_el, np.full(n_el, 3.0 + 4.0j), q0),
-            LinearizedVoltage(1.0, np.zeros(n_el, complex), q0)]
+            LinearizedVoltage(1.0, negligible, q0)]
     step = focusing_step(lins, start=np.array([1.0, 0.0]))
     assert returned and all(p is None for p in returned)
     assert step.exit_reason is ExitReason.TOLERANCE
@@ -192,3 +196,52 @@ def test_lowest_voltage_vertex_fallback(monkeypatch):
     voltages = [lin.predict(step.q) for lin in lins]
     assert step.primal == min(voltages) == pytest.approx(0.0, abs=1e-12)
     assert voltages[1] == 1.0
+
+
+def assert_certified(step, lins):
+    assert step.exit_reason is ExitReason.TOLERANCE
+    assert step.gap <= GAP_TOL * (1.0 + abs(step.primal))
+    assert step.primal == min(lin.predict(step.q) for lin in lins)
+    assert_in_disks(step.q)
+
+
+def test_no_live_element_keeps_the_expansion_point():
+    """Every receiver sees a constant voltage: the lowest is the optimum,
+    its vertex the prices."""
+    q0 = np.full(4, LORENTZIAN_CENTER + 0.1)
+    lins = [LinearizedVoltage(0.3, np.zeros(4, complex), q0),
+            LinearizedVoltage(0.2, np.zeros(4, complex), q0)]
+    step = focusing_step(lins)
+    assert_certified(step, lins)
+    assert np.array_equal(step.q, q0) and step.q is not q0
+    assert (step.primal, step.dual) == (0.2, 0.2)
+    assert step.multipliers.tolist() == [0.0, 1.0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(restrictions(), st.integers(0, 3), st.floats(0.0, 1.5))
+def test_receiver_without_coefficients_caps_the_step(case, which, level):
+    """One receiver's coefficients all zero, its constant voltage anywhere
+    from 0 to above the others' optimum: it caps the step where it binds."""
+    lins = list(case[0])
+    which %= len(lins)
+    q0 = lins[0].expansion_point
+    free = focusing_step(lins[:which] + lins[which + 1:])
+    base = level * max(lin.base_value for lin in lins)
+    lins[which] = LinearizedVoltage(base, np.zeros_like(q0), q0)
+    step = focusing_step(lins, start=np.full(len(lins), 1.0))
+    event(f"M = {len(lins)}, {'capped' if step.multipliers[which] else 'not capped'}")
+    assert_certified(step, lins)
+    assert step.multipliers.min() >= 0.0 and step.multipliers.sum() == pytest.approx(1.0)
+    assert step.dual == min(base, free.dual)
+
+
+@pytest.mark.parametrize("start", [[0.0, 0.0], [np.nan, 1.0], [-0.5, 1.5], [np.inf, 1.0],
+                                   [0.5, 0.3, 0.2], [[0.5, 0.5]]],
+                         ids=["zero", "nan", "negative", "inf", "long", "2d"])
+def test_warm_start_off_the_simplex_is_rejected(start):
+    rng = np.random.default_rng(3)
+    q0 = disk_points(rng, 6)
+    lins = receiver_linearizations(rng, 2, 6, 2, q0)
+    with pytest.raises(ValueError, match="warm start"):
+        focusing_step(lins, start=np.array(start))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wptopt import dual_newton
 from wptopt import optimize as optimize_module
 from wptopt import socp
 from wptopt.channel import ChannelTensor, build_channel
@@ -467,19 +468,38 @@ def test_two_receiver_run_is_bitwise_deterministic():
 def test_three_receiver_dma_run_is_bitwise_deterministic(monkeypatch):
     """The same check on a three-receiver design whose focusing steps
     include one solved at a kink of the dual (an element strictly inside
-    its disk)."""
+    its disk). Its step and Newton-iteration counts are pinned, and the
+    projected Newton takes the null space of the same few rows again and
+    again, so it runs an SVD only for rows it has not seen."""
     cfg = make_scenario("dma", length=0.10, n_f=8, receivers=THREE_RECEIVERS)
-    real_focusing = optimize_module.focusing_step
-    inside = []
+    real_focusing, real_waveform = optimize_module.focusing_step, optimize_module.dual_step
+    real_svd = np.linalg.svd
+    inside, focusing, waveform, svd_calls = [], [], [], []
 
     def recorded(lins, start=None):
         step = real_focusing(lins, start)
         inside.append(bool(np.any(np.abs(step.q - 0.5j) < 0.5 * (1.0 - 1e-9))))
+        focusing.append(step.iterations)
         return step
 
+    def recorded_waveform(restriction):
+        step = real_waveform(restriction)
+        waveform.append(step.iterations)
+        return step
+
+    def counted_svd(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == dual_newton.__name__:
+            svd_calls.append(1)
+        return real_svd(*args, **kwargs)
+
     monkeypatch.setattr(optimize_module, "focusing_step", recorded)
+    monkeypatch.setattr(optimize_module, "dual_step", recorded_waveform)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    dual_newton._null_space.cache_clear()
     w1, dma1, tr1 = run_asca_dma(cfg)
     assert any(inside)
+    assert (len(focusing), sum(focusing), len(waveform), sum(waveform)) == (105, 282, 17, 82)
+    assert len(svd_calls) <= 2
     w2, dma2, tr2 = run_asca_dma(cfg)
     assert w1.omega.tobytes() == w2.omega.tobytes()
     assert dma1.q.tobytes() == dma2.q.tobytes()
