@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rectenna import (moment2_from_spectrum, moment4_from_spectrum,
+from .rectenna import (moment2_from_spectrum, moment4_from_convolution,
                        output_voltage, tone_amplitudes)
 
 
@@ -33,13 +33,15 @@ class LinearizedVoltage:
         return self.base_value + self.action(np.asarray(point) - self.expansion_point)
 
 
-def _spectrum_gradient(s: np.ndarray, hpa_gain: float, k2: float, k4: float) -> np.ndarray:
-    """d v_o / d conj(s_n): quadratic part ``(G^2/2) s`` plus the quartic part
-    via the self-convolution ``t = s * s`` correlated back against ``s``."""
-    s = np.asarray(s, dtype=complex)
+def _voltage_and_gradient(s: np.ndarray, hpa_gain: float, k2: float, k4: float):
+    """v_o and d v_o / d conj(s_n) from one self-convolution ``t = s * s``: the
+    fourth moment is its energy; the gradient is ``(G^2/2) s`` plus ``t``
+    correlated back against ``s``."""
     t = np.convolve(s, s)
+    base = output_voltage(moment2_from_spectrum(s, hpa_gain),
+                          moment4_from_convolution(t, hpa_gain), k2, k4)
     quartic = np.correlate(t, s, mode="valid")  # sum_u t[u] conj(s[u - n])
-    return (k2 * hpa_gain ** 2 / 2.0) * s + (k4 * 3.0 * hpa_gain ** 4 / 4.0) * quartic
+    return base, (k2 * hpa_gain ** 2 / 2.0) * s + (k4 * 3.0 * hpa_gain ** 4 / 4.0) * quartic
 
 
 def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
@@ -52,9 +54,7 @@ def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
     a_rows = np.asarray(a_rows, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
     s = tone_amplitudes(a_rows, w0)
-    base = output_voltage(moment2_from_spectrum(s, hpa_gain),
-                          moment4_from_spectrum(s, hpa_gain), k2, k4)
-    grad_s = _spectrum_gradient(s, hpa_gain, k2, k4)
+    base, grad_s = _voltage_and_gradient(s, hpa_gain, k2, k4)
     coeffs = grad_s[:, None] * np.conj(a_rows)
     return LinearizedVoltage(base, coeffs, w0.copy())
 
@@ -69,8 +69,6 @@ def linearize_vo_in_q(a_hat_rows: np.ndarray, q0: np.ndarray, k2: float, k4: flo
     a_hat_rows = np.asarray(a_hat_rows, dtype=complex)
     q0 = np.asarray(q0, dtype=complex)
     s = a_hat_rows @ q0
-    base = output_voltage(moment2_from_spectrum(s, hpa_gain),
-                          moment4_from_spectrum(s, hpa_gain), k2, k4)
-    grad_s = _spectrum_gradient(s, hpa_gain, k2, k4)
+    base, grad_s = _voltage_and_gradient(s, hpa_gain, k2, k4)
     coeffs = grad_s @ np.conj(a_hat_rows)
     return LinearizedVoltage(base, coeffs, q0.copy())

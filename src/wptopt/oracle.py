@@ -260,12 +260,12 @@ def brute_force_small(scenario: ScenarioConfig, n_samples: int = 100_000,
 # spatial field maps
 # ---------------------------------------------------------------------------
 
-# Cell-column pairs per field-map chunk; a column holds the elements that
-# every cell of the plane sees alike (see field_map). The chunk's work arrays,
-# about 100 bytes a pair, then fit a core's 2 MB L2 cache. On the 2 cm map of a
-# 24-element DMA, one column per element, 2**13 and 2**14 took 0.03 s, 2**17
-# 0.04 s and 2**11 0.05 s.
+# Cell-column pairs per field-map block (a column holds the elements that every
+# cell sees alike; see field_map), about 100 bytes each, so a block fits a 2 MB
+# L2 cache. The verify benchmark's 2 cm map (16 columns) took 24 ms at 2**14 and
+# 2**15, 27 ms at 2**13, 33 ms at 2**16 and 75 ms at 2**11.
 MAP_CHUNK = 1 << 14
+MAX_MAP_CELLS = 4_000_000  # cells a plane may hold, about 2,000 x 2,000
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,10 @@ class PlaneSpec:
             raise ValueError("plane extent is empty")
         if self.z_min <= 0:
             raise ValueError("plane must lie strictly in front of the array (z > 0)")
+        cells = math.prod(math.ceil(min((hi + 1e-12 - lo) / self.resolution, MAX_MAP_CELLS + 1))
+                          for lo, hi in ((self.x_min, self.x_max), (self.z_min, self.z_max)))
+        if cells > MAX_MAP_CELLS:  # grid()'s np.arange lengths, counted without allocating
+            raise ValueError(f"plane has more than {MAX_MAP_CELLS:,} cells")
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         self.validate()
@@ -339,8 +343,9 @@ def field_map(scenario: ScenarioConfig, waveform: Waveform,
     the element drive: ``omega`` for the fully-digital array, and for the DMA
     ``q h`` times the weight of the element's microstrip, the product that
     ``effective_rows`` folds into its chain rows. The values agree with the
-    channel tensor's to about 1e-12 relative. Cells are taken in chunks of
-    about ``MAP_CHUNK`` cell-column pairs.
+    channel tensor's to about 1e-12 relative. ``d = sqrt(((x - ex)**2 + dy**2)
+    + (z - ez)**2)`` adds parts taken once per x and once per z, in blocks of
+    whole z rows of at most ``MAP_CHUNK`` cell-column pairs (longer rows split).
 
     Elements with equal ``(x, (y_offset - y)**2, z)`` have the same distance
     and angle to every cell of the plane, so their drives are summed before
@@ -365,27 +370,28 @@ def field_map(scenario: ScenarioConfig, waveform: Waveform,
     np.add.at(folded, group, drive)
     drive = np.ascontiguousarray(folded.T)            # [n_f, columns]
     ex, dy2, ez = np.array(list(columns)).T
-    cx = np.tile(xs, len(zs))[:, None]
-    cz = np.repeat(zs, len(xs))[:, None]
-    p_rf = np.zeros(len(cx))
-    loss = np.empty(len(cx))
-    size = max(1, MAP_CHUNK // len(ex))
-    for lo in range(0, len(cx), size):
-        part = slice(lo, lo + size)
-        dz = cz[part] - ez          # [cells, columns]; > 0, every cell is in front
-        d = np.sqrt((cx[part] - ex) ** 2 + dy2 + dz ** 2)
-        g = np.sqrt(cosine_profile(dz / d, dev.boresight_gain)) / (4.0 * np.pi * d)
-        phasor = _phasors(g, d * (1.0 / plan.wavelengths[0]))
+    across = (xs[:, None] - ex) ** 2 + dy2            # [x, columns]
+    dz = zs[:, None, None] - ez                       # [z, 1, columns]; > 0, in front
+    p_rf, loss = np.zeros((len(zs), len(xs))), np.empty((len(zs), len(xs)))
+    lambda1 = plan.wavelengths[0]
+    width = min(len(xs), max(1, MAP_CHUNK // len(ex)))   # cells of a row per block
+    rows = max(1, MAP_CHUNK // (width * len(ex)))
+    blocks = [(slice(top, top + rows), slice(left, left + width))
+              for top in range(0, len(zs), rows) for left in range(0, len(xs), width)]
+    for part in blocks:
+        d = np.sqrt(across[part[1]] + dz[part[0]] ** 2)   # [rows, width, columns]
+        g = np.sqrt(cosine_profile(dz[part[0]] / d, dev.boresight_gain)) / (4.0 * np.pi * d)
+        phasor = _phasors(g, d * (1.0 / lambda1))
         advance = _phasors(1.0, d * (plan.delta_f / SPEED_OF_LIGHT))
         for n in range(plan.n_f):
             if n:
                 phasor *= advance
             s = phasor @ drive[n]
             p_rf[part] += s.real ** 2 + s.imag ** 2
-        loss[part] = np.sum((g * plan.wavelengths[0]) ** 2 * counts, axis=1) / arr.n_elements
+        loss[part] = np.sum((g * lambda1) ** 2 * counts, axis=-1) / arr.n_elements
     p_rf *= dev.hpa_gain ** 2 / 2.0
     values = np.where(loss > 0, p_rf / np.maximum(loss, 1e-300), 0.0)
-    return FieldMap(plane=plane, xs=xs, zs=zs, values=values.reshape(len(zs), len(xs)))
+    return FieldMap(plane=plane, xs=xs, zs=zs, values=values)
 
 
 def _phasors(amplitude, cycles: np.ndarray) -> np.ndarray:

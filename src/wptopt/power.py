@@ -10,6 +10,7 @@ which separates per chain into ``scale_i * ||omega_i||``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -52,19 +53,6 @@ def hpa_bound_objective(waveform: Waveform, dma: DmaState | None,
     return float(scales @ norms + input_power(waveform))
 
 
-def _chain_element_amplitudes(waveform: Waveform, dma: DmaState | None,
-                              hpa_gain: float) -> np.ndarray:
-    """Complex per-element tone amplitudes grouped by chain, [n_rf, n_el, n_f].
-
-    The radiated signal of element (i, l) is ``sum_n Re{amp[i, l, n] *
-    exp(j*2*pi*f_n*t)}``; fully-digital chains have a single element.
-    """
-    om = waveform.omega
-    if dma is None:
-        return hpa_gain * om[:, None, :]
-    return hpa_gain * om[:, None, :] * (dma.q * dma.h)[:, :, None]
-
-
 @dataclass(frozen=True)
 class PowerReport:
     """Consumption summary for one transmitter state. The optimization
@@ -79,41 +67,58 @@ class PowerReport:
         return asdict(self)
 
 
-def _output_power_chunks(amps: np.ndarray, tones: np.ndarray, count: int,
-                         step: float):
-    """Per-chain instantaneous output power ``P_out[i, k]`` on the uniform grid
-    ``t_k = k * step``, ``k < count``, yielded in blocks of ``_CHUNK`` samples.
+def _virtual_coefficients(dma: DmaState | None, n_rf: int) -> np.ndarray:
+    """At most two coefficients per chain, [n_rf, m], that radiate the chain's
+    output power ``sum_l (Re c_l z)**2`` for every chain signal ``z``. It
+    depends on the elements ``c_l = q_l h_l`` only through the 2x2 Gram matrix
+    ``M`` of the rows ``[Re c_l, -Im c_l]``, so a chain of more than two is
+    replaced by the rows of ``sqrt(M) = (M + s I) / t``, ``s = sqrt(det M)``,
+    ``t = sqrt(tr M + 2 s)``. A fully-digital chain is one element, ``c = 1``."""
+    c = np.ones((n_rf, 1), dtype=complex) if dma is None else dma.q * dma.h
+    if c.shape[1] <= 2:
+        return c
+    a, b = c.real, -c.imag
+    aa, bb, ab = (np.sum(u * v, axis=1) for u, v in ((a, a), (b, b), (a, b)))
+    s = np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
+    t = np.sqrt(aa + bb + 2.0 * s)
+    t[t == 0.0] = np.inf                 # a chain of zero weights radiates nothing
+    return np.column_stack([(aa + s) - 1j * ab, ab - 1j * (bb + s)]) / t[:, None]
 
-    The phasors ``exp(2j*pi*f_n*j*step)`` of one block are tabulated once as
-    the real matrix ``[cos; sin]``; each block rotates the amplitudes to its
-    start time (n_f exponentials), so every sample is one column of a real
-    matrix product. Samples run along the last axis to keep the per-chain
-    reductions contiguous.
-    """
-    n_rf, n_el, n_f = amps.shape
-    flat = amps.reshape(n_rf * n_el, n_f)
-    arg = 2.0 * np.pi * np.outer(tones, np.arange(min(_CHUNK, count)) * step)
-    table = np.concatenate([np.cos(arg), np.sin(arg)])  # [2 n_f, chunk]
+
+def _unit_phasors(bin_: int, start: int, n: int, cycle: int) -> np.ndarray:
+    """``exp(2j pi ((bin_ * k) mod cycle) / cycle)`` for ``start <= k < start + n``:
+    with ``k = start + width * i + j``, the outer product of about ``2 sqrt(n)``
+    exponentials of integer-reduced phases, so no large argument is rounded."""
+    width = math.isqrt(n - 1) + 1
+    outer, inner = (np.exp(2j * np.pi / cycle * (bin_ * k % cycle))
+                    for k in (start + width * np.arange(-(-n // width)), np.arange(width)))
+    return np.multiply.outer(outer, inner).reshape(-1)[:n]
+
+
+def _output_power_chunks(weights: np.ndarray, coeffs: np.ndarray, first_bin: int,
+                         bin_step: int, cycle: int, count: int):
+    """Per-chain output power ``P_out[i, k]``, ``k < count``, in blocks of
+    ``_CHUNK`` samples. Tone n is DFT bin ``first_bin + n * bin_step`` of a
+    ``cycle``-sample period; a block builds it by recurrence from the lowest
+    tone's and the tone step's phasors ``E``. Virtual element m of chain i
+    radiates ``[Re v, -Im v] @ [Re E; Im E]``, ``v = coeffs[i, m] weights[i]``,
+    one real product for all, and ``P_out`` is the sum of their squares."""
+    (n_rf, m), n_f = coeffs.shape, weights.shape[1]
+    virtual = (coeffs[:, :, None] * weights[:, None, :]).reshape(n_rf * m, n_f)
+    virtual = np.hstack([virtual.real, -virtual.imag])       # [n_rf m, 2 n_f]
     for start in range(0, count, _CHUNK):
         n = min(_CHUNK, count - start)
-        a = flat * np.exp(2j * np.pi * tones * (start * step))
-        # Re{a e^{jθ}} = Re a cos θ - Im a sin θ
-        x = np.hstack([a.real, -a.imag]) @ table[:, :n]  # [n_rf n_el, n]
-        x = x.reshape(n_rf, n_el, n)
-        yield np.einsum("cek,cek->ck", x, x)
-
-
-def sampled_output_means(waveform: Waveform, dma: DmaState | None,
-                         plan: FrequencyPlan, hpa_gain: float) -> np.ndarray:
-    """Exact per-chain time averages of the radiated power ``E{P_out,i}``.
-
-    Discrete means over the default grid are exact for the squared signal, so
-    the result equals the frequency-domain value ``sum_{l,n}(G^2/2)|w q h|^2``.
-    """
-    count, step = plan.quadrature_grid(degree=2)
-    amps = _chain_element_amplitudes(waveform, dma, hpa_gain)
-    chunks = _output_power_chunks(amps, plan.tones, count, step)
-    return sum(p_out.sum(axis=1) for p_out in chunks) / count
+        tone, advance = (_unit_phasors(b, start, n, cycle) for b in (first_bin, bin_step))
+        table, spare = np.empty((2 * n_f, n)), np.empty_like(tone)   # [Re E; Im E]
+        for i in range(n_f):
+            if i:
+                tone, spare = np.multiply(tone, advance, out=spare), tone
+            table[i], table[n_f + i] = tone.real, tone.imag
+        x = virtual @ table
+        x = np.square(x, out=x).reshape(n_rf, m, n)
+        for i in range(1, m):
+            x[:, 0] += x[:, i]
+        yield x[:, 0]
 
 
 def sampled_consumption(waveform: Waveform, dma: DmaState | None,
@@ -124,48 +129,35 @@ def sampled_consumption(waveform: Waveform, dma: DmaState | None,
 
     Default sampling covers one fundamental period with enough points that
     squared-signal averages are exact; ``paper_sampling`` switches to a 1 ms
-    window at exactly twice the highest tone.
-
-    Either window is folded onto one period of its sampled sequence. With
-    ``count = laps * period + rest`` samples and a sequence that repeats every
-    ``period`` samples, the window's sum of ``sqrt(P_out)`` is exactly
-    ``laps * sum_{k<period} + sum_{k<rest}``, so at most ``period`` samples are
-    evaluated. The default grid is one period (``laps = 1``, ``rest = 0``), so
-    its value is the plain sum over the grid. On the paper grid the fold is
-    exact but for the rounding of late sample phases (2e-11 relative on a
-    10-million-sample window). Like the default grid, it takes ``f1/delta_f``
-    to equal ``plan.cycle_ratio()``.
+    window at exactly twice the highest tone. On both grids tone n is DFT bin
+    ``p + n*q`` of the period, ``f1/delta_f = p/q`` (``plan.cycle_ratio()``),
+    so sample phases are exact, and a window of ``laps * period + rest``
+    samples sums ``sqrt(P_out)`` exactly as ``laps * sum_{k<period} +
+    sum_{k<rest}``. The default grid is one period, summed plainly.
     """
     if array.architecture is Architecture.DMA and dma is None:
         raise ValueError("DMA architecture requires a DmaState")
     if paper_sampling:
-        count, step = plan.nyquist_grid(duration=1e-3)
-        period = min(plan.nyquist_period(), count)
+        count, cycle = plan.nyquist_grid(duration=1e-3)[0], plan.nyquist_period()
     else:
-        count, step = plan.quadrature_grid(degree=2)
-        period = count
+        count = cycle = plan.quadrature_grid(degree=2)[0]
+    period = min(cycle, count)
     laps, rest = divmod(count, period)
-    amps = _chain_element_amplitudes(waveform, dma, hpa_gain)
-    n_rf = amps.shape[0]
-    lap_sum = np.zeros(n_rf)
-    rest_sum = np.zeros(n_rf)
-    start = 0
-    for p_out in _output_power_chunks(amps, plan.tones, period, step):
+    n_rf, ratio = waveform.n_rf, plan.cycle_ratio()
+    scales = chain_norm_scales(dma, n_rf, hpa_gain, p_max, eta_max)
+    lap_sum, rest_sum, start = np.zeros(n_rf), np.zeros(n_rf), 0
+    for p_out in _output_power_chunks(hpa_gain * waveform.omega,
+                                      _virtual_coefficients(dma, n_rf), ratio.numerator,
+                                      ratio.denominator, cycle, period):
         roots = np.sqrt(p_out, out=p_out)
         lap_sum += np.sum(roots, axis=1)
         rest_sum += np.sum(roots[:, :max(rest - start, 0)], axis=1)
         start += roots.shape[1]
-    sqrt_sum = laps * lap_sum + rest_sum
-    p_hpa = float(np.sqrt(p_max) / eta_max * np.sum(sqrt_sum) / count)
+    p_hpa = float(np.sqrt(p_max) / eta_max * np.sum(laps * lap_sum + rest_sum) / count)
     p_in = input_power(waveform)
-    scales = chain_norm_scales(dma, n_rf, hpa_gain, p_max, eta_max)
     bound = float(scales @ np.linalg.norm(waveform.omega, axis=1))
-    return PowerReport(
-        p_in=p_in,
-        p_hpa_sampled=p_hpa,
-        p_hpa_bound=bound,
-        p_c_sampled=p_hpa + p_in,
-    )
+    return PowerReport(p_in=p_in, p_hpa_sampled=p_hpa, p_hpa_bound=bound,
+                       p_c_sampled=p_hpa + p_in)
 
 
 @dataclass(frozen=True)

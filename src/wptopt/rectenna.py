@@ -34,7 +34,11 @@ def moment4_from_spectrum(s: np.ndarray, hpa_gain: float = 1.0) -> float:
     the O(n_f^2) rearrangement of the quadruple sum over ``n0+n1 = n2+n3``.
     """
     s = np.asarray(s, dtype=complex)
-    t = np.convolve(s, s)
+    return moment4_from_convolution(np.convolve(s, s), hpa_gain)
+
+
+def moment4_from_convolution(t: np.ndarray, hpa_gain: float = 1.0) -> float:
+    """Time average of ``y(t)**4`` from the self-convolution ``t = s * s``."""
     return float(3.0 * hpa_gain ** 4 / 8.0 * np.sum(np.abs(t) ** 2))
 
 

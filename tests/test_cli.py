@@ -679,7 +679,8 @@ def test_fieldmap_command(artifact_dir, tmp_path):
 
 
 @pytest.mark.parametrize("plane", [["--res", "0"], ["--res", "nan"], ["--zmin", "-1"],
-                                   ["--xmin", "1", "--xmax", "-1"]])
+                                   ["--xmin", "1", "--xmax", "-1"], ["--res", "1e-300"],
+                                   ["--res", "2e-5"]])
 def test_fieldmap_rejects_invalid_plane(artifact_dir, tmp_path, capsys, plane):
     code = main(["fieldmap", str(artifact_dir / "artifact.json"), *plane,
                  "--out", str(tmp_path)])
@@ -687,6 +688,19 @@ def test_fieldmap_rejects_invalid_plane(artifact_dir, tmp_path, capsys, plane):
     assert code == EXIT_VALIDATION
     assert len(err) == 1 and err[0].startswith("invalid plane: ")
     assert not (tmp_path / "fieldmap.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["seed_dma_paper_artifact.json", "seed_fd_artifact.json"])
+def test_simulate_passes_an_artifact_of_an_earlier_sampling_kernel(name, capsys):
+    """Artifacts written when consumption was sampled per element, with
+    phases from float sample times (a DMA design with paper-rate sampling and
+    an FD design), pass every simulate check: the sampled fields they store
+    differ from today's by about 1e-13 relative."""
+    path = Path(__file__).parent / "data" / name
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
 
 
 def test_sweep_single_value_matches_optimize(scenario_file, tmp_path, capsys):

@@ -315,7 +315,7 @@ def test_field_map_folds_mirrored_elements_on_the_symmetry_plane(arch, length,
     columns = []
 
     def recording(amplitude, cycles):
-        columns.append(cycles.shape[1])
+        columns.append(cycles.shape[-1])
         return phasors(amplitude, cycles)
 
     phasors = oracle._phasors
@@ -328,6 +328,36 @@ def test_field_map_folds_mirrored_elements_on_the_symmetry_plane(arch, length,
         np.testing.assert_allclose(fmap.values, _reference_map(cfg, wf, dma, fmap),
                                    rtol=1e-10, atol=0)
     assert columns_on_plane < arr.n_elements
+
+
+@pytest.mark.parametrize("arch", ["dma", "fd"])
+def test_field_map_is_bitwise_the_same_for_every_block_budget(arch, rng):
+    """Blocks of part of a z row, of one row, of several rows and of the
+    whole plane give bitwise the same map: every cell's distances, phasors
+    and sums are the same operations in the same order. (A block of a single
+    cell is not among them: its tone sum is a dot product, which sums in
+    another order than a matrix-vector product and can move the last bit.)"""
+    from unittest import mock
+
+    from wptopt import oracle
+    from wptopt.transmitter import DmaState
+    cfg = make_scenario(arch, length=0.10, n_f=3)
+    arr = cfg.array
+    wf = Waveform(rng.normal(size=(arr.rf_chain_count, 3))
+                  + 1j * rng.normal(size=(arr.rf_chain_count, 3)))
+    dma = None
+    if arch == "dma":
+        dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
+                                   arr.inter_element_dx, cfg.microstrip)
+    plane = PlaneSpec(-0.9, 0.8, 0.3, 2.1, 0.15, y_offset=0.05)
+    columns = arr.n_elements                  # off the symmetry plane nothing folds
+    maps = []
+    for cells in (5, 12, 12 * 4, 13 * 12, 1 << 30):
+        with mock.patch.object(oracle, "MAP_CHUNK", cells * columns):
+            maps.append(field_map(cfg, wf, dma, plane).values)
+    assert maps[0].shape == (13, 12)
+    for values in maps[1:]:
+        assert np.array_equal(values, maps[0])
 
 
 def test_field_map_builds_no_channel_tensor(tiny_dma, rng, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wptopt import power
 from wptopt.channel import build_channel
 from wptopt.power import (Design, chain_norm_scales, hpa_bound_objective, input_power,
-                          sampled_consumption, sampled_output_means)
+                          sampled_consumption)
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import Architecture, FrequencyPlan, MicrostripParams
 from wptopt.transmitter import DmaState, Waveform, effective_rows
@@ -19,6 +19,63 @@ from conftest import make_scenario, synthetic_plan
 def random_dma_state(rng, n_v, n_h, spacing=0.0115):
     phi = rng.uniform(0, 2 * np.pi, size=(n_v, n_h))
     return DmaState.from_phases(phi, spacing, MicrostripParams())
+
+
+def chain_element_amplitudes(waveform, dma, hpa_gain):
+    """Complex per-element tone amplitudes grouped by chain, [n_rf, n_el, n_f]:
+    element (i, l) radiates ``sum_n Re{amp[i, l, n] exp(j 2 pi f_n t)}``; a
+    fully-digital chain has one element."""
+    om = waveform.omega
+    if dma is None:
+        return hpa_gain * om[:, None, :]
+    return hpa_gain * om[:, None, :] * (dma.q * dma.h)[:, :, None]
+
+
+def element_output_power_chunks(amps, tones, count, step):
+    """Per-element reference of ``power._output_power_chunks``: ``P_out[i, k]``
+    on ``t_k = k * step`` in blocks of ``power._CHUNK`` samples, each element's
+    signal one column of ``[Re a, -Im a] @ [cos; sin]`` of a tabulated block."""
+    n_rf, n_el, n_f = amps.shape
+    flat = amps.reshape(n_rf * n_el, n_f)
+    arg = 2.0 * np.pi * np.outer(tones, np.arange(min(power._CHUNK, count)) * step)
+    table = np.concatenate([np.cos(arg), np.sin(arg)])  # [2 n_f, chunk]
+    for start in range(0, count, power._CHUNK):
+        n = min(power._CHUNK, count - start)
+        a = flat * np.exp(2j * np.pi * tones * (start * step))
+        x = (np.hstack([a.real, -a.imag]) @ table[:, :n]).reshape(n_rf, n_el, n)
+        yield np.einsum("cek,cek->ck", x, x)
+
+
+def sampled_output_means(waveform, dma, plan, hpa_gain):
+    """Per-chain time averages of the radiated power ``E{P_out,i}`` over the
+    default grid, on which they are exact."""
+    count, step = plan.quadrature_grid(degree=2)
+    amps = chain_element_amplitudes(waveform, dma, hpa_gain)
+    chunks = element_output_power_chunks(amps, plan.tones, count, step)
+    return sum(p_out.sum(axis=1) for p_out in chunks) / count
+
+
+def kernel_chunks(wf, dma, plan, g, count, cycle):
+    """``power._output_power_chunks`` for ``wf``, ``dma`` and gain ``g`` over
+    ``count`` samples of a ``cycle``-sample period."""
+    ratio = plan.cycle_ratio()
+    return power._output_power_chunks(g * wf.omega, power._virtual_coefficients(dma, wf.n_rf),
+                                      ratio.numerator, ratio.denominator, cycle, count)
+
+
+def kernel_output_power(wf, dma, plan, g, count, cycle):
+    """The kernel's blocks joined into one [n_rf, count] array."""
+    return np.concatenate(list(kernel_chunks(wf, dma, plan, g, count, cycle)), axis=1)
+
+
+def exact_phase_signals(amps, plan, count, cycle):
+    """Per-element, per-sample signals [count, n_rf, n_el] with every phase
+    taken from integer DFT bins: tone n at sample k is ``exp(2j pi ((b_n k)
+    mod cycle) / cycle)``, ``b_n = p + n*q`` for ``f1/delta_f = p/q``."""
+    ratio = plan.cycle_ratio()
+    bins = ratio.numerator + ratio.denominator * np.arange(plan.n_f)
+    phases = np.exp(2j * np.pi / cycle * (np.outer(np.arange(count), bins) % cycle))
+    return np.real(np.einsum("kn,cen->kce", phases, amps))
 
 
 def test_input_power_examples():
@@ -176,7 +233,7 @@ def reference_output_power(amps, plan, times):
 @pytest.mark.parametrize("paper", [False, True], ids=["period", "paper"])
 @pytest.mark.parametrize("arch", ["fd", "dma"])
 def test_chunk_kernel_matches_per_sample_loop(arch, paper, rng, monkeypatch):
-    """The tabulated-phasor kernel agrees with the per-sample loop to 1e-10
+    """The sampling kernel agrees with the per-sample loop to 1e-10
     relative, sample by sample and in every mean, over a grid that spans
     several chunks and ends inside one."""
     for n_f in (1, 2, 3):
@@ -195,9 +252,8 @@ def test_chunk_kernel_matches_per_sample_loop(arch, paper, rng, monkeypatch):
             amps = amps * (dma.q * dma.h)[:, :, None]
         ref = reference_output_power(amps, plan, times)
 
-        step = times[1] - times[0]
-        got = np.concatenate(list(power._output_power_chunks(
-            amps, plan.tones, len(times), step)), axis=1).T
+        cycle = plan.nyquist_period() if paper else len(times)
+        got = kernel_output_power(wf, dma, plan, g, len(times), cycle).T
         assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * ref.max())
         rep = sampled_consumption(wf, dma, array, plan, g, p_max, eta,
                                   paper_sampling=paper)
@@ -219,7 +275,7 @@ def _random_state(arch, n_f, rng):
 def _paper_reference(wf, dma, plan, g, p_max, eta):
     """Per-sample amplifier consumption over the whole 1 ms window, and the
     Jensen bound built from that window's own mean output power."""
-    amps = power._chain_element_amplitudes(wf, dma, g)
+    amps = chain_element_amplitudes(wf, dma, g)
     ref = reference_output_power(amps, plan, plan.nyquist_times(1e-3))
     scale = math.sqrt(p_max) / eta
     return (scale * np.sum(np.sqrt(ref)) / len(ref),
@@ -254,14 +310,82 @@ def test_default_grid_sum_is_unfolded(arch, rng, monkeypatch):
     monkeypatch.setattr(power, "_CHUNK", 7)
     plan = synthetic_plan(3, ratio=6)
     array, dma, wf = _random_state(arch, 3, rng)
-    count, step = plan.quadrature_grid(degree=2)
-    amps = power._chain_element_amplitudes(wf, dma, 1.1)
-    total = np.zeros(amps.shape[0])
-    for p_out in power._output_power_chunks(amps, plan.tones, count, step):
+    count, _ = plan.quadrature_grid(degree=2)
+    total = np.zeros(wf.n_rf)
+    for p_out in kernel_chunks(wf, dma, plan, 1.1, count, count):
         total += np.sum(np.sqrt(p_out), axis=1)
     expected = float(np.sqrt(2.0) / 0.7 * np.sum(total) / count)
     rep = sampled_consumption(wf, dma, array, plan, 1.1, 2.0, 0.7)
     assert rep.p_hpa_sampled == expected
+
+
+@pytest.mark.parametrize("paper", [False, True], ids=["period", "paper"])
+@pytest.mark.parametrize("n_h", [None, 1, 2, 3, 8], ids=["fd", "dma1", "dma2", "dma3", "dma8"])
+@pytest.mark.parametrize("n_f", [1, 2, 3, 8])
+def test_kernel_matches_per_element_reference(n_h, n_f, paper, rng, monkeypatch):
+    """At most two virtual elements per chain, tones by recurrence and exact
+    integer phases agree with the per-element, per-sample sum of squares to
+    1e-12 relative, sample by sample and in the folded consumption, on grids
+    of p/q = 5 and 16/3 that end inside a chunk."""
+    for plan in (FrequencyPlan(5e6, n_f, 1e6), FrequencyPlan(16e6 / 3, n_f, 1e6)):
+        count = plan.nyquist_grid(1e-3)[0] if paper else plan.quadrature_grid(2)[0]
+        cycle = plan.nyquist_period() if paper else count
+        chunk = count // 3 + 1
+        assert count > 2 * chunk and count % chunk
+        monkeypatch.setattr(power, "_CHUNK", chunk)
+        dma = None if n_h is None else random_dma_state(rng, 3, n_h)
+        wf = Waveform(rng.normal(size=(3, n_f)) + 1j * rng.normal(size=(3, n_f)))
+        x = exact_phase_signals(chain_element_amplitudes(wf, dma, 1.2), plan, count, cycle)
+        ref = np.sum(x * x, axis=2)                               # [count, n_rf]
+        got = kernel_output_power(wf, dma, plan, 1.2, count, cycle)
+        np.testing.assert_allclose(got, ref.T, rtol=1e-12, atol=1e-12 * ref.max())
+        array = make_scenario("fd" if dma is None else "dma").array
+        rep = sampled_consumption(wf, dma, array, plan, 1.2, 2.0, 0.7, paper_sampling=paper)
+        expected = math.sqrt(2.0) / 0.7 * np.sum(np.sqrt(ref)) / count
+        assert rep.p_hpa_sampled == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_h", [None, 1, 2, 5], ids=["fd", "dma1", "dma2", "dma5"])
+def test_output_power_is_a_sum_of_squares(n_h, rng):
+    """P_out is never negative and is exactly 0 for a zero waveform. A
+    one-element chain's P_out is the square of its signal ``Re(c z)``: on a
+    200,027-sample period, whose samples come within 1e-6 of the signal's
+    scale of a zero crossing, its root tracks ``|Re(c z)|`` to 1e-13 of that
+    scale. A difference of squares such as ``(|cz|^2 + Re((cz)^2)) / 2``
+    misses by about 1e-11 there."""
+    plan = FrequencyPlan(99999 / 7 * 1e6, 3, 1e6)
+    count, _ = plan.quadrature_grid(2)
+    dma = None if n_h is None else random_dma_state(rng, 3, n_h)
+    zero = kernel_output_power(Waveform.zeros(3, 3), dma, plan, 1.0, count, count)
+    assert np.all(zero == 0.0)
+    wf = Waveform(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    got = kernel_output_power(wf, dma, plan, 1.0, count, count)
+    assert np.all(got >= 0.0)
+    if n_h in (None, 1):
+        x = exact_phase_signals(chain_element_amplitudes(wf, dma, 1.0), plan, count, count)
+        scale = np.max(np.abs(x))
+        assert np.min(np.abs(x)) < 1e-5 * scale
+        np.testing.assert_allclose(np.sqrt(got), np.abs(x[:, :, 0].T), rtol=0,
+                                   atol=1e-13 * scale)
+
+
+def test_virtual_elements_keep_the_gram_matrix(rng):
+    """The two virtual elements of a longer chain have its 2x2 Gram matrix, a
+    rank-one chain included; a chain of zero weights radiates nothing."""
+    dma = random_dma_state(rng, 4, 6)
+    q = dma.q.copy()
+    q[1] = q[1, 0] * dma.h[1, 0] * rng.uniform(0.5, 2.0, 6) / dma.h[1]   # q h collinear
+    q[2] = 0.0
+    dma = DmaState(q, dma.h)        # the kernel reads any weights, in the disk or not
+    coeffs = power._virtual_coefficients(dma, 4)
+    assert coeffs.shape == (4, 2)
+
+    def gram(c):
+        rows = np.stack([c.real, -c.imag], axis=-1)
+        return np.einsum("ilr,ils->irs", rows, rows)
+    np.testing.assert_allclose(gram(coeffs), gram(dma.q * dma.h), rtol=0,
+                               atol=1e-14 * np.max(np.abs(dma.q * dma.h)) ** 2)
+    assert np.all(coeffs[2] == 0.0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
