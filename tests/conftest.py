@@ -8,6 +8,12 @@ from wptopt.scenario import (Architecture, DeviceParams, FrequencyPlan,
 
 F1 = 5.18e9
 BW = 10e6
+# The benchmark's multiuser geometry: three receivers drawn from generator
+# seed 2. With 8 tones at L = 0.1 m, one focusing restriction of its DMA
+# design has its minimizer at a kink of the dual.
+_draw = np.random.default_rng(2)
+THREE_RECEIVERS = tuple(map(tuple, np.column_stack([
+    _draw.uniform(-0.8, 0.8, 3), _draw.uniform(-0.8, 0.8, 3), _draw.uniform(1.5, 3.0, 3)])))
 
 
 def make_scenario(arch="dma", length=0.10, n_f=2, receivers=((0.0, 0.0, 1.5),),

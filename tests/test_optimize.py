@@ -24,7 +24,8 @@ from wptopt.transmitter import (DmaState, Waveform, effective_rows,
                                 lorentzian_weight)
 from wptopt.waveform_step import ExitReason
 
-from conftest import far_from_unit_scale, make_scenario, single_element_fd
+from conftest import (THREE_RECEIVERS, far_from_unit_scale, make_scenario,
+                      single_element_fd)
 
 
 def _fake_channel(norms_by_receiver_tone, n_v=4, n_h=1):
@@ -267,12 +268,6 @@ def test_run_sca_q_improves_min_voltage(tiny_dma, rng):
 
 
 TWO_RECEIVERS = ((0.2, 0.0, 1.4), (-0.3, 0.1, 1.8))
-# The benchmark's multiuser geometry: three receivers drawn from generator
-# seed 2. With 8 tones at L = 0.1 m, one focusing restriction of its DMA
-# design has its minimizer at a kink of the dual.
-_draw = np.random.default_rng(2)
-THREE_RECEIVERS = tuple(map(tuple, np.column_stack([
-    _draw.uniform(-0.8, 0.8, 3), _draw.uniform(-0.8, 0.8, 3), _draw.uniform(1.5, 3.0, 3)])))
 
 
 def _initial_state(cfg):
