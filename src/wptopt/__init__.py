@@ -6,9 +6,9 @@ from .scenario import (Architecture, ArraySpec, DeviceParams, FrequencyPlan,
                        load_scenario, save_scenario)
 from .channel import ChannelTensor, build_channel, channel_coefficient, \
     field_boundaries, radiation_profile
-from .transmitter import (DmaState, EffectiveChannel, Waveform,
-                          effective_rows, expand_dma_weights,
-                          lorentzian_weight, microstrip_response)
+from .transmitter import (DmaState, Waveform, effective_rows, element_rows,
+                          expand_dma_weights, lorentzian_weight,
+                          microstrip_response)
 from .rectenna import (dc_power, harvested_voltage, moment2, moment4,
                        output_voltage)
 from .power import Design, PowerReport, hpa_bound_objective, input_power, \

@@ -267,10 +267,11 @@ def _sweep_point(payload):
 
 def cmd_sweep(args) -> int:
     scenario = _load_with_overrides(args)
-    values = [float(v) for v in args.values]
-    payloads = [(scenario.to_dict(), args.axis, v) for v in values]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    payloads = [(scenario.to_dict(), args.axis, v) for v in args.values]
+    # the pool may start every worker at once, so it gets no more than the points
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]
@@ -355,6 +356,17 @@ def cmd_fieldmap(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A whole number of at least 1, read from the command line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; sub-command ``x``
@@ -376,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="optimize across one swept axis")
     p_sw.add_argument("scenario")
     p_sw.add_argument("--axis", choices=_SWEEP_AXES, required=True)
-    p_sw.add_argument("--values", nargs="+", required=True)
+    p_sw.add_argument("--values", nargs="+", type=float, required=True)
     p_sw.add_argument("--arch", choices=["fd", "dma"])
     p_sw.add_argument("--seed", type=int, default=None)
-    p_sw.add_argument("--jobs", type=int, default=1)
+    p_sw.add_argument("--jobs", type=_count, default=1)
     p_sw.add_argument("--out", default="runs")
 
     p_sim = sub.add_parser("simulate", help="re-verify an artifact with the oracle")

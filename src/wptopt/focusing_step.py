@@ -17,9 +17,10 @@ linearized voltages there. ``f`` is positively homogeneous, so
 ``lam``-weighted spread of the voltages above their minimum, and it vanishes
 where every priced receiver sees one voltage.
 
-With one receiver the simplex is the point ``lam = [1]`` and the step is
-closed form. Otherwise :func:`focusing_step` minimizes ``f`` by the
-projected Newton of :mod:`wptopt.dual_newton` on the simplex. The Hessian
+:func:`focusing_step` minimizes ``f`` by the projected Newton of
+:mod:`wptopt.dual_newton` on the simplex. With one receiver the simplex is
+the point ``lam = [1]``: the step settles at its start, on the rim point
+``q_k = j/2 + exp(j arg c_k)/2`` that maximizes each term alone. The Hessian
 is ``sum_k a_k a_k^T / |d_k|``, where ``a_k`` is the derivative of ``d_k``
 across its own direction; it is singular along ``lam`` itself, so the step
 is taken in the simplex's tangent space (the null space of the row
@@ -71,27 +72,6 @@ class FocusingStep:
     @property
     def gap(self) -> float:
         return self.dual - self.primal
-
-
-def _certified(primal: float, dual: float) -> bool:
-    return dual - primal <= GAP_TOL * (1.0 + abs(primal))
-
-
-def _single(lin: LinearizedVoltage) -> FocusingStep:
-    """One receiver: maximize ``v0 + 2*Re{c^H (q - q0)}`` over the disks.
-    Each term is largest on its disk's rim in the direction of its
-    coefficient, ``q_k = j/2 + c_k/(2|c_k|)``; an element with ``c_k = 0``
-    keeps its expansion weight."""
-    c, q0 = lin.coeffs, lin.expansion_point
-    live = c != 0
-    q = q0.copy()
-    # exp(j*arg c) is a unit phasor also where c/|c| would round off it
-    q[live] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.angle(c[live]))
-    bound = float(lin.base_value + 2.0 * (np.real(np.vdot(c, LORENTZIAN_CENTER - q0))
-                                          + LORENTZIAN_RADIUS * float(np.sum(np.abs(c)))))
-    primal = lin.predict(q)
-    reason = ExitReason.TOLERANCE if _certified(primal, bound) else ExitReason.SHORT_STEP
-    return FocusingStep(q, np.ones(1), primal, bound, 0.0, 0, reason)
 
 
 @dataclass(slots=True)
@@ -270,7 +250,7 @@ def _finish(lins: list[LinearizedVoltage], q: np.ndarray, lam: np.ndarray, dual:
     v = np.array([lin.base_value + float(2.0 * np.vdot(lin.coeffs, q - lin.expansion_point).real)
                   for lin in lins])   # each lin.predict(q)
     primal = float(v.min())
-    if _certified(primal, dual):
+    if dual - primal <= GAP_TOL * (1.0 + abs(primal)):
         reason = ExitReason.TOLERANCE
     elif reason is ExitReason.TOLERANCE:
         reason = ExitReason.SHORT_STEP
@@ -307,9 +287,9 @@ def focusing_step(lins: list[LinearizedVoltage],
                                   and 0.0 < lam.sum() < np.inf):
         raise ValueError("the warm start must be one finite, non-negative price per receiver, "
                          "not all 0")
-    if m_count == 1:
-        return _single(lins[0])
-    if (dead := np.array([not lin.coeffs.any() for lin in lins])).any():
+    # a lone receiver is not capped, which would recur on it: with no live
+    # element its dual settles at q0
+    if m_count > 1 and (dead := np.array([not lin.coeffs.any() for lin in lins])).any():
         return _capped(lins, dead, None if start is None else lam)
     dual = _Dual(lins)
     pt = dual.at(lam / lam.sum())

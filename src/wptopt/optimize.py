@@ -14,9 +14,14 @@ certifies its point with a primal-dual gap (Boyd & Vandenberghe, *Convex
 Optimization*, ch. 5): every waveform restriction through its
 M-dimensional dual by :func:`waveform_step.dual_step`, and every focusing
 restriction through its dual on the simplex of receiver prices by
-:func:`focusing_step.focusing_step`, which is closed form for one receiver.
-No design calls the interior-point method of :mod:`wptopt.socp`; it remains
-the reference the tests check both steps against.
+:func:`focusing_step.focusing_step`. No design calls the interior-point
+method of :mod:`wptopt.socp`; it remains the reference the tests check both
+steps against.
+
+Each stage builds its inputs once per transmitter state: the focusing stage
+its element rows, the waveform stage its chain rows, chain scales and
+voltage targets. The waveform stage returns the design it ends on, sharing
+those rows, so a pass's candidate design builds none of its own.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .channel import ChannelTensor, build_channel
 from .dual_newton import ExitReason
 from .focusing_step import FocusingStep, focusing_step
 from .linearize import linearize_vo_in_q, linearize_vo_in_w
-from .power import Design
+from .power import Design, chain_norm_scales
 from .scenario import Architecture, ScenarioConfig
-from .transmitter import DmaState, Waveform, effective_rows
+from .transmitter import DmaState, Waveform, element_rows
 from .waveform_step import WaveformStep, dual_step, waveform_restriction
 
 _AMP_CAP = 1e6
@@ -253,23 +258,26 @@ def _relative_move(new: float, old: float) -> float:
 # ---------------------------------------------------------------------------
 
 def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
-              dma: DmaState | None, w_init: Waveform) -> tuple[Waveform, StageTrace]:
+              dma: DmaState | None, w_init: Waveform) -> tuple[Design, StageTrace]:
     """Iterate the waveform restriction to convergence of the consumption bound.
 
     Every iterate remains feasible for the exact harvesting constraints; the
     objective is non-increasing because the expansion point itself is feasible
-    for each restriction.
+    for each restriction. Returns the design the stage ends on, which shares
+    the stage's effective rows.
     """
     dev = scenario.device
     settings = scenario.solver
-    eff = effective_rows(channel, scenario.array, dma)
+    start = Design(scenario, w_init, dma, channel)
+    scales = chain_norm_scales(dma, w_init.n_rf, dev.hpa_gain, dev.hpa_saturation_power,
+                               dev.hpa_max_efficiency)
+    targets = scenario.voltage_targets()
     trace = StageTrace()
     w = w_init
     for _ in range(settings.max_sca_iters):
-        lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4,
-                                  dev.hpa_gain)
-                for m in range(scenario.n_receivers)]
-        restriction = waveform_restriction(scenario, dma, lins, w)
+        lins = [linearize_vo_in_w(rows, w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+                for rows in start.rows]
+        restriction = waveform_restriction(lins, w, scales, targets)
         # Far from unit scale the dual overflows; its NaN point fails the
         # violation test below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,7 +296,7 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
         w = Waveform(step.omega)
         if trace.accept(step, settings.sca_rel_tol):
             break
-    return w, trace
+    return start.with_waveform(w), trace
 
 
 def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
@@ -301,14 +309,13 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
     rejected and ends the stage."""
     dev = scenario.device
     settings = scenario.solver
-    eff = effective_rows(channel, scenario.array, q_init, waveform)
+    a_hat = element_rows(channel, q_init, waveform)
     trace = StageTrace()
     dma = q_init
     prices = None
     for _ in range(settings.max_sca_iters):
         q0 = dma.q_flat()
-        lins = [linearize_vo_in_q(eff.a_hat[m], q0, dev.k2, dev.k4, dev.hpa_gain)
-                for m in range(scenario.n_receivers)]
+        lins = [linearize_vo_in_q(rows, q0, dev.k2, dev.k4, dev.hpa_gain) for rows in a_hat]
         step = focusing_step(lins, prices)
         trace.exit_reasons.append(step.exit_reason)
         if step.primal < min(lin.base_value for lin in lins):
@@ -376,10 +383,9 @@ def run_asca_dma(scenario: ScenarioConfig) -> tuple[Waveform, DmaState, RunTrace
         t0 = time.perf_counter()
         dma_new, q_trace = run_sca_q(scenario, channel, design.waveform, design.dma)
         t1 = time.perf_counter()
-        w_new, w_trace = run_sca_w(scenario, channel, dma_new, design.waveform)
+        candidate, w_trace = run_sca_w(scenario, channel, dma_new, design.waveform)
         t2 = time.perf_counter()
         pc = w_trace.final_objective
-        candidate = Design(scenario, w_new, dma_new, channel)
         trace.records.append(_record(outer, candidate, q_trace, w_trace, t1 - t0, t2 - t1))
         if pc >= pc_prev:  # no fall: stop on the previous state
             if pc > pc_prev * (1.0 + settings.sca_rel_tol):
@@ -400,10 +406,9 @@ def run_sca_fd(scenario: ScenarioConfig) -> tuple[Waveform, RunTrace]:
     channel, plan = _start(scenario, Architecture.FULLY_DIGITAL)
     w0 = init_digital_weights(scenario, channel, plan, None)
     t0 = time.perf_counter()
-    w, w_trace = run_sca_w(scenario, channel, None, w0)
+    design, w_trace = run_sca_w(scenario, channel, None, w0)
     t1 = time.perf_counter()
-    design = Design(scenario, w, None, channel)
     trace = RunTrace(records=[_record(0, design, StageTrace(), w_trace, 0.0, t1 - t0)],
                      converged=w_trace.converged)
     trace.final_p_dc = _final_p_dc(design)
-    return w, trace
+    return design.waveform, trace

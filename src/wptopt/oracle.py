@@ -219,8 +219,7 @@ def brute_force_small(scenario: ScenarioConfig, n_samples: int = 100_000,
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
     channel = build_channel(scenario.array, scenario.receivers,
                             scenario.frequency, dev.boresight_gain)
-    eff = effective_rows(channel, scenario.array, None)
-    rows = eff.chain[0]                      # [n_f, n_rf]
+    rows = effective_rows(channel, scenario.array)[0]   # [n_f, n_rf]
     n_rf, n_f = scenario.array.rf_chain_count, scenario.frequency.n_f
     target = scenario.voltage_targets()[0]
     scales = chain_norm_scales(None, n_rf, dev.hpa_gain,

@@ -176,7 +176,7 @@ class Design:
         sc = self.scenario
         channel = self.channel if self.channel is not None else build_channel(
             sc.array, sc.receivers, sc.frequency, sc.device.boresight_gain)
-        return effective_rows(channel, sc.array, self.dma).chain
+        return effective_rows(channel, sc.array, self.dma)
 
     def with_waveform(self, waveform: Waveform) -> "Design":
         """The same state with another waveform. It shares this design's rows,

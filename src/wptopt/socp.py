@@ -46,6 +46,7 @@ import numpy as np
 
 from .dual_newton import ExitReason
 from .linearize import LinearizedVoltage
+from .power import chain_norm_scales
 from .scenario import ScenarioConfig
 from .transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, DmaState,
                           Waveform)
@@ -201,7 +202,11 @@ def assemble_w_subproblem(scenario: ScenarioConfig, dma: DmaState | None,
                           w0: Waveform) -> ConeProgram:
     """The waveform restriction at ``w0`` (posed by
     :func:`waveform_step.waveform_restriction`) as a cone program."""
-    return waveform_cone_program(waveform_restriction(scenario, dma, linearizations, w0))
+    dev = scenario.device
+    scales = chain_norm_scales(dma, w0.n_rf, dev.hpa_gain, dev.hpa_saturation_power,
+                               dev.hpa_max_efficiency)
+    return waveform_cone_program(waveform_restriction(linearizations, w0, scales,
+                                                      scenario.voltage_targets()))
 
 
 def assemble_q_subproblem(linearizations: list[LinearizedVoltage],

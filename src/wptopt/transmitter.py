@@ -132,30 +132,14 @@ def expand_dma_weights(waveform: Waveform, n_h: int) -> np.ndarray:
     return np.repeat(waveform.omega, n_h, axis=0).T.copy()
 
 
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Channel rows with the transmit front end folded in.
-
-    ``chain`` aggregates the element rows ``gamma * q * h`` (the raw rows
-    for FD) over the elements of each RF chain, so the received spectrum is
-    ``s[m, n] = chain[m, n] @ omega[:, n]``. For the DMA,
-    ``a_hat[m, n] = gamma * w_bar * h`` multiplies the element weight vector
-    instead.
-    """
-
-    chain: np.ndarray = field(repr=False)         # [M, n_f, n_rf]
-    a_hat: np.ndarray | None = field(default=None, repr=False)  # [M, n_f, N]
-
-
 def effective_rows(channel: ChannelTensor, array: ArraySpec,
-                   dma: DmaState | None = None,
-                   waveform: Waveform | None = None) -> EffectiveChannel:
-    """Build the per-receiver effective rows for the current transmitter state.
+                   dma: DmaState | None = None) -> np.ndarray:
+    """The chain rows [M, n_f, n_rf] of the current transmitter state: the
+    received spectrum is ``s[m, n] = rows[m, n] @ omega[:, n]``.
 
-    Fully digital: each element is its own chain and ``chain`` is the raw
-    coefficient row. DMA: ``chain`` sums ``gamma*q*h`` per microstrip, and
-    when a waveform is supplied ``a_hat = gamma*w_bar*h`` is also produced
-    for the beam-focusing stage.
+    Fully digital: each element is its own chain and its row is the raw
+    coefficient row. DMA: the element rows ``gamma * q * h`` are summed over
+    the elements of each microstrip.
     """
     n_v, n_h = array.n_v, array.n_h
     m_count, n, n_f = channel.shape
@@ -165,17 +149,22 @@ def effective_rows(channel: ChannelTensor, array: ArraySpec,
     if array.architecture is Architecture.FULLY_DIGITAL:
         if dma is not None:
             raise ValueError("fully-digital array takes no DMA state")
-        return EffectiveChannel(chain=gamma_rows.copy())
+        return gamma_rows.copy()
     if dma is None:
         raise ValueError("DMA architecture requires a DmaState")
     if dma.q.shape != (n_v, n_h):
         raise ValueError("DMA state shape does not match the array")
     qh = (dma.q * dma.h).reshape(-1)
-    chain = (gamma_rows * qh[None, None, :]).reshape(m_count, n_f, n_v, n_h).sum(axis=3)
-    a_hat = None
-    if waveform is not None:
-        if waveform.n_rf != n_v:
-            raise ValueError("waveform chain count does not match the array")
-        wbar = expand_dma_weights(waveform, n_h)  # [n_f, N]
-        a_hat = gamma_rows * wbar[None, :, :] * dma.h.reshape(-1)[None, None, :]
-    return EffectiveChannel(chain=chain, a_hat=a_hat)
+    return (gamma_rows * qh[None, None, :]).reshape(m_count, n_f, n_v, n_h).sum(axis=3)
+
+
+def element_rows(channel: ChannelTensor, dma: DmaState, waveform: Waveform) -> np.ndarray:
+    """The focusing stage's rows ``a_hat = gamma * w_bar * h`` [M, n_f, N],
+    which multiply the element weight vector: ``s[m, n] = a_hat[m, n] @ q``."""
+    n_v, n_h = dma.q.shape
+    if channel.shape[1] != n_v * n_h:
+        raise ValueError("channel tensor does not match the DMA state")
+    if waveform.n_rf != n_v:
+        raise ValueError("waveform chain count does not match the array")
+    wbar = expand_dma_weights(waveform, n_h)  # [n_f, N]
+    return channel.gamma.transpose(0, 2, 1) * wbar[None, :, :] * dma.h.reshape(-1)[None, None, :]

@@ -43,9 +43,7 @@ import numpy as np
 from . import dual_newton
 from .dual_newton import FLAT, GAP_STOP, GAP_TOL, MAX_NEWTON, ExitReason
 from .linearize import LinearizedVoltage
-from .power import chain_norm_scales
-from .scenario import ScenarioConfig
-from .transmitter import DmaState, Waveform
+from .transmitter import Waveform
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +72,21 @@ class WaveformRestriction:
         return float(np.max(self.rhs - self.row_values(x), initial=0.0))
 
 
-def waveform_restriction(scenario: ScenarioConfig, dma: DmaState | None,
-                         linearizations: list[LinearizedVoltage],
-                         w0: Waveform) -> WaveformRestriction:
+def waveform_restriction(linearizations: list[LinearizedVoltage], w0: Waveform,
+                         scales: np.ndarray, targets: np.ndarray) -> WaveformRestriction:
     """Minimum-consumption restriction at the expansion point ``w0``.
 
     The variables are the per-chain tone weights (DMA replication is
     eliminated by working in the chain variables). The objective is the
-    consumption bound: per chain ``scale_i ||w_i||`` (``chain_norm_scales``)
-    plus the squared norm, whose sum is the input power. Each receiver
-    contributes one row: its linearized output voltage must reach
-    ``sqrt(R_L * Pbar_m)``. Targets carry a 1e-7 relative margin so that a
-    solver's slack can never leave the exact non-linear constraint violated.
+    consumption bound: per chain ``scales[i] ||w_i||``
+    (``power.chain_norm_scales``) plus the squared norm, whose sum is the
+    input power. Each receiver contributes one row: its linearized output
+    voltage must reach its voltage target ``sqrt(R_L * Pbar_m)``. Targets
+    carry a 1e-7 relative margin so that a solver's slack can never leave
+    the exact non-linear constraint violated.
     """
-    dev = scenario.device
     n_rf, n_f = w0.omega.shape
     m_count = len(linearizations)
-    scales = chain_norm_scales(dma, n_rf, dev.hpa_gain,
-                               dev.hpa_saturation_power, dev.hpa_max_efficiency)
     if any(lin.coeffs.size != n_rf * n_f for lin in linearizations):
         raise ValueError("linearization size does not match the waveform")
     # the voltage of 2*Re{c^H w} reads c as [n_f, n_rf]; rows are chain-major
@@ -99,7 +94,7 @@ def waveform_restriction(scenario: ScenarioConfig, dma: DmaState | None,
                        for lin in linearizations])
     rows = 2.0 * np.stack([coeffs.real, coeffs.imag], axis=-1).reshape(m_count, n_rf, -1)
     base = np.array([lin.base_value for lin in linearizations])
-    targets = scenario.voltage_targets() * (1.0 + 1e-7)
+    targets = targets * (1.0 + 1e-7)
     # target <= base + g.(w - w0)   ->   g.w >= target - (base - g.w0)
     w0_flat = np.stack([w0.omega.real, w0.omega.imag], axis=-1).reshape(-1)
     at_w0 = rows.reshape(m_count, -1) @ w0_flat

@@ -17,14 +17,14 @@ from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_w
 from wptopt.optimize import run_asca_dma, run_sca_fd, run_sca_q
 from wptopt.oracle import (PlaneSpec, closed_form_single, field_map)
-from wptopt.power import hpa_bound_objective, sampled_consumption
+from wptopt.power import chain_norm_scales, hpa_bound_objective, sampled_consumption
 from wptopt.rectenna import (harvested_voltage, moment2_from_spectrum,
                              moment4_from_spectrum, tone_amplitudes)
 from wptopt.scenario import (Architecture, ArraySpec, FrequencyPlan,
                              ReceiverSpec)
 from wptopt.socp import SolveStatus, solve
 from wptopt.waveform_step import ExitReason, dual_step, waveform_restriction
-from wptopt.transmitter import (DmaState, Waveform, effective_rows,
+from wptopt.transmitter import (DmaState, Waveform, effective_rows, element_rows,
                                 lorentzian_weight)
 from wptopt.oracle import check_gradient_q, check_gradient_w
 from wptopt.channel import field_boundaries
@@ -198,11 +198,11 @@ def test_criterion_4_solver_correctness():
                                   cfg_stage.array.inter_element_dx,
                                   cfg_stage.microstrip)
     dma, q_trace = run_sca_q(cfg_stage, channel, wf, q_init)
-    eff = effective_rows(channel, cfg_stage.array, q_init, wf)
-    vals = np.array([harvested_voltage(eff.a_hat[0], np.array([q]),
+    a_hat = element_rows(channel, q_init, wf)
+    vals = np.array([harvested_voltage(a_hat[0], np.array([q]),
                                        dev.hpa_gain, dev.k2, dev.k4)
                      for q in ring])
-    v_found = harvested_voltage(eff.a_hat[0], dma.q_flat(), dev.hpa_gain,
+    v_found = harvested_voltage(a_hat[0], dma.q_flat(), dev.hpa_gain,
                                 dev.k2, dev.k4)
     stage_rel = abs(v_found - float(np.max(vals))) / float(np.max(vals))
     worst_gap = max(worst_gap, max(step.gap / (1 + abs(step.primal))
@@ -213,12 +213,15 @@ def test_criterion_4_solver_correctness():
     one_d_err = 0.0
     fd_cfg = single_element_fd()
     ch1 = build_channel(fd_cfg.array, fd_cfg.receivers, fd_cfg.frequency, 0.0)
-    eff1 = effective_rows(ch1, fd_cfg.array)
+    rows1 = effective_rows(ch1, fd_cfg.array)
+    fd_dev = fd_cfg.device
+    fd_scales = chain_norm_scales(None, fd_cfg.array.rf_chain_count, fd_dev.hpa_gain, fd_dev.hpa_saturation_power,
+                                  fd_dev.hpa_max_efficiency)
     for _ in range(20):
         w0 = Waveform(np.array([[rng.normal() + 1j * rng.normal()]]))
-        lin = linearize_vo_in_w(eff1.chain[0], w0.omega.T, fd_cfg.device.k2,
+        lin = linearize_vo_in_w(rows1[0], w0.omega.T, fd_cfg.device.k2,
                                 fd_cfg.device.k4, fd_cfg.device.hpa_gain)
-        res = waveform_restriction(fd_cfg, None, [lin], w0)
+        res = waveform_restriction([lin], w0, fd_scales, fd_cfg.voltage_targets())
         step = dual_step(res)
         if step.exit_reason is not ExitReason.TOLERANCE:
             one_d_err = math.inf
@@ -302,12 +305,11 @@ def test_criterion_5_end_to_end_feasibility(dma_suite):
         # centered by the interior-point solver (any feasible value is optimal)
         channel = build_channel(cfg.array, cfg.receivers, cfg.frequency,
                                 cfg.device.boresight_gain)
-        eff = effective_rows(channel, cfg.array, run["dma"], run["waveform"])
         coeff = np.max(np.abs(np.stack([
-            linearize_vo_in_q(eff.a_hat[m], run["dma"].q_flat(),
+            linearize_vo_in_q(rows, run["dma"].q_flat(),
                               cfg.device.k2, cfg.device.k4,
                               cfg.device.hpa_gain).coeffs
-            for m in range(cfg.n_receivers)])), axis=0)
+            for rows in element_rows(channel, run["dma"], run["waveform"])])), axis=0)
         active = coeff > 0.01 * np.max(coeff)
         active_medians.append(float(np.median(dist[active])))
     ok = (worst_margin >= 0.999 and worst_increase <= UPSILON
@@ -326,13 +328,13 @@ def _random_feasible_objective(cfg, channel, rng):
     dev = cfg.device
     phi = rng.uniform(0, 2 * np.pi, size=(array.n_v, array.n_h))
     dma = DmaState.from_phases(phi, array.inter_element_dx, cfg.microstrip)
-    eff = effective_rows(channel, array, dma)
+    rows = effective_rows(channel, array, dma)
     shape = np.exp(rng.normal(scale=0.5, size=(array.n_v, cfg.frequency.n_f)))
     phase = rng.uniform(0, 2 * np.pi, size=shape.shape)
     omega = cfg.solver.init_seed_amplitude * shape * np.exp(1j * phase)
     targets = cfg.voltage_targets()
     for _ in range(40):
-        v = np.array([harvested_voltage(eff.chain[m], omega.T, dev.hpa_gain,
+        v = np.array([harvested_voltage(rows[m], omega.T, dev.hpa_gain,
                                         dev.k2, dev.k4)
                       for m in range(cfg.n_receivers)])
         if np.all(v >= targets):

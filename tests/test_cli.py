@@ -922,6 +922,60 @@ def test_artifact_round_trip(artifact_dir):
     assert np.all(np.abs(a.dma_q - 0.5j) <= 0.5 + 1e-9)
 
 
+@pytest.mark.parametrize("option, value", [("--values", "abc"), ("--values", "nan0"),
+                                           ("--jobs", "0"), ("--jobs", "-2"),
+                                           ("--jobs", "1.5")])
+def test_sweep_rejects_bad_input_with_a_usage_line(scenario_file, tmp_path, capsys,
+                                                   option, value):
+    """A value that is not a number, or fewer than one worker, is a usage
+    error: exit 2 with argparse's usage and one error line, no traceback."""
+    argv = {"--values": "0.10", "--jobs": "1", option: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(scenario_file), "--axis", "L", "--out", str(tmp_path),
+              *[word for item in argv.items() for word in item]])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wptopt sweep") and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"wptopt sweep: error: argument {option}: ")
+    assert not (tmp_path / "sweep_L.csv").exists()
+
+
+@pytest.mark.parametrize("jobs, points, workers", [(8, 2, 2), (2, 3, 2), (4, 1, None)])
+def test_sweep_starts_no_more_workers_than_points(scenario_file, tmp_path, monkeypatch,
+                                                  jobs, points, workers):
+    """The pool may start all its workers at once, so it is asked for at most
+    one per point, and a single point runs in-process. The pool here runs
+    its map in this process, so no process is started."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def point(payload):
+        return {"value": payload[2], "status": "ok", "p_c_bound": 1.0,
+                "p_c_sampled": 1.0, "outer_iters": 1}
+
+    monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli_module, "_sweep_point", point)
+    values = [f"{0.10 + 0.01 * k:.2f}" for k in range(points)]
+    assert main(["sweep", str(scenario_file), "--axis", "L", "--values", *values,
+                 "--jobs", str(jobs), "--out", str(tmp_path)]) == EXIT_OK
+    assert started == ([] if workers is None else [workers])
+    with open(tmp_path / "sweep_L.csv", newline="") as fh:
+        assert [row["value"] for row in csv.DictReader(fh)] == \
+            [str(float(v)) for v in values]
+
+
 def test_sweep_parallel_jobs_match_serial(scenario_file, tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

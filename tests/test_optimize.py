@@ -9,7 +9,7 @@ import pytest
 
 from wptopt import dual_newton
 from wptopt import optimize as optimize_module
-from wptopt import socp
+from wptopt import socp, transmitter
 from wptopt.channel import ChannelTensor, build_channel
 from wptopt.cli import write_csv
 from wptopt.optimize import (OuterRecord, UnmeetableRequirementError,
@@ -20,12 +20,13 @@ from wptopt.oracle import closed_form_single
 from wptopt.power import Design
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import Architecture, load_scenario
-from wptopt.transmitter import (DmaState, Waveform, effective_rows,
-                                lorentzian_weight)
+from wptopt.transmitter import DmaState, Waveform, element_rows, lorentzian_weight
 from wptopt.waveform_step import ExitReason
 
 from conftest import (THREE_RECEIVERS, far_from_unit_scale, make_scenario,
                       single_element_fd)
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample_scenario.cfg"
 
 
 def _fake_channel(norms_by_receiver_tone, n_v=4, n_h=1):
@@ -108,7 +109,7 @@ def test_init_pins_sample_scenario():
     q = 0, the rest lie on the Lorentzian circle with the product phase
     aligned, and the ramp stops at the same amplitude as the search-based
     initialization did (0.025 = 1e-3 * 5**2)."""
-    cfg = load_scenario(Path(__file__).resolve().parent.parent / "sample_scenario.cfg")
+    cfg = load_scenario(SAMPLE)
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency,
                             cfg.device.boresight_gain)
     plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
@@ -122,25 +123,61 @@ def test_init_pins_sample_scenario():
     assert plan.w_amp.tolist() == [0.025]
 
 
+def count_row_builds(monkeypatch) -> dict[str, int]:
+    """Calls of ``effective_rows`` and ``element_rows``, counted through
+    every name in ``wptopt`` that refers to them, from now on."""
+    calls = {}
+    for fn in (transmitter.effective_rows, transmitter.element_rows):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wptopt") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
 @pytest.mark.parametrize("arch", ["dma", "fd"])
 def test_init_digital_weights_builds_its_rows_once(arch, monkeypatch):
     """The ramp tries amplitudes on one transmitter state, so the start
     builds its effective rows once however many trials it makes."""
-    from wptopt import power
     cfg = make_scenario(arch, length=0.10, n_f=8, receivers=THREE_RECEIVERS)
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
     plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg) if arch == "dma" else None
-    builds, trials = [], []
-
-    def counted(fn, calls):
-        return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
-    for module in (optimize_module, power):  # every name the rows are built through
-        monkeypatch.setattr(module, "effective_rows", counted(effective_rows, builds))
-    monkeypatch.setattr(Design, "voltages", counted(Design.voltages, trials))
+    trials = []
+    builds = count_row_builds(monkeypatch)
+    real_voltages = Design.voltages
+    monkeypatch.setattr(Design, "voltages",
+                        lambda design: trials.append(1) or real_voltages(design))
     init_digital_weights(cfg, channel, plan, dma)
     assert len(trials) > 3
-    assert len(builds) == 1
+    assert builds == {"effective_rows": 1, "element_rows": 0}
+
+
+@pytest.mark.parametrize("name, passes, builds", [
+    ("sample", 16, (17, 16)), ("multiuser_dma", 3, (4, 3)), ("multiuser_fd", 1, (2, 0))])
+def test_a_design_builds_its_rows_once_per_transmitter_state(name, passes, builds,
+                                                             monkeypatch):
+    """Chain rows are built for the start and once per waveform stage, whose
+    design each pass ends on; the focusing stage builds its element rows
+    once. An FD design's final state is its waveform stage's."""
+    cfg = {"sample": lambda: load_scenario(SAMPLE),
+           "multiuser_dma": lambda: make_scenario("dma", 0.10, 8, THREE_RECEIVERS),
+           "multiuser_fd": lambda: make_scenario("fd", 0.10, 8, THREE_RECEIVERS)}[name]()
+    calls = count_row_builds(monkeypatch)
+    stages = []
+    real_stage = optimize_module.run_sca_w
+    monkeypatch.setattr(optimize_module, "run_sca_w",
+                        lambda *args: stages.append(1) or real_stage(*args))
+    if cfg.array.architecture is Architecture.DMA:
+        run_asca_dma(cfg)
+    else:
+        run_sca_fd(cfg)
+    assert len(stages) == passes
+    assert (calls["effective_rows"], calls["element_rows"]) == builds
 
 
 def test_init_q_phases_rejects_fd(tiny_fd):
@@ -187,12 +224,14 @@ def test_run_sca_w_monotone_and_feasible(tiny_dma):
     plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg)
     w0 = init_digital_weights(cfg, channel, plan, dma)
-    w, trace = run_sca_w(cfg, channel, dma, w0)
+    design, trace = run_sca_w(cfg, channel, dma, w0)
     objs = np.array(trace.objectives)
     assert len(objs) >= 1
     assert np.all(np.diff(objs) <= 1e-6 * np.maximum(objs[:-1], 1.0))
-    v = Design(cfg, w, dma, channel).voltages()[0]
-    assert v >= cfg.voltage_targets()[0] - 1e-9
+    assert design.dma is dma
+    v = design.voltages()
+    assert np.array_equal(v, Design(cfg, design.waveform, dma, channel).voltages())
+    assert v[0] >= cfg.voltage_targets()[0] - 1e-9
 
 
 def test_run_sca_w_fixed_point_terminates_quickly(tiny_dma):
@@ -202,8 +241,8 @@ def test_run_sca_w_fixed_point_terminates_quickly(tiny_dma):
     plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg)
     w0 = init_digital_weights(cfg, channel, plan, dma)
-    w1, _ = run_sca_w(cfg, channel, dma, w0)
-    w2, trace = run_sca_w(cfg, channel, dma, w1)
+    design, _ = run_sca_w(cfg, channel, dma, w0)
+    _, trace = run_sca_w(cfg, channel, dma, design.waveform)
     assert trace.iterations <= 2
     assert trace.final_objective == pytest.approx(
         np.abs(trace.objectives[0]), rel=1e-5)
@@ -236,13 +275,13 @@ def test_run_sca_q_single_element_matches_grid():
                                   cfg.microstrip)
     dma, trace = run_sca_q(cfg, channel, wf, q_init)
     dev = cfg.device
-    eff = effective_rows(channel, cfg.array, q_init, wf)
+    a_hat = element_rows(channel, q_init, wf)
     phis = np.arange(0.0, 2 * np.pi, 1e-4)
     ring = lorentzian_weight(phis)
-    vals = [harvested_voltage(eff.a_hat[0], np.array([q]), dev.hpa_gain,
+    vals = [harvested_voltage(a_hat[0], np.array([q]), dev.hpa_gain,
                               dev.k2, dev.k4) for q in ring]
     v_best = np.max(vals)
-    v_found = harvested_voltage(eff.a_hat[0], dma.q_flat(), dev.hpa_gain,
+    v_found = harvested_voltage(a_hat[0], dma.q_flat(), dev.hpa_gain,
                                 dev.k2, dev.k4)
     assert v_found == pytest.approx(v_best, rel=1e-4)
     # optimum sits at the maximum-amplitude weight q = j for this geometry
@@ -257,11 +296,11 @@ def test_run_sca_q_improves_min_voltage(tiny_dma, rng):
     phi = rng.uniform(0, 2 * np.pi, size=(cfg.array.n_v, cfg.array.n_h))
     q0 = DmaState.from_phases(phi, cfg.array.inter_element_dx, cfg.microstrip)
     dev = cfg.device
-    eff = effective_rows(channel, cfg.array, q0, wf)
-    v_before = harvested_voltage(eff.a_hat[0], q0.q_flat(), dev.hpa_gain,
+    a_hat = element_rows(channel, q0, wf)
+    v_before = harvested_voltage(a_hat[0], q0.q_flat(), dev.hpa_gain,
                                  dev.k2, dev.k4)
     dma, trace = run_sca_q(cfg, channel, wf, q0)
-    v_after = harvested_voltage(eff.a_hat[0], dma.q_flat(), dev.hpa_gain,
+    v_after = harvested_voltage(a_hat[0], dma.q_flat(), dev.hpa_gain,
                                 dev.k2, dev.k4)
     assert v_after >= v_before - 1e-12
     assert np.all(np.abs(dma.q - 0.5j) <= 0.5 + 1e-9)
@@ -358,15 +397,16 @@ def test_waveform_stage_ends_on_its_last_finite_iterate(tiny_fd, monkeypatch):
         return far_from_unit_scale(posed[-1]) if len(posed) > 1 else posed[-1]
 
     monkeypatch.setattr(optimize_module, "waveform_restriction", far_after_first)
-    w, trace = run_sca_w(tiny_fd, channel, None, w0)
+    design, trace = run_sca_w(tiny_fd, channel, None, w0)
     assert len(posed) == len(trace.exit_reasons) == 2
     assert trace.iterations == 1 and not trace.converged
-    assert np.array_equal(w.omega, trace.steps[0].omega)
+    assert np.array_equal(design.waveform.omega, trace.steps[0].omega)
 
 
 def test_single_receiver_focusing_takes_closed_form_steps(tiny_dma, monkeypatch):
-    """One receiver: every focusing step is the closed form on the one-point
-    simplex, which exits on TOLERANCE with 0 iterations and KKT residual 0."""
+    """One receiver: every focusing step settles at the start of the
+    one-point simplex, its closed form, and exits on TOLERANCE with 0
+    iterations and KKT residual 0."""
     cfg = tiny_dma.with_solver(max_sca_iters=6)
     channel, dma0, w0 = _initial_state(cfg)
     real_focusing = optimize_module.focusing_step

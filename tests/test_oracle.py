@@ -27,7 +27,7 @@ def _synthetic_scenario(n_f, ratio=6):
 def _rows(cfg):
     """Receiver 0's effective rows, [n_f, n_rf], of a fully-digital ``cfg``."""
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
-    return effective_rows(channel, cfg.array).chain[0]
+    return effective_rows(channel, cfg.array)[0]
 
 
 def _received(cfg, wf):
@@ -210,7 +210,7 @@ def _reference_map(cfg, wf, dma, fmap):
     arr, dev = cfg.array, cfg.device
     cells = np.array([[x, fmap.plane.y_offset, z] for z in fmap.zs for x in fmap.xs])
     ch = build_channel(arr, cells, cfg.frequency, dev.boresight_gain)
-    s = np.einsum("mnc,cn->mn", effective_rows(ch, arr, dma).chain, wf.omega)
+    s = np.einsum("mnc,cn->mn", effective_rows(ch, arr, dma), wf.omega)
     p_rf = dev.hpa_gain ** 2 / 2.0 * np.sum(np.abs(s) ** 2, axis=1)
     loss = np.mean(ch.gain[:, :, 0] ** 2, axis=1)
     return (p_rf / loss).reshape(len(fmap.zs), len(fmap.xs))

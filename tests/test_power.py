@@ -428,7 +428,7 @@ def test_design_matches_its_building_blocks(name, request, rng):
     wf = Waveform(rng.normal(size=(arr.rf_chain_count, cfg.frequency.n_f))
                   + 1j * rng.normal(size=(arr.rf_chain_count, cfg.frequency.n_f)))
     channel = build_channel(arr, cfg.receivers, cfg.frequency, dev.boresight_gain)
-    chain = effective_rows(channel, arr, dma).chain
+    chain = effective_rows(channel, arr, dma)
     v = np.array([harvested_voltage(chain[m], wf.omega.T, dev.hpa_gain, dev.k2, dev.k4)
                   for m in range(cfg.n_receivers)])
     for design in (Design(cfg, wf, dma), Design(cfg, wf, dma, channel)):

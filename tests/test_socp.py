@@ -177,15 +177,15 @@ def _one_dim_setup():
     """Single-receiver, single-element, single-tone waveform subproblem."""
     cfg = make_scenario("fd", length=0.029, n_f=1, receivers=((0.0, 0.0, 1.0),))
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
-    eff = effective_rows(channel, cfg.array)
-    return cfg, eff
+    rows = effective_rows(channel, cfg.array)
+    return cfg, rows
 
 
 def test_w_subproblem_one_dimensional_analytic():
-    cfg, eff = _one_dim_setup()
+    cfg, rows = _one_dim_setup()
     dev = cfg.device
     w0 = Waveform(np.array([[0.5 + 0.1j]]))
-    lin = linearize_vo_in_w(eff.chain[0], w0.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+    lin = linearize_vo_in_w(rows[0], w0.omega.T, dev.k2, dev.k4, dev.hpa_gain)
     prog = assemble_w_subproblem(cfg, None, [lin], w0)
     sol = solve(prog, tol=1e-10)
     assert sol.status is SolveStatus.OPTIMAL
@@ -203,20 +203,20 @@ def test_w_subproblem_expansion_point_feasible(rng):
     linearized restriction with nonnegative slack."""
     cfg = make_scenario("fd", length=0.10, n_f=2)
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
-    eff = effective_rows(channel, cfg.array)
+    rows = effective_rows(channel, cfg.array)
     dev = cfg.device
     target = cfg.voltage_targets()[0]
     for _ in range(5):
         omega = 0.05 * (rng.normal(size=(cfg.array.rf_chain_count, 2))
                         + 1j * rng.normal(size=(cfg.array.rf_chain_count, 2)))
-        v = harvested_voltage(eff.chain[0], omega.T, dev.hpa_gain, dev.k2, dev.k4)
+        v = harvested_voltage(rows[0], omega.T, dev.hpa_gain, dev.k2, dev.k4)
         scale = 1.0
         while v < target:  # grow until truly feasible
             scale *= 2.0
-            v = harvested_voltage(eff.chain[0], scale * omega.T, dev.hpa_gain,
+            v = harvested_voltage(rows[0], scale * omega.T, dev.hpa_gain,
                                   dev.k2, dev.k4)
         w0 = Waveform(scale * omega)
-        lin = linearize_vo_in_w(eff.chain[0], w0.omega.T, dev.k2, dev.k4,
+        lin = linearize_vo_in_w(rows[0], w0.omega.T, dev.k2, dev.k4,
                                 dev.hpa_gain)
         prog = assemble_w_subproblem(cfg, None, [lin], w0)
         x0 = stack_complex(w0.omega)
@@ -229,11 +229,11 @@ def test_w_subproblem_row_matches_linearization_action(rng):
     linearization's action for multi-chain multi-tone instances."""
     cfg = make_scenario("fd", length=0.10, n_f=2)
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, 0.0)
-    eff = effective_rows(channel, cfg.array)
+    rows = effective_rows(channel, cfg.array)
     dev = cfg.device
     n_rf, n_f = cfg.array.rf_chain_count, 2
     w0 = Waveform(rng.normal(size=(n_rf, n_f)) + 1j * rng.normal(size=(n_rf, n_f)))
-    lin = linearize_vo_in_w(eff.chain[0], w0.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+    lin = linearize_vo_in_w(rows[0], w0.omega.T, dev.k2, dev.k4, dev.hpa_gain)
     prog = assemble_w_subproblem(cfg, None, [lin], w0)
     delta = rng.normal(size=(n_rf, n_f)) + 1j * rng.normal(size=(n_rf, n_f))
     row = -prog.ineq_lhs[0]
@@ -243,10 +243,10 @@ def test_w_subproblem_row_matches_linearization_action(rng):
 
 
 def test_w_subproblem_infeasible_when_unreachable():
-    cfg, eff = _one_dim_setup()
+    cfg, rows = _one_dim_setup()
     dev = cfg.device
     w0 = Waveform.zeros(1, 1)  # zero point: gradient vanishes, base 0 < target
-    lin = linearize_vo_in_w(eff.chain[0], w0.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+    lin = linearize_vo_in_w(rows[0], w0.omega.T, dev.k2, dev.k4, dev.hpa_gain)
     prog = assemble_w_subproblem(cfg, None, [lin], w0)
     sol = solve(prog, tol=1e-9)
     assert sol.status is SolveStatus.INFEASIBLE

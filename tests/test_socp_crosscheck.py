@@ -15,7 +15,7 @@ from wptopt.rectenna import harvested_voltage
 from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
                          assemble_q_subproblem, assemble_w_subproblem, solve,
                          stack_complex)
-from wptopt.transmitter import DmaState, Waveform, effective_rows
+from wptopt.transmitter import DmaState, Waveform, effective_rows, element_rows
 
 from conftest import make_scenario
 
@@ -87,18 +87,18 @@ def test_waveform_restrictions_match_external_solver(rng):
     for trial in range(6):
         phi = rng.uniform(0, 2 * np.pi, size=(cfg.array.n_v, cfg.array.n_h))
         dma = DmaState.from_phases(phi, cfg.array.inter_element_dx, cfg.microstrip)
-        eff = effective_rows(channel, cfg.array, dma)
+        rows = effective_rows(channel, cfg.array, dma)
         omega = 0.02 * (rng.normal(size=(cfg.array.n_v, 2))
                         + 1j * rng.normal(size=(cfg.array.n_v, 2)))
         targets = cfg.voltage_targets()
         for _ in range(60):  # grow to exact feasibility
-            v = np.array([harvested_voltage(eff.chain[m], omega.T, dev.hpa_gain,
+            v = np.array([harvested_voltage(rows[m], omega.T, dev.hpa_gain,
                                             dev.k2, dev.k4) for m in range(2)])
             if np.all(v >= targets):
                 break
             omega *= 2.0
         w0 = Waveform(omega)
-        lins = [linearize_vo_in_w(eff.chain[m], w0.omega.T, dev.k2, dev.k4,
+        lins = [linearize_vo_in_w(rows[m], w0.omega.T, dev.k2, dev.k4,
                                   dev.hpa_gain) for m in range(2)]
         prog = assemble_w_subproblem(cfg, dma, lins, w0)
         mine = solve(prog, tol=1e-9)
@@ -118,9 +118,8 @@ def test_focusing_restrictions_match_external_solver(rng):
         dma = DmaState.from_phases(phi, cfg.array.inter_element_dx, cfg.microstrip)
         wf = Waveform(0.2 * (rng.normal(size=(cfg.array.n_v, 2))
                              + 1j * rng.normal(size=(cfg.array.n_v, 2))))
-        eff = effective_rows(channel, cfg.array, dma, wf)
         q0 = dma.q_flat()
-        lins = [linearize_vo_in_q(eff.a_hat[0], q0, dev.k2, dev.k4, dev.hpa_gain)]
+        lins = [linearize_vo_in_q(element_rows(channel, dma, wf)[0], q0, dev.k2, dev.k4, dev.hpa_gain)]
         prog = assemble_q_subproblem(lins, q0)
         mine = solve(prog, tol=1e-9)
         status, value = _cvxpy_solve(prog)

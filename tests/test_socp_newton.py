@@ -22,7 +22,8 @@ from wptopt.socp import (ConeProgram, Disk, NormGroup, QuadGroup, SolveStatus,
                          _BlockPlan, _ConeLayout, _lower, _NewtonSystem,
                          _NTScaling, assemble_q_subproblem, assemble_w_subproblem, solve,
                          unstack_complex)
-from wptopt.transmitter import LORENTZIAN_CENTER, LORENTZIAN_RADIUS, effective_rows
+from wptopt.transmitter import (LORENTZIAN_CENTER, LORENTZIAN_RADIUS, effective_rows,
+                                element_rows)
 
 SAMPLE = Path(__file__).resolve().parents[1] / "sample_scenario.cfg"
 
@@ -251,15 +252,14 @@ def production_programs(arch):
     plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg) if arch == "dma" else None
     w = init_digital_weights(cfg, channel, plan, dma)
-    eff = effective_rows(channel, cfg.array, dma, w)
-    w_lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
-              for m in range(cfg.n_receivers)]
+    w_lins = [linearize_vo_in_w(rows, w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+              for rows in effective_rows(channel, cfg.array, dma)]
     w_prog = assemble_w_subproblem(cfg, dma, w_lins, w)
     if dma is None:
         return w_prog, None
     q0 = dma.q_flat()
-    q_lins = [linearize_vo_in_q(eff.a_hat[m], q0, dev.k2, dev.k4, dev.hpa_gain)
-              for m in range(cfg.n_receivers)]
+    q_lins = [linearize_vo_in_q(rows, q0, dev.k2, dev.k4, dev.hpa_gain)
+              for rows in element_rows(channel, dma, w)]
     return w_prog, assemble_q_subproblem(q_lins, q0)
 
 
@@ -303,9 +303,8 @@ def test_focusing_matches_closed_form_on_sample_scenario():
     plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg)
     w = init_digital_weights(cfg, channel, plan, dma)
-    eff = effective_rows(channel, cfg.array, dma, w)
     q0 = dma.q_flat()
-    lin = linearize_vo_in_q(eff.a_hat[0], q0, dev.k2, dev.k4, dev.hpa_gain)
+    lin = linearize_vo_in_q(element_rows(channel, dma, w)[0], q0, dev.k2, dev.k4, dev.hpa_gain)
     q_ipm, r_ipm = ipm_focusing(lin, q0)
     step = focusing_step([lin])
     coeffs = np.asarray(lin.coeffs).reshape(-1)

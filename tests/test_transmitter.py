@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wptopt.channel import build_channel
 from wptopt.scenario import MicrostripParams
 from wptopt.transmitter import (DISK_TOL, LORENTZIAN_CENTER, LORENTZIAN_RADIUS,
-                                DmaState, Waveform, effective_rows,
+                                DmaState, Waveform, effective_rows, element_rows,
                                 expand_dma_weights, lorentzian_weight,
                                 microstrip_response)
 
@@ -125,9 +125,8 @@ def test_expand_dma_weights_is_linear(rng):
 
 def test_effective_rows_fd_is_raw_channel(tiny_fd):
     ch = build_channel(tiny_fd.array, tiny_fd.receivers, tiny_fd.frequency, 0.0)
-    eff = effective_rows(ch, tiny_fd.array)
-    assert eff.a_hat is None
-    assert np.allclose(eff.chain[0, 0], ch.gamma[0, :, 0])
+    rows = effective_rows(ch, tiny_fd.array)
+    assert np.allclose(rows[0, 0], ch.gamma[0, :, 0])
 
 
 def test_effective_rows_dma_phase_rotation(tiny_dma):
@@ -139,13 +138,14 @@ def test_effective_rows_dma_phase_rotation(tiny_dma):
     strip = MicrostripParams(attenuation=0.0, propagation=202.19)
     dma = DmaState.from_phases(np.full((arr.n_v, arr.n_h), np.pi / 2),
                                arr.inter_element_dx, strip)
-    eff = effective_rows(ch, arr, dma, Waveform(np.ones((arr.n_v, tiny_dma.frequency.n_f))))
+    a_hat = element_rows(ch, dma, Waveform(np.ones((arr.n_v, tiny_dma.frequency.n_f))))
     gamma_rows = ch.rows(0)
     expected = gamma_rows * (1j * dma.h.reshape(-1))[None, :]
-    assert np.allclose(1j * eff.a_hat[0], expected)
-    assert np.allclose(np.abs(eff.a_hat[0]), np.abs(gamma_rows))
+    assert np.allclose(1j * a_hat[0], expected)
+    assert np.allclose(np.abs(a_hat[0]), np.abs(gamma_rows))
     n_f = tiny_dma.frequency.n_f
-    assert np.allclose(eff.chain[0], expected.reshape(n_f, arr.n_v, arr.n_h).sum(axis=2))
+    assert np.allclose(effective_rows(ch, arr, dma)[0],
+                       expected.reshape(n_f, arr.n_v, arr.n_h).sum(axis=2))
 
 
 def test_effective_rows_equal_per_receiver_stack(rng):
@@ -159,20 +159,19 @@ def test_effective_rows_equal_per_receiver_stack(rng):
         ch = build_channel(arr, cfg.receivers, cfg.frequency, 0.0)
         stacked = np.stack([ch.rows(m) for m in range(len(receivers))])
         if arch == "fd":
-            eff = effective_rows(ch, arr)
-            assert np.array_equal(eff.chain, stacked)
-            assert eff.chain.flags.c_contiguous
+            rows = effective_rows(ch, arr)
+            assert np.array_equal(rows, stacked)
+            assert rows.flags.c_contiguous
             continue
         dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
                                    arr.inter_element_dx, cfg.microstrip)
         wf = Waveform(rng.normal(size=(arr.n_v, n_f)) + 1j * rng.normal(size=(arr.n_v, n_f)))
-        eff = effective_rows(ch, arr, dma, wf)
         a = stacked * (dma.q * dma.h).reshape(-1)[None, None, :]
-        assert np.array_equal(
-            eff.chain, a.reshape(len(receivers), n_f, arr.n_v, arr.n_h).sum(axis=3))
+        assert np.array_equal(effective_rows(ch, arr, dma),
+                              a.reshape(len(receivers), n_f, arr.n_v, arr.n_h).sum(axis=3))
         a_hat = (stacked * expand_dma_weights(wf, arr.n_h)[None, :, :]
                  * dma.h.reshape(-1)[None, None, :])
-        assert np.array_equal(eff.a_hat, a_hat)
+        assert np.array_equal(element_rows(ch, dma, wf), a_hat)
 
 
 def test_effective_rows_zero_waveform_gives_zero_a_hat(tiny_dma):
@@ -180,8 +179,7 @@ def test_effective_rows_zero_waveform_gives_zero_a_hat(tiny_dma):
     dma = DmaState.from_phases(np.zeros((tiny_dma.array.n_v, tiny_dma.array.n_h)),
                                tiny_dma.array.inter_element_dx, tiny_dma.microstrip)
     wf = Waveform.zeros(tiny_dma.array.n_v, tiny_dma.frequency.n_f)
-    eff = effective_rows(ch, tiny_dma.array, dma, wf)
-    assert np.allclose(eff.a_hat, 0.0)
+    assert np.allclose(element_rows(ch, dma, wf), 0.0)
 
 
 def test_received_spectrum_same_through_q_or_w_route(tiny_dma, rng):
@@ -194,12 +192,11 @@ def test_received_spectrum_same_through_q_or_w_route(tiny_dma, rng):
     dma = DmaState.from_phases(phi, arr.inter_element_dx, tiny_dma.microstrip)
     wf = Waveform(rng.normal(size=(arr.n_v, tiny_dma.frequency.n_f))
                   + 1j * rng.normal(size=(arr.n_v, tiny_dma.frequency.n_f)))
-    eff = effective_rows(ch, arr, dma, wf)
     wbar = expand_dma_weights(wf, arr.n_h)
     a = ch.rows(0) * (dma.q * dma.h).reshape(-1)[None, :]
     s_via_w = np.sum(a * wbar, axis=1)
-    s_via_q = eff.a_hat[0] @ dma.q_flat()
-    s_via_chain = np.sum(eff.chain[0] * wf.omega.T, axis=1)
+    s_via_q = element_rows(ch, dma, wf)[0] @ dma.q_flat()
+    s_via_chain = np.sum(effective_rows(ch, arr, dma)[0] * wf.omega.T, axis=1)
     assert np.allclose(s_via_w, s_via_q)
     assert np.allclose(s_via_w, s_via_chain)
 
@@ -214,6 +211,12 @@ def test_effective_rows_dimension_checks(tiny_dma, tiny_fd):
     dma = DmaState.from_phases(np.zeros((2, 2)), 0.01, MicrostripParams())
     with pytest.raises(ValueError):
         effective_rows(ch_fd, tiny_fd.array, dma)
+    with pytest.raises(ValueError, match="DMA state"):
+        element_rows(ch_fd, dma, Waveform.zeros(2, tiny_fd.frequency.n_f))
+    dma = DmaState.from_phases(np.zeros((tiny_dma.array.n_v, tiny_dma.array.n_h)), 0.01,
+                               MicrostripParams())
+    with pytest.raises(ValueError, match="chain count"):
+        element_rows(ch, dma, Waveform.zeros(tiny_dma.array.n_v + 1, tiny_dma.frequency.n_f))
 
 
 def test_waveform_rejects_non_finite():

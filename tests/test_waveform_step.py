@@ -12,6 +12,7 @@ from test_socp_newton import group_soft_threshold, waveform_program
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_w
 from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
+from wptopt.power import chain_norm_scales
 from wptopt.socp import (SolveStatus, assemble_w_subproblem, solve,
                          waveform_cone_program)
 from wptopt.transmitter import effective_rows
@@ -150,10 +151,11 @@ def test_production_restriction_matches_its_cone_program(arch):
     plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
     dma = init_q_phases(channel, plan, cfg) if arch == "dma" else None
     w = init_digital_weights(cfg, channel, plan, dma)
-    eff = effective_rows(channel, cfg.array, dma)
-    lins = [linearize_vo_in_w(eff.chain[m], w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
-            for m in range(cfg.n_receivers)]
-    res = waveform_restriction(cfg, dma, lins, w)
+    lins = [linearize_vo_in_w(rows, w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
+            for rows in effective_rows(channel, cfg.array, dma)]
+    scales = chain_norm_scales(dma, w.n_rf, dev.hpa_gain, dev.hpa_saturation_power,
+                               dev.hpa_max_efficiency)
+    res = waveform_restriction(lins, w, scales, cfg.voltage_targets())
     prog = assemble_w_subproblem(cfg, dma, lins, w)
     n_rf, n_f = w.omega.shape
     assert res.rows.shape == (3, n_rf, 2 * n_f)
