@@ -25,8 +25,7 @@ from wptopt.waveform_step import ExitReason
 
 from conftest import (THREE_RECEIVERS, far_from_unit_scale, make_scenario,
                       single_element_fd)
-
-SAMPLE = Path(__file__).resolve().parent.parent / "sample_scenario.cfg"
+from make_golden import SCENARIOS
 
 
 def _fake_channel(norms_by_receiver_tone, n_v=4, n_h=1):
@@ -109,7 +108,7 @@ def test_init_pins_sample_scenario():
     q = 0, the rest lie on the Lorentzian circle with the product phase
     aligned, and the ramp stops at the same amplitude as the search-based
     initialization did (0.025 = 1e-3 * 5**2)."""
-    cfg = load_scenario(SAMPLE)
+    cfg = load_scenario(Path(__file__).resolve().parent.parent / "sample_scenario.cfg")
     channel = build_channel(cfg.array, cfg.receivers, cfg.frequency,
                             cfg.device.boresight_gain)
     plan = allocate_chains(channel, 1, cfg.array.rf_chain_count)
@@ -164,9 +163,7 @@ def test_a_design_builds_its_rows_once_per_transmitter_state(name, passes, build
     """Chain rows are built for the start and once per waveform stage, whose
     design each pass ends on; the focusing stage builds its element rows
     once. An FD design's final state is its waveform stage's."""
-    cfg = {"sample": lambda: load_scenario(SAMPLE),
-           "multiuser_dma": lambda: make_scenario("dma", 0.10, 8, THREE_RECEIVERS),
-           "multiuser_fd": lambda: make_scenario("fd", 0.10, 8, THREE_RECEIVERS)}[name]()
+    cfg = SCENARIOS[name]()
     calls = count_row_builds(monkeypatch)
     stages = []
     real_stage = optimize_module.run_sca_w
