@@ -678,6 +678,22 @@ def test_fieldmap_command(artifact_dir, tmp_path):
     assert "argmax" in meta
 
 
+def test_fieldmap_csv_bytes_are_pinned(tmp_path):
+    """The default plane at 5 cm of the three-receiver DMA design (61 x 76
+    cells) hashes to the bytes pinned here: the design, the map and the CSV
+    writer each keep their last bit."""
+    import hashlib
+
+    from conftest import THREE_RECEIVERS, make_scenario
+    with blas.single_thread():
+        run_optimization(make_scenario("dma", 0.10, 8, THREE_RECEIVERS)).save(
+            tmp_path / "artifact.json")
+    assert main(["fieldmap", str(tmp_path / "artifact.json"), "--res", "0.05",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "fieldmap.csv").read_bytes()).hexdigest() == \
+        "78c5af3ba242bd814b91ceb7cfd0a371701eaaa2c0ff50a7e1f492fe733893bb"
+
+
 @pytest.mark.parametrize("plane", [["--res", "0"], ["--res", "nan"], ["--zmin", "-1"],
                                    ["--xmin", "1", "--xmax", "-1"], ["--res", "1e-300"],
                                    ["--res", "2e-5"]])
