@@ -8,7 +8,6 @@ same scenario and seed reproduces them byte for byte (timing fields aside).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -73,9 +72,11 @@ class RunArtifact:
         return np.mod(np.angle(self.dma_q - LORENTZIAN_CENTER), 2.0 * np.pi)
 
     def content_hash(self) -> str:
-        return _digest(self._payload(with_hash=False))
+        return _digest(self._payload())
 
-    def _payload(self, with_hash=True) -> dict:
+    def _payload(self) -> dict:
+        """The stored keys that the content hash covers: all but the hash
+        itself and the timings."""
         payload = {
             "scenario": self.scenario,
             "waveform": {"shape": list(self.waveform.shape),
@@ -91,27 +92,29 @@ class RunArtifact:
         if self.dma_q is not None:
             payload["dma"] = {"shape": list(self.dma_q.shape),
                               "q": _complex_to_pairs(self.dma_q)}
-        if with_hash:
-            payload["content_hash"] = self.content_hash()
-            payload["timings"] = [{k: row[k] for k in row if k.endswith("_seconds")}
-                                  for row in self.trace_rows]
         return payload
 
     def save(self, path) -> None:
+        payload = self._payload()
+        payload["content_hash"] = _digest(payload)
+        payload["timings"] = [{k: row[k] for k in row if k.endswith("_seconds")}
+                              for row in self.trace_rows]
         with open(path, "w") as fh:
-            json.dump(self._payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "RunArtifact":
-        """Read an artifact that :meth:`save` wrote, timings included. Keys
-        that older writers stored and this one derives are ignored. A path
-        that cannot be read as text, text that is not JSON, a missing key,
-        or a value of the wrong type or shape is a parse error that names
-        the file."""
+        """Read an artifact that :meth:`save` wrote, timings included
+        (:meth:`from_stored`)."""
+        return cls.from_stored(_read_stored(path), path)
+
+    @classmethod
+    def from_stored(cls, data, path) -> "RunArtifact":
+        """The artifact of the JSON ``data`` read from ``path``. Keys that
+        older writers stored and this one derives are ignored. A missing
+        key, or a value of the wrong type or shape, is a parse error that
+        names the file."""
         try:
-            with open(path) as fh:
-                data = json.load(fh)
             wshape = tuple(data["waveform"]["shape"])
             dma_q = None
             if data.get("dma"):
@@ -135,14 +138,25 @@ class RunArtifact:
                 converged=flags[0],
                 paper_sampling=flags[1],
             )
-        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:  # JSON too
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScenarioParseError(f"{path}: bad artifact: {exc!r}") from exc
 
 
-def _load_design(path) -> tuple[RunArtifact, power.Design]:
-    """An artifact and the design it stores; weights whose shape does not fit
-    the scenario are a parse error."""
-    artifact = RunArtifact.load(path)
+def _read_stored(path):
+    """The JSON that ``path`` holds; a path that cannot be read as text, or
+    text that is not JSON, is a parse error that names the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and decoding errors included
+        raise ScenarioParseError(f"{path}: bad artifact: {exc!r}") from exc
+
+
+def _load_design(path) -> tuple[RunArtifact, power.Design, dict]:
+    """An artifact, the design it stores and its JSON as read; weights whose
+    shape does not fit the scenario are a parse error."""
+    stored = _read_stored(path)
+    artifact = RunArtifact.from_stored(stored, path)
     scenario = scenario_from_dict(artifact.scenario)
     arr = scenario.array
     fits = {"waveform": (artifact.waveform.shape, (arr.rf_chain_count, scenario.frequency.n_f)),
@@ -156,7 +170,7 @@ def _load_design(path) -> tuple[RunArtifact, power.Design]:
     if artifact.dma_q is not None:
         dma = DmaState.from_phases(np.zeros(artifact.dma_q.shape), arr.inter_element_dx,
                                    scenario.microstrip).with_weights(artifact.dma_q)
-    return artifact, power.Design(scenario, Waveform(artifact.waveform), dma)
+    return artifact, power.Design(scenario, Waveform(artifact.waveform), dma), stored
 
 
 def run_optimization(scenario: ScenarioConfig,
@@ -271,6 +285,8 @@ def cmd_sweep(args) -> int:
     # the pool may start every worker at once, so it gets no more than the points
     workers = min(args.jobs, len(payloads))
     if workers > 1:
+        # imported here: it and the logging it loads are 4.5 ms of every command's start-up
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
@@ -293,9 +309,9 @@ def _matches(name: str, stored, derived, tol: float) -> tuple[str, bool, str]:
 
 def cmd_simulate(args) -> int:
     """Re-derive the artifact's claims through the time-domain oracle."""
-    artifact, design = _load_design(args.artifact)
+    artifact, design, stored = _load_design(args.artifact)
     scenario, dev = design.scenario, design.scenario.device
-    stored = json.loads(Path(args.artifact).read_text())  # hashed as stored: old keys count
+    # hashed as stored: keys of older writers count
     digest = _digest({k: v for k, v in stored.items() if k not in ("content_hash", "timings")})
     checks = [("content-hash-matches-artifact", digest == stored.get("content_hash"),
                f"sha256 {digest[:12]}")]
@@ -342,7 +358,7 @@ def cmd_fieldmap(args) -> int:
     except ValueError as exc:
         print(f"invalid plane: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    artifact, design = _load_design(args.artifact)
+    artifact, design, _ = _load_design(args.artifact)
     fmap = oracle.field_map(design.scenario, design.waveform, design.dma, plane)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,12 +19,14 @@ where every priced receiver sees one voltage.
 
 :func:`focusing_step` minimizes ``f`` by the projected Newton of
 :mod:`wptopt.dual_newton` on the simplex. With one receiver the simplex is
-the point ``lam = [1]``: the step settles at its start, on the rim point
-``q_k = j/2 + exp(j arg c_k)/2`` that maximizes each term alone. The Hessian
-is ``sum_k a_k a_k^T / |d_k|``, where ``a_k`` is the derivative of ``d_k``
-across its own direction; it is singular along ``lam`` itself, so the step
-is taken in the simplex's tangent space (the null space of the row
-``sum lam = 1``). Where that step fails to descend, the step goes toward
+the point ``lam = [1]``, and the step is the dual's start, the rim point
+``q_k = j/2 + exp(j arg c_k)/2`` that maximizes each term alone. It is
+formed by the dual's own operations without building the dual, bit for
+bit the loop's, and left to the loop only where it fails the settle test.
+The Hessian is ``sum_k a_k a_k^T / |d_k|``, where ``a_k`` is the
+derivative of ``d_k`` across its own direction; it is singular along
+``lam`` itself, so the step is taken in the simplex's tangent space (the
+null space of the row ``sum lam = 1``). Where that step fails to descend, the step goes toward
 the vertex of the lowest voltage, whose slope is minus the gap.
 
 ``f`` is not differentiable where some ``d_k = 0`` (a kink), and a minimizer
@@ -275,6 +277,33 @@ def _capped(lins: list[LinearizedVoltage], dead: np.ndarray,
     return _finish(lins, sub.q, lam, min(sub.dual, bound), sub.iterations, sub.exit_reason)
 
 
+def _single(lin: LinearizedVoltage, lam: np.ndarray) -> FocusingStep | None:
+    """The step of one receiver, whose simplex is the point ``lam = [1]``:
+    the dual's start point, with its ``q``, primal, dual and exit reason bit
+    for bit, from the operations of ``_Dual.at`` and ``primal_point`` at
+    ``lam`` without their objects. ``None`` where the dual's settle test
+    fails, so that the dual's loop takes over."""
+    q0 = lin.expansion_point
+    coeffs = lin.coeffs.reshape(1, -1)
+    live = (coeffs != 0).any(axis=0)
+    coeffs = coeffs[:, live]
+    cr, ci = coeffs.real.copy(), coeffs.imag.copy()
+    beta = np.array([lin.base_value + 2.0 * np.vdot(lin.coeffs, LORENTZIAN_CENTER - q0).real])
+    dr, di = lam @ cr, lam @ ci
+    mag = np.hypot(dr, di)
+    inv = np.divide(1.0, mag, out=np.zeros(len(mag)), where=mag > 0)
+    grad = beta + cr @ (dr * inv) + ci @ (di * inv)
+    value = float(lam @ beta + mag.sum())
+    if not value - float(grad.min()) <= GAP_STOP * (1.0 + abs(value)):   # _Face.settled
+        return None
+    q_live = q0[live]
+    on = mag > 0
+    q_live[on] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.arctan2(di[on], dr[on]))
+    q = q0.copy()
+    q[live] = q_live
+    return _finish([lin], q, lam, value, 0, ExitReason.TOLERANCE)
+
+
 def focusing_step(lins: list[LinearizedVoltage],
                   start: np.ndarray | None = None) -> FocusingStep:
     """Solve a focusing restriction through its dual (module docstring).
@@ -287,9 +316,12 @@ def focusing_step(lins: list[LinearizedVoltage],
                                   and 0.0 < lam.sum() < np.inf):
         raise ValueError("the warm start must be one finite, non-negative price per receiver, "
                          "not all 0")
-    # a lone receiver is not capped, which would recur on it: with no live
-    # element its dual settles at q0
-    if m_count > 1 and (dead := np.array([not lin.coeffs.any() for lin in lins])).any():
+    if m_count == 1:
+        # a lone receiver is not capped, which would recur on it: with no live
+        # element its dual settles at q0
+        if (step := _single(lins[0], lam / lam.sum())) is not None:
+            return step
+    elif (dead := np.array([not lin.coeffs.any() for lin in lins])).any():
         return _capped(lins, dead, None if start is None else lam)
     dual = _Dual(lins)
     pt = dual.at(lam / lam.sum())

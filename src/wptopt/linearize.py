@@ -45,30 +45,36 @@ def _voltage_and_gradient(s: np.ndarray, hpa_gain: float, k2: float, k4: float):
 
 
 def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
-                      hpa_gain: float = 1.0) -> LinearizedVoltage:
+                      hpa_gain: float = 1.0,
+                      conj_rows: np.ndarray | None = None) -> LinearizedVoltage:
     """Tangent model of the output voltage in the digital weights.
 
     ``a_rows`` and ``w0`` are [n_f, N_c]; each tone has its own weight block,
-    so the coefficient for tone n is ``g_n * conj(a_n)``.
+    so the coefficient for tone n is ``g_n * conj(a_n)``. A stage that
+    linearizes the same rows repeatedly passes ``np.conj(a_rows)`` once as
+    ``conj_rows``.
     """
     a_rows = np.asarray(a_rows, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
     s = tone_amplitudes(a_rows, w0)
     base, grad_s = _voltage_and_gradient(s, hpa_gain, k2, k4)
-    coeffs = grad_s[:, None] * np.conj(a_rows)
+    coeffs = grad_s[:, None] * (np.conj(a_rows) if conj_rows is None else conj_rows)
     return LinearizedVoltage(base, coeffs, w0.copy())
 
 
 def linearize_vo_in_q(a_hat_rows: np.ndarray, q0: np.ndarray, k2: float, k4: float,
-                      hpa_gain: float = 1.0) -> LinearizedVoltage:
+                      hpa_gain: float = 1.0,
+                      conj_rows: np.ndarray | None = None) -> LinearizedVoltage:
     """Tangent model of the output voltage in the element weights.
 
     All tones share the single weight vector ``q``, so the per-tone
-    contributions accumulate: ``c = sum_n g_n * conj(a_hat_n)``.
+    contributions accumulate: ``c = sum_n g_n * conj(a_hat_n)``. A stage
+    that linearizes the same rows repeatedly passes ``np.conj(a_hat_rows)``
+    once as ``conj_rows``.
     """
     a_hat_rows = np.asarray(a_hat_rows, dtype=complex)
     q0 = np.asarray(q0, dtype=complex)
     s = a_hat_rows @ q0
     base, grad_s = _voltage_and_gradient(s, hpa_gain, k2, k4)
-    coeffs = grad_s @ np.conj(a_hat_rows)
+    coeffs = grad_s @ (np.conj(a_hat_rows) if conj_rows is None else conj_rows)
     return LinearizedVoltage(base, coeffs, q0.copy())

@@ -14,14 +14,18 @@ certifies its point with a primal-dual gap (Boyd & Vandenberghe, *Convex
 Optimization*, ch. 5): every waveform restriction through its
 M-dimensional dual by :func:`waveform_step.dual_step`, and every focusing
 restriction through its dual on the simplex of receiver prices by
-:func:`focusing_step.focusing_step`. No design calls the interior-point
-method of :mod:`wptopt.socp`; it remains the reference the tests check both
-steps against.
+:func:`focusing_step.focusing_step`. With one receiver the focusing dual
+is a single point and the waveform dual's start a single ray, which each
+step takes without the machinery of the general case, bit for bit the
+general path's. No design calls the interior-point method of
+:mod:`wptopt.socp`; it remains the reference the tests check both steps
+against.
 
 Each stage builds its inputs once per transmitter state: the focusing stage
 its element rows, the waveform stage its chain rows, chain scales and
-voltage targets. The waveform stage returns the design it ends on, sharing
-those rows, so a pass's candidate design builds none of its own.
+voltage targets, and both their rows' conjugates for the linearizations.
+The waveform stage returns the design it ends on, sharing those rows, so a
+pass's candidate design builds none of its own.
 """
 
 from __future__ import annotations
@@ -272,11 +276,12 @@ def run_sca_w(scenario: ScenarioConfig, channel: ChannelTensor,
     scales = chain_norm_scales(dma, w_init.n_rf, dev.hpa_gain, dev.hpa_saturation_power,
                                dev.hpa_max_efficiency)
     targets = scenario.voltage_targets()
+    conj_rows = [np.conj(rows) for rows in start.rows]
     trace = StageTrace()
     w = w_init
     for _ in range(settings.max_sca_iters):
-        lins = [linearize_vo_in_w(rows, w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
-                for rows in start.rows]
+        lins = [linearize_vo_in_w(rows, w.omega.T, dev.k2, dev.k4, dev.hpa_gain, conj)
+                for rows, conj in zip(start.rows, conj_rows)]
         restriction = waveform_restriction(lins, w, scales, targets)
         # Far from unit scale the dual overflows; its NaN point fails the
         # violation test below.
@@ -310,12 +315,14 @@ def run_sca_q(scenario: ScenarioConfig, channel: ChannelTensor,
     dev = scenario.device
     settings = scenario.solver
     a_hat = element_rows(channel, q_init, waveform)
+    conj_rows = [np.conj(rows) for rows in a_hat]
     trace = StageTrace()
     dma = q_init
     prices = None
     for _ in range(settings.max_sca_iters):
         q0 = dma.q_flat()
-        lins = [linearize_vo_in_q(rows, q0, dev.k2, dev.k4, dev.hpa_gain) for rows in a_hat]
+        lins = [linearize_vo_in_q(rows, q0, dev.k2, dev.k4, dev.hpa_gain, conj)
+                for rows, conj in zip(a_hat, conj_rows)]
         step = focusing_step(lins, prices)
         trace.exit_reasons.append(step.exit_reason)
         if step.primal < min(lin.base_value for lin in lins):

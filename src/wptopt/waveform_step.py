@@ -243,18 +243,37 @@ def _feasible_point(restriction: WaveformRestriction, pt: _Point) -> tuple[np.nd
     return x, restriction.objective(x)
 
 
+def _start(dual: _Dual) -> tuple[np.ndarray | None, np.ndarray]:
+    """An infeasibility certificate, if there is one, and the start: the
+    minimizer of ``-d`` along the ray of the rows with ``r_m > 0``."""
+    r = dual.r
+    ray = (r > 0).astype(float)
+    if (cert := _certificate(dual.gram.sum(axis=0), r)) is not None or not ray.any():
+        return cert, ray   # with no such row, w = 0 meets every row
+    return None, ray * _ray_minimizer(dual.at(ray).rho, dual.s, float(ray @ r))
+
+
+def _one_row_start(dual: _Dual) -> tuple[np.ndarray | None, np.ndarray]:
+    """:func:`_start` for one row, bit for bit and without an eigensolve or
+    a dual evaluation: the 1 x 1 Gram matrix is its own eigenvalue, and the
+    ray's chain norms are the row's."""
+    r, gram = dual.r, dual.gram.sum(axis=0)[0, 0]
+    ray = (r > 0).astype(float)
+    if gram <= FLAT * max(gram, 0.0) and r[0] > 1e-12 * abs(r[0]):
+        return np.ones(1), ray
+    if not ray[0]:
+        return None, ray
+    rho = np.sqrt(np.add.reduce(dual.rows[0] * dual.rows[0], axis=1))
+    return None, ray * _ray_minimizer(rho, dual.s, float(ray @ r))
+
+
 def dual_step(restriction: WaveformRestriction) -> WaveformStep:
     """Solve a waveform restriction through its dual (module docstring)."""
     dual = _Dual(restriction)
     r = dual.r
-    cert = _certificate(dual.gram.sum(axis=0), r)
+    cert, lam = (_one_row_start if len(r) == 1 else _start)(dual)
     if cert is not None:
         return WaveformStep(None, cert, np.inf, np.inf, np.inf, 0, ExitReason.INFEASIBLE)
-    ray = (r > 0).astype(float)
-    if ray.any():
-        lam = ray * _ray_minimizer(dual.at(ray).rho, dual.s, float(ray @ r))
-    else:
-        lam = ray   # w = 0 meets every row
     pt = dual.at(lam)
     iterations = 0
     reason = ExitReason.ITER_CAP

@@ -66,3 +66,14 @@ def tiny_dma():
 @pytest.fixture
 def tiny_fd():
     return make_scenario("fd", length=0.10, n_f=2)
+
+
+def assert_same_step(got, want):
+    """Two restriction steps hold bitwise the same fields."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, (np.ndarray, float)):
+            assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        else:
+            assert a == b, f.name

@@ -981,7 +981,8 @@ def test_sweep_starts_no_more_workers_than_points(scenario_file, tmp_path, monke
         return {"value": payload[2], "status": "ok", "p_c_bound": 1.0,
                 "p_c_sampled": 1.0, "outer_iters": 1}
 
-    monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    import concurrent.futures                      # the module that cmd_sweep imports
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli_module, "_sweep_point", point)
     values = [f"{0.10 + 0.01 * k:.2f}" for k in range(points)]
     assert main(["sweep", str(scenario_file), "--axis", "L", "--values", *values,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_step
 from wptopt.focusing_step import GAP_TOL, ExitReason, focusing_step
 from wptopt.linearize import LinearizedVoltage, linearize_vo_in_q
 from wptopt.scenario import DeviceParams
@@ -249,3 +250,37 @@ def test_warm_start_off_the_simplex_is_rejected(start):
     lins = receiver_linearizations(rng, 2, 6, 2, q0)
     with pytest.raises(ValueError, match="warm start"):
         focusing_step(lins, start=np.array(start))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200), st.integers(1, 4),
+       st.sampled_from([None, 0.3, 1.0]))
+def test_single_receiver_branch_is_the_dual_loops_start(seed, n_el, n_f, start):
+    """At one receiver the step returns the dual's start point bit for bit,
+    dead elements included; without the branch the dual's loop settles
+    there too."""
+    from unittest import mock
+
+    from wptopt import focusing_step as module
+    rng = np.random.default_rng(seed)
+    q0 = disk_points(rng, n_el)
+    lin, = receiver_linearizations(rng, 1, n_el, n_f, q0)
+    start = None if start is None else np.array([start])
+    fast = focusing_step([lin], start)
+    with mock.patch.object(module, "_single", lambda lin, lam: None):
+        assert_same_step(fast, focusing_step([lin], start))
+
+
+def test_single_receiver_falls_back_to_the_dual_when_unsettled(monkeypatch):
+    """A start that fails the settle test is the dual loop's to move: with
+    the stop below zero no start settles, and the branch hands the step
+    to the loop, which takes one step and ends on its certificate."""
+    from wptopt import focusing_step as module
+    rng = np.random.default_rng(5)
+    q0 = disk_points(rng, 12)
+    lin, = receiver_linearizations(rng, 1, 12, 3, q0)
+    monkeypatch.setattr(module, "GAP_STOP", -1.0)
+    step = focusing_step([lin])
+    assert step.iterations == 1
+    monkeypatch.setattr(module, "_single", lambda lin, lam: None)
+    assert_same_step(step, focusing_step([lin]))

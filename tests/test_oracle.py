@@ -334,9 +334,12 @@ def test_field_map_folds_mirrored_elements_on_the_symmetry_plane(arch, length,
 def test_field_map_is_bitwise_the_same_for_every_block_budget(arch, rng):
     """Blocks of part of a z row, of one row, of several rows and of the
     whole plane give bitwise the same map: every cell's distances, phasors
-    and sums are the same operations in the same order. (A block of a single
-    cell is not among them: its tone sum is a dot product, which sums in
-    another order than a matrix-vector product and can move the last bit.)"""
+    and sums are the same operations in the same order. That includes a
+    budget below two cells and a split row that would leave one cell over
+    (11 of 12): no block of a wider plane holds a single cell, whose tone
+    sum would be a dot product, summed in another order than a
+    matrix-vector product. On a plane one cell wide every block is a
+    column of such cells, whatever its budget."""
     from unittest import mock
 
     from wptopt import oracle
@@ -349,15 +352,17 @@ def test_field_map_is_bitwise_the_same_for_every_block_budget(arch, rng):
     if arch == "dma":
         dma = DmaState.from_phases(rng.uniform(0, 2 * np.pi, (arr.n_v, arr.n_h)),
                                    arr.inter_element_dx, cfg.microstrip)
-    plane = PlaneSpec(-0.9, 0.8, 0.3, 2.1, 0.15, y_offset=0.05)
     columns = arr.n_elements                  # off the symmetry plane nothing folds
-    maps = []
-    for cells in (5, 12, 12 * 4, 13 * 12, 1 << 30):
-        with mock.patch.object(oracle, "MAP_CHUNK", cells * columns):
-            maps.append(field_map(cfg, wf, dma, plane).values)
-    assert maps[0].shape == (13, 12)
-    for values in maps[1:]:
-        assert np.array_equal(values, maps[0])
+    for x_max, width, budgets in ((0.8, 12, (1, 5, 11, 12, 12 * 4, 13 * 12, 1 << 30)),
+                                  (-0.9, 1, (1, 2, 5, 13, 1 << 30))):
+        plane = PlaneSpec(-0.9, x_max, 0.3, 2.1, 0.15, y_offset=0.05)
+        maps = []
+        for cells in budgets:
+            with mock.patch.object(oracle, "MAP_CHUNK", cells * columns):
+                maps.append(field_map(cfg, wf, dma, plane).values)
+        assert maps[0].shape == (13, width)
+        for values in maps[1:]:
+            assert np.array_equal(values, maps[0])
 
 
 def test_field_map_builds_no_channel_tensor(tiny_dma, rng, monkeypatch):
@@ -401,3 +406,94 @@ def test_field_map_csv_bytes(tmp_path):
     expected = header + "\n" + "\n".join(rows) + "\n"
     assert "0.000000000e+00" in expected and "1.000000000e+300" in expected
     assert (tmp_path / "map.csv").read_bytes() == expected.encode()
+
+
+def _reference_csv(fmap) -> str:
+    """The CSV as Python's ``%`` formats every row, the writer that
+    ``FieldMap.to_csv`` must equal byte for byte."""
+    header = "x/z," + ",".join(f"{x:.6g}" for x in fmap.xs)
+    row_format = "%.6g," + ",".join(["%.9e"] * len(fmap.xs))
+    rows = [row_format % (z, *row) for z, row in zip(fmap.zs.tolist(), fmap.values.tolist())]
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+def _check_scientific(values) -> np.ndarray:
+    """Format ``values`` one per row; every text marked exact must be
+    Python's ``'%.9e'``. Returns where the texts are exact."""
+    from wptopt.oracle import _scientific
+    values = np.asarray(values, dtype=float)
+    text, exact = _scientific(values.reshape(-1, 1))
+    assert text.shape == (len(values), 1, 16) and exact.shape == (len(values),)
+    for v, line, ok in zip(values.tolist(), text[:, 0], exact):
+        if ok:
+            assert line.tobytes().decode("ascii") == "%.9e," % v, repr(v)
+    return exact
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       floats=st.lists(st.floats(1e-14, 1e33), max_size=64))
+def test_scientific_texts_are_pythons(bits, floats):
+    """Any float64 bit pattern, and any value in the range the exact path
+    takes, is either formatted exactly as ``'%.9e'`` or marked for Python."""
+    values = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), floats])
+    _check_scientific(values)
+
+
+def test_scientific_on_the_edges_of_its_exact_path():
+    """Each class of the exact path's rule, powers of ten 1-3 ulps either
+    side, ten-digit ties and their neighbours, and mantissas that carry into
+    the exponent."""
+    def ulps(x, n):
+        for _ in range(abs(n)):
+            x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+        return x
+
+    powers = [ulps(10.0 ** p, n) for p in range(-16, 36) for n in (-3, -2, -1, 0, 1, 2, 3)]
+    ties = [(n + 0.5) * 10.0 ** j for n in (1_000_000_000, 1_234_567_890, 9_999_999_999)
+            for j in range(-3, 10)]                  # exactly half way when j >= 0
+    ties += [np.nextafter(t, d) for t in ties for d in (0.0, np.inf)]
+    carries = [9.9999999995e-3, 9.99999999949e-3, 9.9999999996e-3, 9.99999999996e31,
+               1e-13, 0.99999999995, 9.9999999995]
+    exact = _check_scientific(powers + ties + carries)
+    assert exact[:len(powers)].sum() > len(powers) // 2
+    # not exact: signs, non-finite values, subnormals, |k| > 22, exact ties and their neighbours
+    never = [-1.5, -0.0, -1e-5, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 1e-300,
+             9.99e-15, 1e33, 1e300, 1.7976931348623157e308, 1_234_567_890.5, 12_345_678_905.0,
+             np.nextafter(1_234_567_890.5, 0.0), np.nextafter(1_234_567_890.5, np.inf)]
+    assert not _check_scientific(never).any()
+    always = [0.0, 1.0, 0.1, 2.0 / 3.0, 123.456, 1.2345678901234567, 1e-13, 9.99999999949e-3,
+              9.9999999996e-3, 9.9999999996e31, 0.012350705626718974, 1.7292965872136437]
+    assert _check_scientific(always).all()
+    texts = {v: "%.9e" % v for v in (0.0, 9.9999999996e-3, 9.99999999949e-3)}
+    assert texts == {0.0: "0.000000000e+00", 9.9999999996e-3: "1.000000000e-02",
+                     9.99999999949e-3: "9.999999999e-03"}
+
+
+@pytest.mark.parametrize("shape", [(13, 12), (7, 1), (1, 30), (40, 151)])
+def test_field_map_csv_is_the_python_writers(tmp_path, rng, shape):
+    """``to_csv`` writes the bytes of Python's ``%`` row format on random
+    maps whose values span the exact path's range, with about a third of
+    the rows holding a value it leaves to Python, whether the values are
+    formatted in one block or in blocks of 7 that split rows."""
+    from unittest import mock
+
+    from wptopt import oracle
+    from wptopt.oracle import FieldMap, _scientific
+    for trial in range(6):
+        values = 10.0 ** rng.uniform(-13, 31, size=shape)
+        values[rng.random(shape) < 0.05] = 0.0
+        odd = rng.random(shape[0]) < 0.3          # rows with one value left to Python
+        values[odd, rng.integers(0, shape[1], int(odd.sum()))] = rng.choice(
+            [-0.0, -2.5, np.nan, np.inf, 5e-324, 1e-14, 1e300, 1_234_567_890.5],
+            size=int(odd.sum()))
+        xs = np.round(rng.uniform(-2, 2, shape[1]), 3)
+        zs = np.round(rng.uniform(0.2, 4, shape[0]), 3)
+        fmap = FieldMap(PlaneSpec(-2.0, 2.0, 0.2, 4.0, 0.1), xs=xs, zs=zs, values=values)
+        with mock.patch.object(oracle, "FORMAT_CHUNK", 7 if trial % 2 else oracle.FORMAT_CHUNK):
+            fmap.to_csv(tmp_path / "map.csv")
+        assert (tmp_path / "map.csv").read_bytes() == _reference_csv(fmap).encode()
+    if shape[0] > 10:   # both writers' rows ran
+        exact = _scientific(values)[1]
+        assert exact.any() and not exact.all()
+

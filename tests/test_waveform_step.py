@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import assert_same_step, make_scenario
 from test_socp_newton import group_soft_threshold, waveform_program
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_w
@@ -233,3 +233,35 @@ def test_certificate_search_on_a_plane_of_null_rays(factors, infeasible):
     assert res.max_violation(step.x) == 0.0
     assert step.gap <= GAP_TOL * (1.0 + step.primal)
     assert step.primal == pytest.approx(group_soft_threshold(res.scales, g, 1.0), rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.sampled_from(["random", "zero row", "zero chain", "rhs <= 0", "rhs == 0"]))
+def test_one_row_start_is_the_general_start(seed, n_rf, n_f, kind):
+    """One row's certificate and ray start, from its 1 x 1 Gram entry and
+    its own chain norms, are the eigensolve's and the dual's bit for bit,
+    and so is every step that starts from them."""
+    from unittest import mock
+
+    from wptopt import waveform_step as module
+    rng = np.random.default_rng(seed)
+    res = restriction_of(waveform_program(rng, n_rf, n_f, 1,
+                                          scales=rng.uniform(0.0, 2.0, n_rf)), n_rf, n_f)
+    rows, rhs = res.rows.copy(), res.rhs.copy()
+    if kind == "zero row":
+        rows[:] = 0.0
+        rhs = rng.choice([-1.0, 1.0]) * np.abs(rhs)
+    elif kind == "zero chain":
+        rows[0, 0] = 0.0
+    elif kind == "rhs <= 0":
+        rhs = -np.abs(rhs)
+    elif kind == "rhs == 0":
+        rhs[:] = 0.0
+    res = WaveformRestriction(rows=rows, rhs=rhs, scales=res.scales)
+    dual = module._Dual(res)
+    for got, want in zip(module._one_row_start(dual), module._start(dual)):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
+    step = dual_step(res)
+    with mock.patch.object(module, "_one_row_start", module._start):
+        assert_same_step(step, dual_step(res))
