@@ -104,9 +104,32 @@ class _Face:
     u: complex = 0j
 
     def settled(self, pt: _Point) -> bool:
-        """``f - min_m v_m`` below ``GAP_STOP``: the gap of the face's
-        primal point, up to rounding."""
-        return pt.value - float(self.v.min()) <= GAP_STOP * (1.0 + abs(pt.value))
+        return _settled(pt.value, self.v)
+
+
+def _settled(value: float, v: np.ndarray) -> bool:
+    """``f - min_m v_m`` below ``GAP_STOP``: the gap of a face's primal
+    point, whose voltages are ``v``, up to rounding."""
+    return value - float(v.min()) <= GAP_STOP * (1.0 + abs(value))
+
+
+def _evaluate(lam: np.ndarray, cr: np.ndarray, ci: np.ndarray, beta: np.ndarray):
+    """The fields of :class:`_Point` but ``lam``: ``d``'s parts, ``|d|``,
+    ``1/|d|``, ``f`` and its gradient."""
+    dr, di = lam @ cr, lam @ ci
+    mag = np.hypot(dr, di)
+    inv = np.divide(1.0, mag, out=np.zeros(len(mag)), where=mag > 0)
+    grad = beta + cr @ (dr * inv) + ci @ (di * inv)
+    return dr, di, mag, inv, float(lam @ beta + mag.sum()), grad
+
+
+def _rim(q_live: np.ndarray, dr: np.ndarray, di: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """``q_live`` with each element whose ``d_k != 0`` moved to its rim
+    point, in place."""
+    on = mag > 0
+    # exp(j*arg d) is a unit phasor also where d/|d| would round off it
+    q_live[on] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.arctan2(di[on], dr[on]))
+    return q_live
 
 
 class _Dual:
@@ -125,11 +148,7 @@ class _Dual:
         self.simplex = np.ones((1, len(lins)))   # the row of sum lam = 1
 
     def at(self, lam: np.ndarray) -> _Point:
-        dr, di = lam @ self.cr, lam @ self.ci
-        mag = np.hypot(dr, di)
-        inv = np.divide(1.0, mag, out=np.zeros(len(mag)), where=mag > 0)
-        grad = self.beta + self.cr @ (dr * inv) + self.ci @ (di * inv)
-        return _Point(lam, dr, di, mag, inv, float(lam @ self.beta + mag.sum()), grad)
+        return _Point(lam, *_evaluate(lam, self.cr, self.ci, self.beta))
 
     def rounding(self, pt: _Point) -> float:
         """A bound on the rounding error of ``f(lam)``."""
@@ -178,11 +197,7 @@ class _Dual:
         """The rim point of ``pt``; at a kink its element sits at
         ``j/2 + u_k``, and an element with ``d_k = 0`` otherwise keeps its
         expansion weight."""
-        q_live = self.q0[self.live]
-        on = pt.mag > 0
-        # exp(j*arg d) is a unit phasor also where d/|d| would round off it
-        q_live[on] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(
-            1j * np.arctan2(pt.di[on], pt.dr[on]))
+        q_live = _rim(self.q0[self.live], pt.dr, pt.di, pt.mag)
         if face is not None and face.k is not None:
             q_live[face.k] = LORENTZIAN_CENTER + face.u
         q = self.q0.copy()
@@ -280,27 +295,19 @@ def _capped(lins: list[LinearizedVoltage], dead: np.ndarray,
 def _single(lin: LinearizedVoltage, lam: np.ndarray) -> FocusingStep | None:
     """The step of one receiver, whose simplex is the point ``lam = [1]``:
     the dual's start point, with its ``q``, primal, dual and exit reason bit
-    for bit, from the operations of ``_Dual.at`` and ``primal_point`` at
-    ``lam`` without their objects. ``None`` where the dual's settle test
-    fails, so that the dual's loop takes over."""
+    for bit, from the operations of ``_Dual`` and ``_Face`` at ``lam``
+    without their objects. ``None`` where the dual's settle test fails, so
+    that the dual's loop takes over."""
     q0 = lin.expansion_point
     coeffs = lin.coeffs.reshape(1, -1)
     live = (coeffs != 0).any(axis=0)
     coeffs = coeffs[:, live]
-    cr, ci = coeffs.real.copy(), coeffs.imag.copy()
     beta = np.array([lin.base_value + 2.0 * np.vdot(lin.coeffs, LORENTZIAN_CENTER - q0).real])
-    dr, di = lam @ cr, lam @ ci
-    mag = np.hypot(dr, di)
-    inv = np.divide(1.0, mag, out=np.zeros(len(mag)), where=mag > 0)
-    grad = beta + cr @ (dr * inv) + ci @ (di * inv)
-    value = float(lam @ beta + mag.sum())
-    if not value - float(grad.min()) <= GAP_STOP * (1.0 + abs(value)):   # _Face.settled
+    dr, di, mag, _, value, grad = _evaluate(lam, coeffs.real.copy(), coeffs.imag.copy(), beta)
+    if not _settled(value, grad):   # the face without a kink holds the rim point's voltages
         return None
-    q_live = q0[live]
-    on = mag > 0
-    q_live[on] = LORENTZIAN_CENTER + LORENTZIAN_RADIUS * np.exp(1j * np.arctan2(di[on], dr[on]))
     q = q0.copy()
-    q[live] = q_live
+    q[live] = _rim(q0[live], dr, di, mag)
     return _finish([lin], q, lam, value, 0, ExitReason.TOLERANCE)
 
 

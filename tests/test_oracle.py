@@ -496,4 +496,3 @@ def test_field_map_csv_is_the_python_writers(tmp_path, rng, shape):
     if shape[0] > 10:   # both writers' rows ran
         exact = _scientific(values)[1]
         assert exact.any() and not exact.all()
-
