@@ -18,8 +18,8 @@ restriction through its dual on the simplex of receiver prices by
 is a single point and the waveform dual's start a single ray, which each
 step takes without the machinery of the general case, bit for bit the
 general path's. No design calls the interior-point method of
-:mod:`wptopt.socp`; it remains the reference the tests check both steps
-against.
+:mod:`wptopt.socp`, and the tests certify both steps by the weak-duality
+bounds of their restrictions, not against it.
 
 Each stage builds its inputs once per transmitter state: the focusing stage
 its element rows, the waveform stage its chain rows, chain scales and

@@ -312,18 +312,31 @@ class FieldMap:
         return float(self.xs[ix]), float(self.zs[iz])
 
     def to_csv(self, path) -> None:
-        """A header line of the x positions (``%.6g``), then per z row its z
-        and its values (``%.9e``), comma-separated. A row whose every value
-        has an exact text from :func:`_scientific` is copied from it; any
-        other row is formatted by Python."""
-        header = "x/z," + ",".join(f"{x:.6g}" for x in self.xs)
+        """A header line of the x positions, then per z row its z and its
+        values (``%.9e``), comma-separated. Each axis's positions take the
+        shortest ``%.{p}g``, p >= 6, that keeps them apart. A row whose every
+        value has an exact text from :func:`_scientific` is copied from it;
+        any other row is formatted by Python."""
+        header = "x/z," + ",".join(_labels(self.xs))
         text, exact = _scientific(self.values)
         cells = ",".join(["%.9e"] * len(self.xs))
-        rows = [("%.6g," % z) + (line.tobytes()[:-1].decode("ascii") if fast
-                                 else cells % tuple(values.tolist()))
-                for z, line, fast, values in zip(self.zs.tolist(), text, exact, self.values)]
+        rows = [z + "," + (line.tobytes()[:-1].decode("ascii") if fast
+                           else cells % tuple(values.tolist()))
+                for z, line, fast, values in zip(_labels(self.zs), text, exact, self.values)]
         with open(path, "w") as fh:
             fh.write(header + "\n" + "\n".join(rows) + "\n")
+
+
+def _labels(coords: np.ndarray) -> list[str]:
+    """``coords`` as the shortest ``%.{p}g`` texts, p >= 6, that are as many
+    as the distinct coordinates (``%.17g`` keeps any two floats apart)."""
+    values = coords.tolist()
+    distinct = len(set(values))
+    for p in range(6, 18):
+        labels = [f"{v:.{p}g}" for v in values]
+        if len(set(labels)) >= distinct:
+            break
+    return labels
 
 
 # Values per block of _scientific, which keeps its temporaries in cache and

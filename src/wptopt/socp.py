@@ -1,13 +1,13 @@
 """Second-order-cone subproblems and the embedded primal-dual solver.
 
 No design solves a restriction here: every waveform restriction goes
-through its dual in ``waveform_step.dual_step``, and every focusing
-restriction, for any number of receivers, through its dual in
-``focusing_step.focusing_step``. The cone programs serve the tests as the
-reference of both steps: :func:`assemble_w_subproblem` and
-:func:`assemble_q_subproblem` express the two restrictions over stacked real
-variables in a structured :class:`ConeProgram` (linear cost, sum-of-norm
-groups, squared-norm epigraphs, affine rows, disk constraints).
+through its dual in ``waveform_step.dual_step``, every focusing restriction
+through its dual in ``focusing_step.focusing_step``, and the tests certify
+both by weak duality; the module stays only for the names the benchmark's
+tracer wraps. :func:`assemble_w_subproblem` and :func:`assemble_q_subproblem`
+express the two restrictions over stacked real variables in a structured
+:class:`ConeProgram` (linear cost, sum-of-norm groups, squared-norm
+epigraphs, affine rows, disk constraints).
 :func:`solve` lowers the structure to a standard conic form
 ``min c^T x  s.t.  A x + s = b,  s in K`` and runs a homogeneous self-dual
 Mehrotra predictor-corrector with Nesterov-Todd scaling.

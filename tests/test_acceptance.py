@@ -22,14 +22,14 @@ from wptopt.rectenna import (harvested_voltage, moment2_from_spectrum,
                              moment4_from_spectrum, tone_amplitudes)
 from wptopt.scenario import (Architecture, ArraySpec, FrequencyPlan,
                              ReceiverSpec)
-from wptopt.socp import SolveStatus, solve
 from wptopt.waveform_step import ExitReason, dual_step, waveform_restriction
 from wptopt.transmitter import (DmaState, Waveform, effective_rows, element_rows,
                                 lorentzian_weight)
 from wptopt.oracle import check_gradient_q, check_gradient_w
 from wptopt.channel import field_boundaries
 
-from conftest import F1, BW, make_scenario, single_element_fd
+from conftest import (F1, BW, focusing_dual_bound, make_scenario, single_element_fd,
+                      waveform_dual_bound)
 
 UPSILON = 1e-6
 
@@ -161,10 +161,10 @@ def test_criterion_4_solver_correctness():
     rng = np.random.default_rng(404)
     worst_gap = 0.0
 
-    # (a) single-element focusing restrictions vs a dense phase-grid oracle
-    # of the same linearized objective
+    # (a) single-element focusing restrictions, solved by the production
+    # step, vs a dense phase-grid oracle of the same linearized objective
+    from wptopt.focusing_step import focusing_step
     from wptopt.linearize import linearize_vo_in_q
-    from wptopt.socp import assemble_q_subproblem, unstack_complex
     cfg = _single_element_dma_scenario()
     dev = cfg.device
     phis = np.arange(0.0, 2.0 * np.pi, 1e-4)
@@ -174,10 +174,8 @@ def test_criterion_4_solver_correctness():
         a_hat = (rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))) * 0.05
         q0 = np.array([complex(lorentzian_weight(rng.uniform(0, 2 * np.pi)))])
         lin = linearize_vo_in_q(a_hat, q0, dev.k2, dev.k4, dev.hpa_gain)
-        prog = assemble_q_subproblem([lin], q0)
-        sol = solve(prog, tol=1e-10)
-        assert sol.status is SolveStatus.OPTIMAL
-        q_sol = unstack_complex(sol.x[:2])[0]
+        step = focusing_step([lin])
+        q_sol = step.q[0]
         lin_vals = lin.base_value + 2 * np.real(np.conj(lin.coeffs[0])
                                                 * (ring - q0[0]))
         q_best = ring[int(np.argmax(lin_vals))]
@@ -186,7 +184,9 @@ def test_criterion_4_solver_correctness():
         phi_best = float(np.mod(np.angle(q_best - 0.5j), 2 * np.pi))
         ang_err = max(ang_err, abs((phi_sol - phi_best + np.pi)
                                    % (2 * np.pi) - np.pi))
-        worst_gap = max(worst_gap, sol.duality_gap / (1 + abs(sol.objective)))
+        value = lin.predict(step.q)
+        worst_gap = max(worst_gap, (focusing_dual_bound([lin], step.multipliers) - value)
+                        / (1 + abs(value)))
 
     # supporting check: the full focusing stage lands on the grid-best true
     # voltage to the stage tolerance
@@ -234,7 +234,8 @@ def test_criterion_4_solver_correctness():
             expected = res.scales[0] * np.linalg.norm(wstar) + wstar @ wstar
         one_d_err = max(one_d_err, abs(step.primal - expected)
                         / max(1.0, abs(expected)))
-        worst_gap = max(worst_gap, step.gap / (1 + abs(step.primal)))
+        worst_gap = max(worst_gap, (step.primal - waveform_dual_bound(res, step.multipliers))
+                        / (1 + abs(step.primal)))
     ok = (ang_err <= 2e-4 and one_d_err <= 1e-8 and worst_gap <= 1e-7
           and stage_rel <= 1e-4)
     _report(4, ok, f"restriction phase err {ang_err:.1e} rad (grid 1e-4), 1-D "

@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 
-from test_focusing_step import restrictions as focusing_restrictions
-from test_waveform_step import restrictions as waveform_restrictions
+from conftest import focusing_restrictions, waveform_restrictions
 from wptopt import dual_newton
 from wptopt.dual_newton import FLAT, GAP_STOP
 from wptopt.focusing_step import focusing_step

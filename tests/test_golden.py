@@ -8,6 +8,7 @@ import json
 import pytest
 
 import make_golden
+from conftest import assert_certified, kernel_fingerprint
 
 GOLDEN = json.loads(make_golden.GOLDEN.read_text())
 
@@ -19,10 +20,12 @@ def test_golden_file_lists_every_run():
 @pytest.mark.parametrize("name", sorted(make_golden.RUNS))
 def test_design_matches_its_golden_entry(name):
     got, want = make_golden.run(name), dict(GOLDEN[name])
+    # the pinned bits hold only under the kernels they were written with
+    kernels = kernel_fingerprint()
     for key in ("p_c_sampled", "p_hpa_sampled"):
-        assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0.0), key
-    assert got["digest"] == want["digest"], "the design moved"
-    assert got == want
+        assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0.0), (key, kernels)
+    assert got["digest"] == want["digest"], f"the design moved under {kernels}"
+    assert got == want, kernels
 
 
 def test_one_receiver_branches_are_the_general_path(monkeypatch):
@@ -58,3 +61,27 @@ def test_one_receiver_branches_are_the_general_path(monkeypatch):
                    + [solve_w(res) for res in posed["w"]])
     for got, want in zip(fast, general, strict=True):
         assert_same_step(got, want)
+
+
+@pytest.mark.parametrize("scenario", sorted(make_golden.SCENARIOS))
+def test_every_step_of_a_golden_run_is_certified(monkeypatch, scenario):
+    """Every focusing and waveform step that a golden design takes is
+    certified against the weak-duality bound of the restriction it was
+    given."""
+    from wptopt import blas, cli, optimize
+    steps = []
+
+    def recorded(solve):
+        def wrapper(problem, *start):
+            step = solve(problem, *start)
+            steps.append((step, problem))
+            return step
+        return wrapper
+
+    monkeypatch.setattr(optimize, "focusing_step", recorded(optimize.focusing_step))
+    monkeypatch.setattr(optimize, "dual_step", recorded(optimize.dual_step))
+    with blas.single_thread():
+        cli.run_optimization(make_golden.SCENARIOS[scenario]())
+    assert len(steps) > 20
+    for step, restriction in steps:
+        assert_certified(step, restriction)

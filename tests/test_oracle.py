@@ -408,6 +408,23 @@ def test_field_map_csv_bytes(tmp_path):
     assert (tmp_path / "map.csv").read_bytes() == expected.encode()
 
 
+def test_field_map_csv_keeps_fine_labels_apart(tmp_path):
+    """At a 1e-6 resolution near x = 1 and z = 2, ``%.6g`` gives the 11
+    columns and the 6 rows 2 labels each; each axis takes ``%.7g``, the
+    fewest digits that keep its positions apart."""
+    from wptopt.oracle import FieldMap
+    plane = PlaneSpec(1.0, 1.00001, 2.0, 2.000005, 1e-6)
+    xs, zs = plane.grid()
+    assert (len(xs), len(zs)) == (11, 6)
+    assert len({f"{x:.6g}" for x in xs}) == len({f"{z:.6g}" for z in zs}) == 2
+    fmap = FieldMap(plane, xs=xs, zs=zs, values=np.full((6, 11), 0.5))
+    fmap.to_csv(tmp_path / "map.csv")
+    lines = (tmp_path / "map.csv").read_text().splitlines()
+    assert lines[0].split(",")[1:] == [f"{x:.7g}" for x in xs]
+    assert [line.split(",")[0] for line in lines[1:]] == [f"{z:.7g}" for z in zs]
+    assert len(set(lines[0].split(","))) == 12
+
+
 def _reference_csv(fmap) -> str:
     """The CSV as Python's ``%`` formats every row, the writer that
     ``FieldMap.to_csv`` must equal byte for byte."""

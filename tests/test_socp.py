@@ -10,7 +10,7 @@ from wptopt.socp import (ConeProgram, Disk, ExitReason, NormGroup, QuadGroup,
                          solve, stack_complex, unstack_complex)
 from wptopt.transmitter import Waveform, effective_rows, lorentzian_weight
 
-from conftest import make_scenario
+from conftest import initial_waveform_restriction, make_scenario
 
 
 def test_pure_quadratic_recovers_offset():
@@ -240,6 +240,20 @@ def test_w_subproblem_row_matches_linearization_action(rng):
     via_row = row @ stack_complex(delta)
     via_action = lin.action(delta.T)  # linearization acts on [n_f, n_rf]
     assert via_row == pytest.approx(via_action, rel=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["fd", "dma"])
+def test_production_restriction_matches_its_cone_program(arch):
+    """The cone program of ``assemble_w_subproblem`` poses the restriction
+    of a three-receiver design's initialization: the same rows, right-hand
+    sides and chain scales."""
+    cfg, dma, lins, w, res = initial_waveform_restriction(arch)
+    prog = assemble_w_subproblem(cfg, dma, lins, w)
+    n_rf, n_f = w.omega.shape
+    assert res.rows.shape == (3, n_rf, 2 * n_f)
+    assert np.array_equal(prog.ineq_lhs, -res.rows.reshape(3, -1))
+    assert np.array_equal(prog.ineq_rhs, -res.rhs)
+    assert [g.scale for g in prog.norm_groups] == list(res.scales)
 
 
 def test_w_subproblem_infeasible_when_unreachable():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import group_soft_threshold, make_scenario
 from wptopt.channel import build_channel
 from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
 from wptopt.focusing_step import focusing_step
@@ -361,23 +361,6 @@ def test_focusing_step_matches_ipm_on_random_restrictions(case):
     v0 = harvested_voltage(a_hat, q0, dev.hpa_gain, dev.k2, dev.k4)
     v1 = harvested_voltage(a_hat, step.q, dev.hpa_gain, dev.k2, dev.k4)
     assert v1 >= v0
-
-
-def group_soft_threshold(scales, g_chains, r):
-    """min sum s_i ||w_i|| + ||w||^2 s.t. g.w >= r: ``||w_i|| =
-    (mu ||g_i|| - s_i)_+ / 2`` with mu set by the active row."""
-    a = np.linalg.norm(g_chains, axis=1)
-    order = np.argsort(scales / a)
-    act_aa = act_as = 0.0
-    for k, i in enumerate(order):
-        act_aa += a[i] ** 2
-        act_as += a[i] * scales[i]
-        mu = (2.0 * r + act_as) / act_aa
-        nxt = scales[order[k + 1]] / a[order[k + 1]] if k + 1 < len(order) else np.inf
-        if mu <= nxt:
-            break
-    norms = np.maximum(mu * a - scales, 0.0) / 2.0
-    return float(scales @ norms + norms @ norms)
 
 
 def test_waveform_matches_group_soft_threshold():

@@ -1,35 +1,16 @@
-"""The dual waveform step against the interior-point reference, the M = 1
-closed form and its own certificates, on random restrictions and on those a
-design poses."""
+"""The dual waveform step against the weak-duality bound of its restriction,
+the M = 1 closed form and its own certificates, on random restrictions and
+on those a design poses."""
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_step, make_scenario
-from test_socp_newton import group_soft_threshold, waveform_program
-from wptopt.channel import build_channel
-from wptopt.linearize import linearize_vo_in_w
-from wptopt.optimize import allocate_chains, init_digital_weights, init_q_phases
-from wptopt.power import chain_norm_scales
-from wptopt.socp import (SolveStatus, assemble_w_subproblem, solve,
-                         waveform_cone_program)
-from wptopt.transmitter import effective_rows
-from wptopt.waveform_step import (GAP_TOL, ExitReason, WaveformRestriction,
-                                  dual_step, waveform_restriction)
-
-# The interior-point method stops at a KKT merit of 1e-9; its objective then
-# lies within 1e-8 (1 + |P|) of the optimum on these programs.
-IPM_OBJECTIVE_TOL = 1e-8
-
-
-def restriction_of(prog, n_rf, n_f) -> WaveformRestriction:
-    """The restriction that a ``waveform_program`` cone program poses."""
-    m_rows = len(prog.ineq_rhs)
-    return WaveformRestriction(rows=-prog.ineq_lhs.reshape(m_rows, n_rf, 2 * n_f),
-                               rhs=-prog.ineq_rhs,
-                               scales=np.array([g.scale for g in prog.norm_groups]))
+from conftest import (assert_certified, assert_same_step, group_soft_threshold,
+                      initial_waveform_restriction, random_restriction,
+                      waveform_restrictions)
+from wptopt.waveform_step import GAP_TOL, ExitReason, WaveformRestriction, dual_step
 
 
 def assert_certificate(step, res):
@@ -41,47 +22,18 @@ def assert_certificate(step, res):
     assert np.linalg.norm(combo) <= 1e-10 * np.linalg.norm(lam) * np.linalg.norm(res.rows)
 
 
-@st.composite
-def restrictions(draw):
-    """``waveform_program`` draws with M in {1, 2, 3}; one chain with one tone
-    and three rows (its Hessian has rank 2 at most, and a quarter of such
-    draws are infeasible); and scales that keep chains off at the optimum."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
-        n_rf, n_f, m_rows = 1, 1, 3
-    else:
-        n_rf, n_f = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-        m_rows = draw(st.integers(1, 3))
-    scales = rng.uniform(0.0, 2.0, n_rf)
-    if draw(st.booleans()):
-        scales = scales * np.where(rng.uniform(size=n_rf) < 0.5, 10.0, 1.0)
-    prog = waveform_program(rng, n_rf, n_f, m_rows, scales=scales)
-    return prog, restriction_of(prog, n_rf, n_f)
-
-
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(restrictions())
-def test_dual_step_matches_interior_point(case):
-    prog, res = case
+@given(waveform_restrictions())
+def test_dual_step_is_certified(case):
+    kind, res = case
     step = dual_step(res)
-    sol = solve(prog, tol=1e-9)
-    event(f"interior point {sol.status.name}, dual step {step.exit_reason.name}")
-    if sol.status is SolveStatus.INFEASIBLE:
-        assert step.exit_reason is ExitReason.INFEASIBLE
+    event(f"{kind}, dual step {step.exit_reason.name}")
     if step.exit_reason is ExitReason.INFEASIBLE:
         assert_certificate(step, res)
         return
-    assert res.max_violation(step.x) == 0.0
-    assert step.primal == res.objective(step.x)
     event(f"{int(np.sum(~step.x.any(axis=1)))} of {len(res.scales)} chains off")
-    if step.exit_reason is ExitReason.TOLERANCE:
-        assert step.gap <= GAP_TOL * (1.0 + step.primal)
-    if sol.status is SolveStatus.OPTIMAL:
-        assert step.exit_reason is ExitReason.TOLERANCE
-        assert step.primal == pytest.approx(sol.objective, rel=IPM_OBJECTIVE_TOL,
-                                            abs=IPM_OBJECTIVE_TOL)
-        if prog.max_violation(sol.x) == 0.0:   # weak duality
-            assert sol.objective >= step.dual - GAP_TOL * (1.0 + step.primal)
+    assert_certified(step, res)
+    assert step.gap <= GAP_TOL * (1.0 + step.primal)
     if len(res.rhs) == 1:
         expected = group_soft_threshold(res.scales, res.rows[0], res.rhs[0])
         assert step.primal == pytest.approx(expected, rel=1e-12)
@@ -94,8 +46,7 @@ def test_one_receiver_start_is_the_answer():
     for _ in range(20):
         n_rf, n_f = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         scales = rng.uniform(0.0, 2.0, n_rf)
-        res = restriction_of(waveform_program(rng, n_rf, n_f, 1, scales=scales),
-                             n_rf, n_f)
+        res = random_restriction(rng, n_rf, n_f, 1, scales)
         step = dual_step(res)
         assert step.exit_reason is ExitReason.TOLERANCE and step.iterations == 0
         expected = group_soft_threshold(scales, res.rows[0], res.rhs[0])
@@ -114,9 +65,7 @@ def test_search_keeps_newton_from_cycling():
     assert step.exit_reason is ExitReason.TOLERANCE and step.iterations <= 10
     assert step.gap <= GAP_TOL * (1.0 + step.primal)
     assert step.x.any(axis=1).all()
-    sol = solve(waveform_cone_program(res))
-    assert sol.status is SolveStatus.OPTIMAL
-    assert step.primal == pytest.approx(sol.objective, rel=IPM_OBJECTIVE_TOL)
+    assert_certified(step, res)
 
 
 def test_opposite_rows_give_a_certificate():
@@ -140,36 +89,15 @@ def test_rows_met_at_zero_give_zero():
 
 
 @pytest.mark.parametrize("arch", ["fd", "dma"])
-def test_production_restriction_matches_its_cone_program(arch):
-    """The cone program of ``assemble_w_subproblem`` poses the production
-    restriction, and the dual step and the interior-point method agree on it
-    at a three-receiver design's initialization."""
-    cfg = make_scenario(arch, receivers=((0.0, 0.0, 1.5), (0.2, 0.1, 1.8),
-                                         (-0.3, 0.2, 2.1)))
-    dev = cfg.device
-    channel = build_channel(cfg.array, cfg.receivers, cfg.frequency, dev.boresight_gain)
-    plan = allocate_chains(channel, cfg.n_receivers, cfg.array.rf_chain_count)
-    dma = init_q_phases(channel, plan, cfg) if arch == "dma" else None
-    w = init_digital_weights(cfg, channel, plan, dma)
-    lins = [linearize_vo_in_w(rows, w.omega.T, dev.k2, dev.k4, dev.hpa_gain)
-            for rows in effective_rows(channel, cfg.array, dma)]
-    scales = chain_norm_scales(dma, w.n_rf, dev.hpa_gain, dev.hpa_saturation_power,
-                               dev.hpa_max_efficiency)
-    res = waveform_restriction(lins, w, scales, cfg.voltage_targets())
-    prog = assemble_w_subproblem(cfg, dma, lins, w)
-    n_rf, n_f = w.omega.shape
-    assert res.rows.shape == (3, n_rf, 2 * n_f)
-    assert np.array_equal(prog.ineq_lhs, -res.rows.reshape(3, -1))
-    assert np.array_equal(prog.ineq_rhs, -res.rhs)
-    assert [g.scale for g in prog.norm_groups] == list(res.scales)
+def test_production_restriction_is_certified(arch):
+    """The dual step solves the restriction of a three-receiver design's
+    initialization, certified by weak duality."""
+    *_, res = initial_waveform_restriction(arch)
+    assert res.rows.shape[0] == 3
     assert np.all(res.rhs > 0)   # every target lies above the tangent at w0
     step = dual_step(res)
-    sol = solve(prog)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert step.exit_reason is ExitReason.TOLERANCE
+    assert_certified(step, res)
     assert step.gap <= GAP_TOL * (1.0 + step.primal)
-    assert res.max_violation(step.x) == 0.0
-    assert step.primal == pytest.approx(sol.objective, rel=IPM_OBJECTIVE_TOL)
     assert np.all(step.multipliers >= 0.0)
 
 
@@ -186,16 +114,17 @@ def _duplicated_row(seed):
 
 @pytest.mark.parametrize("seed", [2194, 2286, 3125, 4596])
 def test_projected_gradient_fallback(monkeypatch, seed):
-    """On these restrictions the Newton direction stops descending by its
-    rounding once the gradient is at its rounding level, and the step takes
-    the projected gradient. The answer is still feasible and certified, and
-    it is the answer without the repeated row."""
+    """The Newton direction stops descending at the step's first iteration,
+    as it does by its rounding on some floating-point kernels once the
+    gradient is at its rounding level, and the step takes the projected
+    gradient. The answer is still feasible and certified, and it is the
+    answer without the repeated row."""
     from wptopt import dual_newton
     returned = []
     newton = dual_newton.direction
 
     def spy(*args):
-        p = newton(*args)
+        p = newton(*args) if returned else None   # the forced stall
         returned.append(p)
         return p
 
@@ -207,6 +136,7 @@ def test_projected_gradient_fallback(monkeypatch, seed):
     assert res.max_violation(step.x) == 0.0 and step.primal == res.objective(step.x)
     assert step.gap <= GAP_TOL * (1.0 + step.primal)
     assert step.multipliers.min() >= 0.0
+    assert_certified(step, res)
     single = dual_step(WaveformRestriction(res.rows[1:], res.rhs[1:], res.scales))
     assert step.primal == pytest.approx(single.primal, rel=1e-11)
 
@@ -246,8 +176,7 @@ def test_one_row_start_is_the_general_start(seed, n_rf, n_f, kind):
 
     from wptopt import waveform_step as module
     rng = np.random.default_rng(seed)
-    res = restriction_of(waveform_program(rng, n_rf, n_f, 1,
-                                          scales=rng.uniform(0.0, 2.0, n_rf)), n_rf, n_f)
+    res = random_restriction(rng, n_rf, n_f, 1, rng.uniform(0.0, 2.0, n_rf))
     rows, rhs = res.rows.copy(), res.rhs.copy()
     if kind == "zero row":
         rows[:] = 0.0
