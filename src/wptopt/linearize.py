@@ -5,6 +5,11 @@ coordinates, so its tangent plane is a global underestimator; the convex
 restriction stage relies on that. The gradient is represented by a
 complex coefficient vector ``c`` acting on a perturbation as
 ``2*Re{c^H delta}`` (the conjugate-coordinate derivative).
+
+The voltage and its gradient in the tone spectrum are
+``rectenna.voltage_and_gradient``; this module only carries that gradient
+through the rows by the chain rule. A model keeps the caller's expansion
+point, not a copy: the stages pass read-only views of their weights.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rectenna import (moment2_from_spectrum, moment4_from_convolution,
-                       output_voltage, tone_amplitudes)
+from .rectenna import tone_amplitudes, voltage_and_gradient
 
 
 @dataclass(frozen=True)
@@ -33,17 +37,6 @@ class LinearizedVoltage:
         return self.base_value + self.action(np.asarray(point) - self.expansion_point)
 
 
-def _voltage_and_gradient(s: np.ndarray, hpa_gain: float, k2: float, k4: float):
-    """v_o and d v_o / d conj(s_n) from one self-convolution ``t = s * s``: the
-    fourth moment is its energy; the gradient is ``(G^2/2) s`` plus ``t``
-    correlated back against ``s``."""
-    t = np.convolve(s, s)
-    base = output_voltage(moment2_from_spectrum(s, hpa_gain),
-                          moment4_from_convolution(t, hpa_gain), k2, k4)
-    quartic = np.correlate(t, s, mode="valid")  # sum_u t[u] conj(s[u - n])
-    return base, (k2 * hpa_gain ** 2 / 2.0) * s + (k4 * 3.0 * hpa_gain ** 4 / 4.0) * quartic
-
-
 def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
                       hpa_gain: float = 1.0,
                       conj_rows: np.ndarray | None = None) -> LinearizedVoltage:
@@ -57,9 +50,9 @@ def linearize_vo_in_w(a_rows: np.ndarray, w0: np.ndarray, k2: float, k4: float,
     a_rows = np.asarray(a_rows, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
     s = tone_amplitudes(a_rows, w0)
-    base, grad_s = _voltage_and_gradient(s, hpa_gain, k2, k4)
+    base, grad_s = voltage_and_gradient(s, hpa_gain, k2, k4)
     coeffs = grad_s[:, None] * (np.conj(a_rows) if conj_rows is None else conj_rows)
-    return LinearizedVoltage(base, coeffs, w0.copy())
+    return LinearizedVoltage(base, coeffs, w0)
 
 
 def linearize_vo_in_q(a_hat_rows: np.ndarray, q0: np.ndarray, k2: float, k4: float,
@@ -75,6 +68,6 @@ def linearize_vo_in_q(a_hat_rows: np.ndarray, q0: np.ndarray, k2: float, k4: flo
     a_hat_rows = np.asarray(a_hat_rows, dtype=complex)
     q0 = np.asarray(q0, dtype=complex)
     s = a_hat_rows @ q0
-    base, grad_s = _voltage_and_gradient(s, hpa_gain, k2, k4)
+    base, grad_s = voltage_and_gradient(s, hpa_gain, k2, k4)
     coeffs = grad_s @ (np.conj(a_hat_rows) if conj_rows is None else conj_rows)
-    return LinearizedVoltage(base, coeffs, q0.copy())
+    return LinearizedVoltage(base, coeffs, q0)

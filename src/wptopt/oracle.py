@@ -1,12 +1,16 @@
 """Independent verification paths: time sampling, finite differences,
-exhaustive small-instance search, and spatial field maps.
+exhaustive small-instance search, an angle-form channel, and spatial field
+maps.
 
 Everything here validates the frequency-domain formulas from the outside:
 received signals are synthesized over one signal period by one inverse FFT,
 on whose grid every tone is an exact DFT bin, gradients are re-derived by
-central differences, and tiny instances are optimized by brute force. None of
-these routines share code with the closed-form paths they check, except where
-the contract explicitly demands the same code path.
+central differences of a voltage the caller supplies, tiny instances are
+optimized by brute force, and single channel coefficients are evaluated from
+the element's angle off boresight. None of these routines share code with
+the closed-form paths they check. ``field_map`` is not a check but the
+``fieldmap`` command's map; it evaluates the element pattern by
+``channel.cosine_profile``, the formula ``build_channel`` uses.
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import build_channel, cosine_profile
-from .linearize import linearize_vo_in_q, linearize_vo_in_w
+from .linearize import LinearizedVoltage
 from .power import chain_norm_scales
-from .rectenna import harvested_voltage
 from .scenario import SPEED_OF_LIGHT, Architecture, FrequencyPlan, ScenarioConfig
 from .transmitter import DmaState, Waveform, effective_rows
 
@@ -98,7 +101,7 @@ def moment4_enumerated(s: np.ndarray, hpa_gain: float = 1.0) -> float:
 def spectrum_gradient_enumerated(s: np.ndarray, hpa_gain: float,
                                  k2: float, k4: float) -> np.ndarray:
     """``d v_o / d conj(s_n)`` assembled by walking the quadruple index set
-    term by term; the check of the autocorrelation form in ``linearize``."""
+    term by term; the check of ``rectenna.voltage_and_gradient``."""
     s = np.asarray(s, dtype=complex)
     n_f = len(s)
     grad4 = np.zeros(n_f, dtype=complex)
@@ -122,45 +125,52 @@ def _central_difference(fun, x0: np.ndarray, direction: np.ndarray, step: float)
     return (fun(x0 + step * direction) - fun(x0 - step * direction)) / (2.0 * step)
 
 
-def check_gradient_w(a_rows, w0, k2, k4, hpa_gain, step=1e-6, n_directions=8,
-                     seed=0) -> float:
-    """Max relative error of the waveform linearization against central
-    differences over random complex directions."""
+def check_gradient(lin: LinearizedVoltage, voltage, step=1e-6, n_directions=8,
+                   seed=0) -> float:
+    """Max relative error of the tangent model ``lin`` against central
+    differences of ``voltage`` (a callable of the point) at its expansion
+    point, over random complex directions."""
     rng = np.random.default_rng(seed)
-    lin = linearize_vo_in_w(a_rows, w0, k2, k4, hpa_gain)
-
-    def vo(w):
-        return harvested_voltage(a_rows, w, hpa_gain, k2, k4)
-
+    x0 = lin.expansion_point
     worst = 0.0
     for _ in range(n_directions):
-        d = rng.normal(size=w0.shape) + 1j * rng.normal(size=w0.shape)
+        d = rng.normal(size=x0.shape) + 1j * rng.normal(size=x0.shape)
         d /= np.linalg.norm(d)
-        num = _central_difference(vo, np.asarray(w0, dtype=complex), d, step)
+        num = _central_difference(voltage, x0, d, step)
         ana = lin.action(d)
         worst = max(worst, abs(num - ana) / max(abs(num), 1e-10))
     return worst
 
 
-def check_gradient_q(a_hat_rows, q0, k2, k4, hpa_gain, step=1e-6, n_directions=8,
-                     seed=0) -> float:
-    """Max relative error of the element-weight linearization against central
-    differences over random complex directions."""
-    rng = np.random.default_rng(seed)
-    lin = linearize_vo_in_q(a_hat_rows, q0, k2, k4, hpa_gain)
-    a_hat_rows = np.asarray(a_hat_rows, dtype=complex)
+# ---------------------------------------------------------------------------
+# channel coefficients from the angle off boresight
+# ---------------------------------------------------------------------------
 
-    def vo(q):
-        return harvested_voltage(a_hat_rows, q[None, :], hpa_gain, k2, k4)
+def radiation_profile(theta, boresight_gain: float = 0.0):
+    """Element gain pattern ``G_t * cos(theta)**(G_t/2 - 1)`` on the front
+    hemisphere ``0 <= theta <= pi/2``, zero behind the array; ``G_t =
+    2*(b+1)``. The angle form of ``channel.cosine_profile``."""
+    theta = np.asarray(theta, dtype=float)
+    gt = 2.0 * (boresight_gain + 1.0)
+    front = (theta >= 0.0) & (theta <= np.pi / 2.0)
+    out = np.where(front, gt * np.cos(np.where(front, theta, 0.0)) ** (gt / 2.0 - 1.0), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
-    worst = 0.0
-    for _ in range(n_directions):
-        d = rng.normal(size=q0.shape) + 1j * rng.normal(size=q0.shape)
-        d /= np.linalg.norm(d)
-        num = _central_difference(vo, np.asarray(q0, dtype=complex), d, step)
-        ana = lin.action(d)
-        worst = max(worst, abs(num - ana) / max(abs(num), 1e-10))
-    return worst
+
+def channel_coefficient(element_pos, receiver_pos, wavelength: float,
+                        boresight_gain: float = 0.0) -> complex:
+    """Complex LoS gain between one element and one receiver at one tone,
+    through the angle ``theta = acos(dz/d)``; one entry of
+    ``channel.build_channel``'s tensor, evaluated on its own."""
+    delta = np.asarray(receiver_pos, dtype=float) - np.asarray(element_pos, dtype=float)
+    d = float(np.linalg.norm(delta))
+    if d <= 0.0:
+        raise ValueError("receiver coincides with the array element")
+    theta = math.acos(np.clip(delta[2] / d, -1.0, 1.0))
+    amp = math.sqrt(radiation_profile(theta, boresight_gain)) * wavelength / (4.0 * math.pi * d)
+    return amp * np.exp(-2j * math.pi * d / wavelength)
 
 
 # ---------------------------------------------------------------------------

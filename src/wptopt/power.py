@@ -45,18 +45,10 @@ def chain_norm_scales(dma: DmaState | None, n_rf: int, hpa_gain: float,
     return base * qh
 
 
-def hpa_bound_objective(waveform: Waveform, dma: DmaState | None,
-                        hpa_gain: float, p_max: float, eta_max: float) -> float:
-    """Convex upper bound on total consumption: sum-of-norms term plus P_in."""
-    scales = chain_norm_scales(dma, waveform.n_rf, hpa_gain, p_max, eta_max)
-    norms = np.linalg.norm(waveform.omega, axis=1)
-    return float(scales @ norms + input_power(waveform))
-
-
 @dataclass(frozen=True)
 class PowerReport:
     """Consumption summary for one transmitter state. The optimization
-    objective is ``p_hpa_bound + p_in`` (:func:`hpa_bound_objective`)."""
+    objective is ``p_hpa_bound + p_in``."""
 
     p_in: float            # digital input power
     p_hpa_sampled: float   # time-averaged amplifier consumption

@@ -10,11 +10,17 @@ holds:
 - ``digest``: sha256 over the weights, the element weights ``q``, the
   trace's ``p_c_bound`` column and ``p_dc``. The sampled report fields and
   the timings stay out, so a sampling change does not move it;
+- ``values``: those four arrays themselves, complex ones as interleaved
+  real and imaginary parts (the digest's bytes, as floats);
 - the counts: trace records, and per stage (``q`` focusing, ``w``
   waveform) in call order its SCA steps, the Newton iterations of each
   accepted step and the exit reason of every step;
-- ``p_c_sampled`` and ``p_hpa_sampled``, which ``tests/test_golden.py``
-  compares to 1e-12 relative.
+- ``p_c_sampled`` and ``p_hpa_sampled``;
+- ``kernels``: the writer's ``conftest.kernel_fingerprint()``.
+
+``tests/test_golden.py`` compares a run bit for bit under the kernels the
+entry was written with. Under other kernels the last bits of a design move,
+so it compares the counts exactly and the values to a relative tolerance.
 
 A change that claims to keep every design leaves the file as it is, and
 ``tests/test_golden.py`` is its proof. A change that moves a design on
@@ -34,7 +40,7 @@ import numpy as np
 from wptopt import blas, cli, optimize
 from wptopt.scenario import load_scenario
 
-from conftest import THREE_RECEIVERS, make_scenario
+from conftest import THREE_RECEIVERS, kernel_fingerprint, make_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden.json"
@@ -48,12 +54,19 @@ RUNS = {f"{name}{suffix}": (name, paper)
 STAGES = ("run_sca_q", "run_sca_w")
 
 
+def pinned(artifact: cli.RunArtifact) -> dict:
+    """The arrays that pin a design, by name; ``q`` only for a DMA."""
+    parts = {"waveform": artifact.waveform, "q": artifact.dma_q,
+             "p_c_bound": [row["p_c_bound"] for row in artifact.trace_rows],
+             "p_dc": artifact.p_dc}
+    return {name: np.ascontiguousarray(part) for name, part in parts.items()
+            if part is not None}
+
+
 def digest(artifact: cli.RunArtifact) -> str:
     h = hashlib.sha256()
-    for part in (artifact.waveform, artifact.dma_q,
-                 [row["p_c_bound"] for row in artifact.trace_rows], artifact.p_dc):
-        if part is not None:
-            h.update(np.ascontiguousarray(part).tobytes())
+    for part in pinned(artifact).values():
+        h.update(part.tobytes())
     return h.hexdigest()
 
 
@@ -83,10 +96,13 @@ def run(name: str) -> dict:
     finally:
         for stage, fn in real.items():
             setattr(optimize, stage, fn)
+    values = {name: (part.view(float) if np.iscomplexobj(part) else part).reshape(-1).tolist()
+              for name, part in pinned(artifact).items()}
     return {"digest": digest(artifact), "records": len(artifact.trace_rows),
             "converged": artifact.converged, "stages": stages,
             "p_c_sampled": artifact.power_report.p_c_sampled,
-            "p_hpa_sampled": artifact.power_report.p_hpa_sampled}
+            "p_hpa_sampled": artifact.power_report.p_hpa_sampled,
+            "values": values, "kernels": kernel_fingerprint()}
 
 
 def main() -> int:

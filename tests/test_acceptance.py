@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from wptopt.channel import build_channel
-from wptopt.linearize import linearize_vo_in_w
+from wptopt.linearize import linearize_vo_in_q, linearize_vo_in_w
 from wptopt.optimize import run_asca_dma, run_sca_fd, run_sca_q
 from wptopt.oracle import (PlaneSpec, closed_form_single, field_map)
-from wptopt.power import chain_norm_scales, hpa_bound_objective, sampled_consumption
+from wptopt.power import Design, chain_norm_scales, sampled_consumption
 from wptopt.rectenna import (harvested_voltage, moment2_from_spectrum,
                              moment4_from_spectrum, tone_amplitudes)
 from wptopt.scenario import (Architecture, ArraySpec, FrequencyPlan,
@@ -25,7 +25,7 @@ from wptopt.scenario import (Architecture, ArraySpec, FrequencyPlan,
 from wptopt.waveform_step import ExitReason, dual_step, waveform_restriction
 from wptopt.transmitter import (DmaState, Waveform, effective_rows, element_rows,
                                 lorentzian_weight)
-from wptopt.oracle import check_gradient_q, check_gradient_w
+from wptopt.oracle import check_gradient
 from wptopt.channel import field_boundaries
 
 from conftest import (F1, BW, focusing_dual_bound, make_scenario, single_element_fd,
@@ -97,8 +97,12 @@ def test_criterion_2_gradient_fidelity():
         k2, k4 = float(rng.uniform(0.5, 2)), float(rng.uniform(0.1, 1))
         g = float(rng.uniform(0.5, 1.5))
         worst = max(worst,
-                    check_gradient_w(rows, w0, k2, k4, g, step=1e-6, seed=trial),
-                    check_gradient_q(rows, q0, k2, k4, g, step=1e-6, seed=trial))
+                    check_gradient(linearize_vo_in_w(rows, w0, k2, k4, g),
+                                   lambda w: harvested_voltage(rows, w, g, k2, k4),
+                                   step=1e-6, seed=trial),
+                    check_gradient(linearize_vo_in_q(rows, q0, k2, k4, g),
+                                   lambda q: harvested_voltage(rows, q[None, :], g, k2, k4),
+                                   step=1e-6, seed=trial))
     under_viol = 0
     for _ in range(1000):
         rows = _random_effective_rows(rng, 2, 3)
@@ -343,8 +347,8 @@ def _random_feasible_objective(cfg, channel, rng):
         omega = omega * cfg.solver.init_ramp_factor
     else:
         return math.inf
-    return hpa_bound_objective(Waveform(omega), dma, dev.hpa_gain,
-                               dev.hpa_saturation_power, dev.hpa_max_efficiency)
+    report = Design(cfg, Waveform(omega), dma).report()
+    return report.p_hpa_bound + report.p_in
 
 
 def test_criterion_8_initialization_quality(dma_suite):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wptopt.channel import (build_channel, channel_coefficient,
-                            field_boundaries, radiation_profile)
+from wptopt.channel import build_channel, cosine_profile, field_boundaries
+from wptopt.oracle import channel_coefficient, radiation_profile
 from wptopt.scenario import SPEED_OF_LIGHT, Architecture, build_array
 
 from conftest import F1, make_scenario
@@ -76,6 +76,46 @@ def test_build_channel_single_entry_matches_scalar(tiny_dma):
                                  tiny_dma.receivers[0].position, lam, 0.0)
     assert ch.gamma[0, 0, 0] == pytest.approx(direct)
     assert np.allclose(np.abs(ch.gamma), ch.gain)
+
+
+def test_build_channel_is_zero_behind_the_array(tiny_dma):
+    """A point behind the array plane sees no element, at any directivity."""
+    for b in (0.0, 1.5):
+        ch = build_channel(tiny_dma.array, [(0.1, 0.0, -0.5), (0.0, 0.0, 1.0)],
+                           tiny_dma.frequency, b)
+        assert np.all(ch.gamma[0] == 0.0) and np.all(ch.gain[0] == 0.0)
+        assert np.all(ch.gain[1] > 0.0)
+
+
+def test_build_channel_in_the_array_plane_at_zero_directivity(tiny_dma):
+    """At b = 0 the pattern is the constant 2 over the front hemisphere, its
+    rim ``cos(theta) = 0`` included: a point in the plane z = 0 sees every
+    element with gain ``sqrt(2) * lambda / (4 pi d)``."""
+    assert cosine_profile(0.0, 0.0) == 2.0
+    arr = tiny_dma.array
+    rx = np.array([1.0, 0.3, 0.0])
+    ch = build_channel(arr, [rx], tiny_dma.frequency, 0.0)
+    d = np.linalg.norm(rx - arr.element_positions.reshape(-1, 3), axis=1)
+    want = math.sqrt(2.0) * tiny_dma.frequency.wavelengths / (4.0 * math.pi * d[:, None])
+    assert np.allclose(ch.gain[0], want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5, 4000.0])
+def test_build_channel_matches_the_angle_form(tiny_dma, b):
+    """Every entry of the tensor, which evaluates the pattern in ``dz/d``,
+    agrees with the oracle's coefficient through ``theta = acos(dz/d)``,
+    from boresight out to wide angles, and ``cos**4000`` underflows alike."""
+    arr, plan = tiny_dma.array, tiny_dma.frequency
+    receivers = [(0.0, 0.0, 2.2), (0.6, -0.4, 0.5), (3.0, 1.0, 0.2), (0.02, 0.01, 0.3)]
+    ch = build_channel(arr, receivers, plan, b)
+    elements = arr.element_positions.reshape(-1, 3)
+    want = np.array([[[channel_coefficient(e, rx, lam, b) for lam in plan.wavelengths]
+                      for e in elements] for rx in receivers])
+    assert np.allclose(ch.gamma, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(ch.gain, np.abs(want), rtol=1e-12, atol=0.0)
+    assert np.all((ch.gain == 0.0) == (np.abs(want) == 0.0))
+    if b == 4000.0:
+        assert np.any(ch.gain == 0.0) and np.any(ch.gain > 0.0)
 
 
 def test_build_channel_mirror_symmetry():

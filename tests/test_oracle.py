@@ -7,8 +7,8 @@ from wptopt.channel import build_channel
 from wptopt.oracle import (PlaneSpec, brute_force_small, closed_form_single,
                            field_map, synthesize_received)
 from wptopt.optimize import run_sca_fd
-from wptopt.power import hpa_bound_objective
-from wptopt.rectenna import moment2, moment4, tone_amplitudes
+from wptopt.power import Design
+from wptopt.rectenna import moment2_from_spectrum, moment4_from_spectrum, tone_amplitudes
 from wptopt.scenario import FrequencyPlan
 from wptopt.transmitter import LORENTZIAN_CENTER, Waveform, effective_rows
 
@@ -55,8 +55,9 @@ def test_synthesized_moments_match_spectral(rng):
         wf = Waveform(rng.normal(size=(cfg.array.rf_chain_count, n_f))
                       + 1j * rng.normal(size=(cfg.array.rf_chain_count, n_f)))
         sig = _received(cfg, wf)
-        m2 = moment2(_rows(cfg), wf.omega.T, cfg.device.hpa_gain)
-        m4 = moment4(_rows(cfg), wf.omega.T, cfg.device.hpa_gain)
+        s = tone_amplitudes(_rows(cfg), wf.omega.T)
+        m2 = moment2_from_spectrum(s, cfg.device.hpa_gain)
+        m4 = moment4_from_spectrum(s, cfg.device.hpa_gain)
         assert sig.moment(2) == pytest.approx(m2, rel=1e-9)
         assert sig.moment(4) == pytest.approx(m4, rel=1e-8)
 
@@ -113,15 +114,18 @@ def test_papr_grows_with_tone_count(rng):
     assert paprs[1] > paprs[0] and paprs[2] > paprs[1]
 
 
+def consumption_bound(cfg, waveform):
+    """The optimization objective ``p_hpa_bound + p_in`` of a design."""
+    report = Design(cfg, waveform).report()
+    return report.p_hpa_bound + report.p_in
+
+
 def test_brute_force_matches_closed_form():
     cfg = single_element_fd()
     result = brute_force_small(cfg, n_samples=200_000, seed=1)
     assert result.feasible_found
     w_opt, _ = closed_form_single(cfg)
-    dev = cfg.device
-    expected_bound = hpa_bound_objective(
-        Waveform(np.array([[w_opt + 0j]])), None, dev.hpa_gain,
-        dev.hpa_saturation_power, dev.hpa_max_efficiency)
+    expected_bound = consumption_bound(cfg, Waveform(np.array([[w_opt + 0j]])))
     # 2e5 log-uniform amplitude draws resolve the 1-D optimum to ~0.1%
     assert result.best_objective == pytest.approx(expected_bound, rel=1e-3)
     assert result.best_objective >= expected_bound - 1e-9
@@ -147,10 +151,7 @@ def test_sca_beats_brute_force_two_element_toy(rng):
     cfg = cfg.with_solver(max_sca_iters=40)
     cfg.validate()
     w, _ = run_sca_fd(cfg)
-    dev = cfg.device
-    sca_obj = hpa_bound_objective(w, None, dev.hpa_gain,
-                                  dev.hpa_saturation_power,
-                                  dev.hpa_max_efficiency)
+    sca_obj = consumption_bound(cfg, w)
     result = brute_force_small(cfg, n_samples=300_000, seed=3)
     assert result.feasible_found
     assert sca_obj <= result.best_objective * (1.0 + 0.005)
@@ -166,10 +167,7 @@ def test_unmeetable_target_raises_in_optimizer():
 def test_brute_force_bounds_sca_result():
     cfg = single_element_fd().with_solver(max_sca_iters=40)
     w, _ = run_sca_fd(cfg)
-    dev = cfg.device
-    sca_obj = hpa_bound_objective(w, None, dev.hpa_gain,
-                                  dev.hpa_saturation_power,
-                                  dev.hpa_max_efficiency)
+    sca_obj = consumption_bound(cfg, w)
     result = brute_force_small(cfg, n_samples=100_000, seed=2)
     assert sca_obj <= result.best_objective * (1.0 + 0.005)
 

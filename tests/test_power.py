@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wptopt import power
 from wptopt.channel import build_channel
-from wptopt.power import (Design, chain_norm_scales, hpa_bound_objective, input_power,
+from wptopt.power import (Design, chain_norm_scales, input_power,
                           sampled_consumption)
 from wptopt.rectenna import harvested_voltage
 from wptopt.scenario import Architecture, FrequencyPlan, MicrostripParams
@@ -19,6 +19,15 @@ from conftest import make_scenario, synthetic_plan
 def random_dma_state(rng, n_v, n_h, spacing=0.0115):
     phi = rng.uniform(0, 2 * np.pi, size=(n_v, n_h))
     return DmaState.from_phases(phi, spacing, MicrostripParams())
+
+
+def consumption_bound(wf, dma, hpa_gain, p_max, eta_max):
+    """The optimization objective ``p_hpa_bound + p_in`` as
+    :func:`sampled_consumption` reports it for ``wf`` and ``dma``."""
+    array = make_scenario("fd" if dma is None else "dma").array
+    rep = sampled_consumption(wf, dma, array, synthetic_plan(wf.omega.shape[1]),
+                              hpa_gain, p_max, eta_max)
+    return rep.p_hpa_bound + rep.p_in
 
 
 def chain_element_amplitudes(waveform, dma, hpa_gain):
@@ -92,20 +101,20 @@ def test_hpa_bound_single_chain_example():
     wf = Waveform(np.array([[1.0 + 0j]]))
     dma = DmaState.from_phases(np.array([[np.pi / 2]]), 0.0115,
                                MicrostripParams(attenuation=0.0))
-    val = hpa_bound_objective(wf, dma, 1.0, 1.0, math.pi / 4.0)
+    val = consumption_bound(wf, dma, 1.0, 1.0, math.pi / 4.0)
     assert val == pytest.approx(4.0 / math.pi * math.sqrt(0.5) + 1.0, rel=1e-12)
 
 
 def test_hpa_bound_zero_waveform():
-    assert hpa_bound_objective(Waveform.zeros(2, 2), None, 1.0, 1.0, 0.5) == 0.0
+    assert consumption_bound(Waveform.zeros(2, 2), None, 1.0, 1.0, 0.5) == 0.0
 
 
 def test_hpa_bound_homogeneity(rng):
     wf = Waveform(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
     dma = random_dma_state(rng, 2, 4)
-    base_norm = hpa_bound_objective(wf, dma, 1.0, 1.0, 0.7) - input_power(wf)
+    base_norm = consumption_bound(wf, dma, 1.0, 1.0, 0.7) - input_power(wf)
     doubled = Waveform(2.0 * wf.omega)
-    scaled_norm = hpa_bound_objective(doubled, dma, 1.0, 1.0, 0.7) - input_power(doubled)
+    scaled_norm = consumption_bound(doubled, dma, 1.0, 1.0, 0.7) - input_power(doubled)
     assert scaled_norm == pytest.approx(2.0 * base_norm, rel=1e-12)
     assert input_power(doubled) == pytest.approx(4.0 * input_power(wf), rel=1e-12)
 
@@ -205,8 +214,8 @@ def test_power_report_invariant(rng):
     rep = sampled_consumption(wf, dma, cfg.array, plan, 1.0, 1.0, 0.7)
     assert rep.p_hpa_bound >= rep.p_hpa_sampled - 1e-9 * max(1.0, rep.p_hpa_sampled)
     assert rep.p_c_sampled == pytest.approx(rep.p_hpa_sampled + rep.p_in)
-    assert hpa_bound_objective(wf, dma, 1.0, 1.0, 0.7) == pytest.approx(rep.p_hpa_bound
-                                                                         + rep.p_in)
+    scales = chain_norm_scales(dma, wf.n_rf, 1.0, 1.0, 0.7)
+    assert rep.p_hpa_bound == pytest.approx(scales @ np.linalg.norm(wf.omega, axis=1))
     assert min(rep.p_in, rep.p_hpa_sampled, rep.p_hpa_bound) >= 0.0
 
 

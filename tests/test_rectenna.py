@@ -1,25 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptopt.oracle import moment4_enumerated, time_domain_moments
-from wptopt.rectenna import (dc_power, harvested_voltage, moment2,
-                             moment2_from_spectrum, moment4,
+from wptopt.power import Design
+from wptopt.rectenna import (harvested_voltage, moment2_from_spectrum,
                              moment4_from_spectrum, output_voltage,
                              tone_amplitudes)
+from wptopt.scenario import ScenarioValidationError
+from wptopt.transmitter import Waveform
 
 from conftest import synthetic_plan
 
 
 def test_moment2_single_tone_example():
-    assert moment2(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]), 1.0) \
-        == pytest.approx(2.0)
+    s = tone_amplitudes(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]))
+    assert moment2_from_spectrum(s, 1.0) == pytest.approx(2.0)
 
 
 def test_moment2_zero_waveform():
     a = np.ones((3, 4), dtype=complex)
-    assert moment2(a, np.zeros((3, 4)), 1.0) == 0.0
+    assert moment2_from_spectrum(tone_amplitudes(a, np.zeros((3, 4))), 1.0) == 0.0
 
 
 def test_moment4_single_tone_closed_form(rng):
@@ -55,8 +59,8 @@ def test_moments_match_time_domain(n_f, n_el, extra, g, seed):
     s = tone_amplitudes(a, w)
     t = plan.quadrature_times(degree=4)
     t2, t4 = time_domain_moments(s, plan.tones, t, g)
-    m2 = moment2(a, w, g)
-    m4 = moment4(a, w, g)
+    m2 = moment2_from_spectrum(s, g)
+    m4 = moment4_from_spectrum(s, g)
     assert abs(t2 - m2) <= 1e-9 * max(m2, 1e-300)
     assert abs(t4 - m4) <= 1e-8 * max(m4, 1e-300)
 
@@ -90,13 +94,22 @@ def test_voltage_scaling_bounds(rng):
     assert 4.0 * v1 - 1e-12 <= v2 <= 16.0 * v1 + 1e-12
 
 
-def test_dc_power_examples():
-    assert dc_power(0.0, 50.0) == 0.0
-    assert dc_power(1e-3, 50.0) == pytest.approx(2e-8)
+def test_dc_power_examples(tiny_fd, rng):
+    """``Design.p_dc`` is ``v_o**2 / R_L`` per receiver; a load of no
+    resistance is rejected when the scenario validates."""
+    n_rf, n_f = tiny_fd.array.rf_chain_count, tiny_fd.frequency.n_f
+    zero = Design(tiny_fd, Waveform.zeros(n_rf, n_f))
+    assert np.all(zero.p_dc() == 0.0)
+    design = Design(tiny_fd, Waveform(rng.normal(size=(n_rf, n_f))
+                                      + 1j * rng.normal(size=(n_rf, n_f))))
+    load = tiny_fd.device.rect_load_resistance
+    assert np.array_equal(design.p_dc(), design.voltages() ** 2 / load)
     # voltage needed for a 20 uW target on a 50 ohm load
     assert np.sqrt(50.0 * 2e-5) == pytest.approx(3.1623e-2, rel=1e-4)
-    with pytest.raises(ValueError):
-        dc_power(1.0, 0.0)
+    for bad in (0.0, -50.0):
+        device = dataclasses.replace(tiny_fd.device, rect_load_resistance=bad)
+        with pytest.raises(ScenarioValidationError):
+            device.validate()
 
 
 def test_voltage_convexity_probe(rng):

@@ -469,3 +469,13 @@ def test_one_stray_key_or_value_fails_the_load_naming_it(tmp_path_factory, stray
         load_scenario(path)
     message = str(err.value)
     assert "\n" not in message and all(name in message for name in names), message
+
+
+def test_readme_python_example_runs(capsys):
+    """README's programmatic example runs as written against the package's
+    public names and prints the design's consumption and DC power."""
+    example = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    p_c, p_dc, p_c_sampled = (float(word.strip("[]"))
+                              for word in capsys.readouterr().out.split())
+    assert 0.0 < p_c_sampled <= p_c and p_dc >= 20e-6 * (1.0 - 1e-6)

@@ -139,7 +139,7 @@ def test_effective_rows_dma_phase_rotation(tiny_dma):
     dma = DmaState.from_phases(np.full((arr.n_v, arr.n_h), np.pi / 2),
                                arr.inter_element_dx, strip)
     a_hat = element_rows(ch, dma, Waveform(np.ones((arr.n_v, tiny_dma.frequency.n_f))))
-    gamma_rows = ch.rows(0)
+    gamma_rows = ch.gamma[0].T
     expected = gamma_rows * (1j * dma.h.reshape(-1))[None, :]
     assert np.allclose(1j * a_hat[0], expected)
     assert np.allclose(np.abs(a_hat[0]), np.abs(gamma_rows))
@@ -157,7 +157,7 @@ def test_effective_rows_equal_per_receiver_stack(rng):
         cfg = make_scenario(arch, length=0.2, n_f=n_f, receivers=receivers)
         arr = cfg.array
         ch = build_channel(arr, cfg.receivers, cfg.frequency, 0.0)
-        stacked = np.stack([ch.rows(m) for m in range(len(receivers))])
+        stacked = np.stack([ch.gamma[m].T for m in range(len(receivers))])
         if arch == "fd":
             rows = effective_rows(ch, arr)
             assert np.array_equal(rows, stacked)
@@ -193,7 +193,7 @@ def test_received_spectrum_same_through_q_or_w_route(tiny_dma, rng):
     wf = Waveform(rng.normal(size=(arr.n_v, tiny_dma.frequency.n_f))
                   + 1j * rng.normal(size=(arr.n_v, tiny_dma.frequency.n_f)))
     wbar = expand_dma_weights(wf, arr.n_h)
-    a = ch.rows(0) * (dma.q * dma.h).reshape(-1)[None, :]
+    a = ch.gamma[0].T * (dma.q * dma.h).reshape(-1)[None, :]
     s_via_w = np.sum(a * wbar, axis=1)
     s_via_q = element_rows(ch, dma, wf)[0] @ dma.q_flat()
     s_via_chain = np.sum(effective_rows(ch, arr, dma)[0] * wf.omega.T, axis=1)
